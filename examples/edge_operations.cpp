@@ -1,20 +1,24 @@
 // Edge operations walkthrough: the deployment-facing features.
 //
 //   1. serve traffic and read the telemetry counters;
-//   2. snapshot the obfuscation tables to disk, "restart" the device, and
-//      restore -- proving the permanent candidates survive (regenerating
-//      them would be a privacy leak);
+//   2. save a snapshot of the device state to disk, "restart" into a
+//      device with a different seed, and open it -- proving the permanent
+//      candidates and per-user privacy levels survive (regenerating the
+//      candidates would be a privacy leak);
 //   3. per-user personalized privacy levels;
 //   4. the privacy accountant's view of a protected user vs. what a
 //      one-time geo-IND user would have spent.
 //
+// Exits non-zero when the restart check fails, so it doubles as a test.
+//
 // Build & run:  ./build/examples/edge_operations
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <sstream>
+#include <filesystem>
+#include <string>
 
 #include "core/edge_device.hpp"
-#include "core/table_store.hpp"
 
 int main() {
   using namespace privlocad;
@@ -51,23 +55,44 @@ int main() {
   std::printf("--- telemetry after 400 requests ---\n%s\n",
               device.telemetry().to_string().c_str());
 
-  // ---- 2. snapshot / restart / restore --------------------------------
-  std::stringstream storage, profile_storage;
-  core::save_tables(storage, device.snapshot_tables());
-  core::save_profiles(profile_storage, device.snapshot_profiles());
-  std::printf("persisted: %zu bytes of tables, %zu bytes of profiles\n\n",
-              storage.str().size(), profile_storage.str().size());
+  // ---- 2. snapshot / restart / open ---------------------------------
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "edge_operations.snap")
+          .string();
+  if (const util::Status saved = device.save_snapshot(path); !saved.ok()) {
+    std::fprintf(stderr, "save_snapshot failed: %s\n",
+                 saved.to_string().c_str());
+    return 1;
+  }
+  std::printf("persisted: %ju-byte snapshot\n\n",
+              static_cast<std::uintmax_t>(std::filesystem::file_size(path)));
 
   core::EdgeDevice restarted(config.with_seed(/*different seed=*/777));
-  restarted.restore_tables(core::load_tables(storage, 100.0));
-  restarted.restore_profiles(core::load_profiles(profile_storage));
+  const util::Status opened = restarted.open_snapshot(path);
+  std::filesystem::remove(path);
+  if (!opened.ok()) {
+    std::fprintf(stderr, "open_snapshot failed: %s\n",
+                 opened.to_string().c_str());
+    return 1;
+  }
   const core::ReportedLocation replay = restarted.report_location(
       1, alice_home, trace::kStudyStart + 100 * trace::kSecondsPerDay);
   std::printf("after restart, alice's report still comes from the frozen "
-              "set: (%.1f, %.1f) [%s]\n\n",
+              "set: (%.1f, %.1f) [%s]\n",
               replay.location.x, replay.location.y,
               replay.kind == core::ReportKind::kTopLocation ? "top"
                                                             : "nomadic");
+  std::printf("bob's personalized level after restart: eps = %.2f\n\n",
+              restarted.user_privacy(2).epsilon);
+  // A top-location release with no candidate set drawn since the restart
+  // is a replay of the frozen set.
+  if (replay.kind != core::ReportKind::kTopLocation ||
+      restarted.telemetry().tables_generated != 0 ||
+      restarted.user_privacy(2).epsilon != strict.epsilon) {
+    std::fprintf(stderr, "restart check FAILED: the snapshot did not "
+                         "preserve the frozen set or bob's privacy level\n");
+    return 1;
+  }
 
   // ---- 3 + 4. privacy accounting ---------------------------------------
   const lppm::PrivacySpend alice = device.accountant().spend_for(1);

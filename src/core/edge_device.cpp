@@ -208,7 +208,7 @@ void EdgeDevice::import_history(std::uint64_t user_id,
   const UserArena::Row row = arena_.find_or_create(user_id);
   for (const trace::CheckIn& c : trace.check_ins) {
     // Window-boundary rebuilds during a bulk import are bookkeeping, not
-    // live traffic; like the legacy path they do not count in telemetry.
+    // live traffic, so they do not count in telemetry.
     (void)arena_.record(row, c.position, c.time, config_.management);
   }
   arena_.rebuild_now(row, config_.management);
@@ -249,62 +249,6 @@ void EdgeDevice::set_user_privacy(std::uint64_t user_id,
 const lppm::BoundedGeoIndParams& EdgeDevice::user_privacy(
     std::uint64_t user_id) {
   return mechanism_for(arena_.find_or_create(user_id)).params();
-}
-
-TableSnapshot EdgeDevice::snapshot_tables() const {
-  TableSnapshot snapshot;
-  for (UserArena::Row row = 0; row < arena_.size(); ++row) {
-    const std::size_t entries = arena_.entry_count(row);
-    if (entries == 0) continue;
-    ObfuscationTable copy(config_.table_match_radius_m);
-    for (std::size_t i = 0; i < entries; ++i) {
-      ObfuscationTable::Entry entry;
-      entry.top_location = arena_.entry_top(row, i);
-      const simd::PointSpan span = arena_.entry_candidates(row, i);
-      entry.candidates.reserve(span.size);
-      for (std::size_t c = 0; c < span.size; ++c) {
-        entry.candidates.push_back({span.xs[c], span.ys[c]});
-      }
-      copy.restore(std::move(entry));
-    }
-    snapshot.emplace(arena_.user_id(row), std::move(copy));
-  }
-  return snapshot;
-}
-
-ProfileSnapshot EdgeDevice::snapshot_profiles() const {
-  ProfileSnapshot snapshot;
-  for (UserArena::Row row = 0; row < arena_.size(); ++row) {
-    if (!arena_.has_profile(row)) continue;
-    StoredProfile stored;
-    stored.profile = arena_.profile_of(row);
-    const std::size_t tops = arena_.top_size(row);
-    stored.top_indices.reserve(tops);
-    for (std::size_t i = 0; i < tops; ++i) {
-      stored.top_indices.push_back(arena_.top_index(row, i));
-    }
-    snapshot.emplace(arena_.user_id(row), std::move(stored));
-  }
-  return snapshot;
-}
-
-void EdgeDevice::restore_profiles(const ProfileSnapshot& snapshot) {
-  for (const auto& [user_id, stored] : snapshot) {
-    const UserArena::Row row = arena_.find_or_create(user_id);
-    arena_.restore_profile(row, stored.profile, stored.top_indices);
-  }
-}
-
-void EdgeDevice::restore_tables(TableSnapshot snapshot) {
-  for (auto& [user_id, table] : snapshot) {
-    const UserArena::Row row = arena_.find_or_create(user_id);
-    util::require(arena_.entry_count(row) == 0,
-                  "cannot restore tables over a user with live entries");
-    for (const ObfuscationTable::Entry& entry : table.entries()) {
-      arena_.restore_entry(row, entry.top_location, entry.candidates,
-                           config_.table_match_radius_m);
-    }
-  }
 }
 
 util::Status EdgeDevice::save_snapshot(const std::string& path) {

@@ -16,14 +16,14 @@
 //      those relevant to the user's TRUE location (inside the AOI),
 //      saving client bandwidth.
 //
-// All per-user state lives in one columnar UserArena (core/user_arena.hpp)
-// instead of per-user heap objects: profiles, top sets, obfuscation-table
-// entries, candidate sets, and pending windows are contiguous SoA columns
-// indexed through a compact user directory. Candidate sets are scored by
-// the SIMD posterior kernel directly from the columns, and the whole
-// device state round-trips through an mmap-backed snapshot file
-// (save_snapshot / open_snapshot), so a million-user device loads in
-// O(map), not O(parse).
+// All per-user state lives in one columnar UserArena (core/user_arena.hpp):
+// profiles, top sets, obfuscation-table entries, candidate sets, and
+// pending windows are contiguous SoA columns indexed through a compact
+// user directory. Candidate sets are scored by the SIMD posterior kernel
+// directly from the columns, and the whole device state round-trips
+// through an mmap-backed snapshot file (save_snapshot / open_snapshot,
+// the only persistence path), so a million-user device loads in O(map),
+// not O(parse).
 //
 // Determinism: each user's randomness is an independent engine split from
 // the config seed by user id, so a user's served outputs depend only on
@@ -38,10 +38,7 @@
 #include <vector>
 
 #include "adnet/ad_network.hpp"
-#include "core/location_management.hpp"
-#include "core/profile_store.hpp"
 #include "core/risk.hpp"
-#include "core/table_store.hpp"
 #include "core/telemetry.hpp"
 #include "core/user_arena.hpp"
 #include "fault/fault.hpp"
@@ -223,30 +220,12 @@ class EdgeDevice {
   const std::vector<attack::ProfileEntry>& top_locations(
       std::uint64_t user_id);
 
-  /// Copies every user's obfuscation table for persistence. Restarting a
-  /// device WITHOUT restoring this state would regenerate fresh noise for
-  /// known top locations -- a privacy leak; pair with restore_tables().
-  /// (Binary alternative: save_snapshot persists the whole device state.)
-  TableSnapshot snapshot_tables() const;
-
-  /// Copies every user's profile + top-location set for persistence; a
-  /// restarted device that restores these resumes top-location service
-  /// immediately instead of serving nomadically for a whole window.
-  ProfileSnapshot snapshot_profiles() const;
-
-  /// Restores persisted profiles (startup flow). Throws if any restored
-  /// user already has a live profile.
-  void restore_profiles(const ProfileSnapshot& snapshot);
-
-  /// Restores previously saved tables (startup flow). Throws
-  /// util::InvalidArgument if any restored user already has table entries
-  /// in this device.
-  void restore_tables(TableSnapshot snapshot);
-
   // ------------------------------------------------------------ snapshots
   /// Persists the entire data plane (every user's profile, top set,
   /// frozen candidate sets, pending window, RNG stream, and personalized
-  /// parameters) into one binary snapshot file (core/snapshot.hpp).
+  /// parameters) into one binary snapshot file (core/snapshot.hpp) -- the
+  /// one persistence format. Restarting a device WITHOUT this state would
+  /// regenerate fresh noise for known top locations, a privacy leak.
   /// Returns kIoError when the file cannot be written.
   util::Status save_snapshot(const std::string& path);
 

@@ -10,16 +10,6 @@ EdgePrivLocAd::EdgePrivLocAd(EdgeConfig config,
       adnet_degraded_total_(
           &edge_.metrics().counter(edge_metrics::kAdnetDegraded)) {}
 
-// Deprecated forwarding constructor; suppress its self-referential
-// deprecation warning.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-EdgePrivLocAd::EdgePrivLocAd(EdgeConfig config,
-                             std::vector<adnet::Advertiser> advertisers,
-                             std::uint64_t seed)
-    : EdgePrivLocAd(config.with_seed(seed), std::move(advertisers)) {}
-#pragma GCC diagnostic pop
-
 ServedAds EdgePrivLocAd::on_lba_request(std::uint64_t user_id,
                                         geo::Point true_location,
                                         trace::Timestamp time) {

@@ -45,11 +45,6 @@ class EdgePrivLocAd {
   EdgePrivLocAd(EdgeConfig config,
                 std::vector<adnet::Advertiser> advertisers);
 
-  [[deprecated("pass the seed inside EdgeConfig: "
-               "EdgePrivLocAd(config.with_seed(seed), advertisers)")]]
-  EdgePrivLocAd(EdgeConfig config, std::vector<adnet::Advertiser> advertisers,
-                std::uint64_t seed);
-
   /// Full round trip for one user request. Never throws: a dropped or
   /// failed serve leg returns a typed outcome with no ad traffic, and a
   /// faulted ad-network leg degrades to zero delivered ads

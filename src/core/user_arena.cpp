@@ -117,7 +117,7 @@ bool UserArena::record(Row row, geo::Point position, trace::Timestamp time,
 void UserArena::gather_window(Row row) {
   scratch_points_.resize(win_count_[row]);
   // The chain links newest-first; fill back-to-front so the scratch is
-  // chronological, matching the legacy window_points_ insertion order.
+  // chronological (profiles are built in check-in order).
   std::size_t out = win_count_[row];
   for (std::uint32_t i = win_head_[row]; i != kNoIndex; i = win_prev_[i]) {
     scratch_points_[--out] = {win_xs_[i], win_ys_[i]};
@@ -132,9 +132,9 @@ void UserArena::clear_window(Row row) {
 }
 
 void UserArena::rebuild_now(Row row, const LocationManagementConfig& config) {
-  // The window restarts at the next recorded check-in (legacy semantics:
-  // a bulk import followed by live traffic must not immediately rebuild
-  // from a nearly-empty window).
+  // The window restarts at the next recorded check-in: a bulk import
+  // followed by live traffic must not immediately rebuild from a
+  // nearly-empty window and wipe the top-location set.
   window_start_[row] = kNoWindowStart;
   if (win_count_[row] == 0) return;
   gather_window(row);
@@ -170,31 +170,6 @@ void UserArena::set_rebuilt_profile(
   top_count_[row] = static_cast<std::uint32_t>(top_prefix);
   for (std::size_t i = 0; i < top_prefix; ++i) {
     top_idx_.push_back(static_cast<std::uint32_t>(i));
-  }
-  has_profile_[row] = 1;
-}
-
-void UserArena::restore_profile(Row row,
-                                const attack::LocationProfile& profile,
-                                const std::vector<std::size_t>& top_indices) {
-  if (has_profile_[row] != 0) {
-    throw util::PreconditionViolation(
-        "cannot restore a profile over live management state");
-  }
-  for (const std::size_t index : top_indices) {
-    util::require(index < profile.size(), "restored top index out of range");
-  }
-  prof_begin_[row] = prof_xs_.size();
-  prof_count_[row] = static_cast<std::uint32_t>(profile.size());
-  for (const attack::ProfileEntry& e : profile.entries()) {
-    prof_xs_.push_back(e.location.x);
-    prof_ys_.push_back(e.location.y);
-    prof_freq_.push_back(e.frequency);
-  }
-  top_begin_[row] = top_idx_.size();
-  top_count_[row] = static_cast<std::uint32_t>(top_indices.size());
-  for (const std::size_t index : top_indices) {
-    top_idx_.push_back(static_cast<std::uint32_t>(index));
   }
   has_profile_[row] = 1;
 }
@@ -241,12 +216,6 @@ std::int64_t UserArena::matching_top(Row row, geo::Point location,
 }
 
 // --------------------------------------------------------- table entries
-
-geo::Point UserArena::entry_top(Row row, std::size_t i) const {
-  assert(i < ent_count_[row]);
-  const std::size_t at = ent_begin_[row] + i;
-  return {ent_xs_[at], ent_ys_[at]};
-}
 
 simd::PointSpan UserArena::entry_candidates(Row row, std::size_t i) const {
   assert(i < ent_count_[row]);
@@ -305,8 +274,7 @@ void UserArena::append_entry(Row row, geo::Point top,
 std::size_t UserArena::add_entry(Row row, geo::Point top,
                                  const lppm::Mechanism& mechanism,
                                  rng::Engine& engine) {
-  // Same draw order as the legacy ObfuscationTable: candidates are
-  // generated in one batched mechanism release.
+  // Candidates are generated in one batched mechanism release.
   scratch_points_.clear();
   mechanism.obfuscate_into(engine, top, scratch_points_);
   const std::uint64_t cand_begin = cand_xs_.size();
@@ -318,22 +286,6 @@ std::size_t UserArena::add_entry(Row row, geo::Point top,
                cand_begin, static_cast<std::uint32_t>(scratch_points_.size()));
   maybe_compact();
   return ent_count_[row] - 1;
-}
-
-void UserArena::restore_entry(Row row, geo::Point top,
-                              const std::vector<geo::Point>& candidates,
-                              double radius_m) {
-  util::require(!candidates.empty(), "restored entry must have candidates");
-  util::require(find_entry(row, top, radius_m) < 0,
-                "restored entry collides with an existing table entry");
-  const std::uint64_t cand_begin = cand_xs_.size();
-  for (const geo::Point p : candidates) {
-    cand_xs_.push_back(p.x);
-    cand_ys_.push_back(p.y);
-  }
-  append_entry(row, top, cand_begin,
-               static_cast<std::uint32_t>(candidates.size()));
-  maybe_compact();
 }
 
 // -------------------------------------------------------------- compaction

@@ -1,8 +1,10 @@
 // Columnar per-shard user storage: the million-user data plane.
 //
-// Replaces the per-user heap objects EdgeDevice used to hold (a
-// LocationManager + ObfuscationTable per user behind an unordered_map)
-// with one contiguous structure-of-arrays arena per shard:
+// Holds every user's location-management state (paper Section V-B: the
+// pending check-in window, the periodically rebuilt profile and its
+// eta-frequent top-location set) and obfuscation table (Section V-C: the
+// permanent candidate set of each top location) in one contiguous
+// structure-of-arrays arena per shard:
 //
 //   * a compact open-addressing directory maps user id -> dense row;
 //   * row scalars (RNG stream, window state, range descriptors) are
@@ -43,7 +45,6 @@
 #include <vector>
 
 #include "attack/profile.hpp"
-#include "core/location_management.hpp"
 #include "geo/point.hpp"
 #include "lppm/mechanism.hpp"
 #include "lppm/privacy_params.hpp"
@@ -53,6 +54,29 @@
 #include "util/status.hpp"
 
 namespace privlocad::core {
+
+struct LocationManagementConfig {
+  /// Profile rebuild period. The paper's prototype uses three months.
+  trace::Timestamp window_seconds = 90 * trace::kSecondsPerDay;
+
+  /// Connectivity threshold for profiling (meters).
+  double profiling_threshold_m = attack::kDefaultProfilingThresholdM;
+
+  /// Fraction of activity the eta-frequent set must cover.
+  double eta_fraction = 0.8;
+
+  /// Ignore locations visited fewer than this many times even when the
+  /// eta prefix would include them (guards against one-off spikes in
+  /// sparse windows).
+  std::uint64_t min_top_frequency = 2;
+
+  /// A window boundary only triggers a rebuild once this many check-ins
+  /// accumulated; sparser windows keep accumulating (and the previous
+  /// top-location set keeps serving). Without this guard a single
+  /// check-in straddling a boundary would replace a rich profile with a
+  /// near-empty one and silently drop every top location.
+  std::size_t min_window_check_ins = 10;
+};
 
 namespace snapshot {
 class Writer;
@@ -137,14 +161,15 @@ class UserArena {
   rng::Engine& engine(Row row) { return engines_[row]; }
 
   // ---------------------------------------- location management (window)
-  /// Ports LocationManager::record: starts/advances the window, rebuilds
-  /// the profile when a boundary with enough check-ins is crossed, then
-  /// appends the check-in to the window tail. Returns true on rebuild.
+  /// Records one raw check-in: starts/advances the window, rebuilds the
+  /// profile and top-location set from the completed window when a
+  /// boundary with enough check-ins is crossed, then appends the check-in
+  /// to the window tail. Returns true on rebuild.
   bool record(Row row, geo::Point position, trace::Timestamp time,
               const LocationManagementConfig& config);
 
-  /// Ports LocationManager::rebuild_now (forced rebuild from the pending
-  /// window; keeps the previous profile when the window is empty).
+  /// Forced rebuild from the pending window (e.g. after a bulk history
+  /// import); keeps the previous profile when the window is empty.
   void rebuild_now(Row row, const LocationManagementConfig& config);
 
   std::size_t pending_check_ins(Row row) const { return win_count_[row]; }
@@ -156,7 +181,7 @@ class UserArena {
   bool has_profile(Row row) const { return has_profile_[row] != 0; }
   std::size_t profile_size(Row row) const { return prof_count_[row]; }
   attack::ProfileEntry profile_entry(Row row, std::size_t i) const;
-  /// Materializes the row's profile (snapshot/risk paths, not serving).
+  /// Materializes the row's profile (risk path, not serving).
   attack::LocationProfile profile_of(Row row) const;
 
   std::size_t top_size(Row row) const { return top_count_[row]; }
@@ -166,41 +191,28 @@ class UserArena {
   std::uint32_t top_index(Row row, std::size_t i) const;
 
   /// Index of the nearest top location within `radius_m` of `location`,
-  /// or -1. Ties resolve to the later entry (legacy scan order).
+  /// or -1. Ties resolve to the later entry.
   std::int64_t matching_top(Row row, geo::Point location,
                             double radius_m) const;
 
-  /// Restore path: installs a persisted profile + top set. Throws
-  /// util::PreconditionViolation over a live profile, util::InvalidArgument
-  /// on an out-of-range top index.
-  void restore_profile(Row row, const attack::LocationProfile& profile,
-                       const std::vector<std::size_t>& top_indices);
-
   // ------------------------------------------------- obfuscation entries
   std::size_t entry_count(Row row) const { return ent_count_[row]; }
-  geo::Point entry_top(Row row, std::size_t i) const;
   /// SoA view of entry i's frozen candidate set -- the span the posterior
   /// selection kernel scores directly.
   simd::PointSpan entry_candidates(Row row, std::size_t i) const;
 
   /// Index of the entry whose top location lies within `radius_m` of
-  /// `location`, or -1. Insertion-order scan, ties to the later entry
-  /// (legacy ObfuscationTable::find semantics).
+  /// `location`, or -1. Top locations are re-derived each window, so
+  /// their centroids drift; a match by proximity reuses the entry.
+  /// Insertion-order scan, ties to the later entry.
   std::int64_t find_entry(Row row, geo::Point location,
                           double radius_m) const;
 
   /// Appends a new entry for `top`, generating its permanent candidates
-  /// through `mechanism` on `engine` (same draw order as the legacy
-  /// table). Returns the new entry's index.
+  /// in one batched release of `mechanism` on `engine`. Returns the new
+  /// entry's index.
   std::size_t add_entry(Row row, geo::Point top,
                         const lppm::Mechanism& mechanism, rng::Engine& engine);
-
-  /// Restore path: installs a persisted entry verbatim. Throws
-  /// util::InvalidArgument on empty candidates or a collision with an
-  /// existing entry inside `radius_m`.
-  void restore_entry(Row row, geo::Point top,
-                     const std::vector<geo::Point>& candidates,
-                     double radius_m);
 
   // ------------------------------------------------- personalized privacy
   void set_custom_params(Row row, lppm::BoundedGeoIndParams params) {
@@ -235,7 +247,7 @@ class UserArena {
 
  private:
   static constexpr std::uint32_t kNoIndex = 0xFFFFFFFFu;
-  /// window_start sentinel (legacy: empty optional). INT64_MIN is not a
+  /// window_start sentinel: no window open yet. INT64_MIN is not a
   /// representable check-in time.
   static constexpr std::int64_t kNoWindowStart =
       std::numeric_limits<std::int64_t>::min();

@@ -11,15 +11,20 @@
 namespace privlocad::fault {
 namespace {
 
-constexpr std::array<const char*, kSiteCount> kSiteNames = {
-    "table_store", "profile_store", "exchange", "serve"};
+constexpr std::array<const char*, kSiteCount> kSiteNames = {"exchange",
+                                                             "serve"};
 
-/// Deterministic uniform in [0, 1) for arrival `n` at `site`: two
-/// SplitMix64 rounds over the mixed (seed, site, n) word give full
-/// avalanche, so per-site streams are independent and order-free.
-double schedule_uniform(std::uint64_t seed, std::size_t site,
+/// Per-site salts for schedule_uniform. Fixed values, not enum indices:
+/// a recorded seed must keep replaying the same fault schedule when sites
+/// are added or removed (these were the sites' original indices).
+constexpr std::array<std::size_t, kSiteCount> kScheduleSalts = {2, 3};
+
+/// Deterministic uniform in [0, 1) for arrival `n` at the site salted
+/// `salt`: two SplitMix64 rounds over the mixed (seed, salt, n) word give
+/// full avalanche, so per-site streams are independent and order-free.
+double schedule_uniform(std::uint64_t seed, std::size_t salt,
                         std::uint64_t n) {
-  std::uint64_t state = seed + 0x9E3779B97F4A7C15ULL * (site + 1);
+  std::uint64_t state = seed + 0x9E3779B97F4A7C15ULL * (salt + 1);
   state ^= n * 0xBF58476D1CE4E5B9ULL + 0x94D049BB133111EBULL;
   rng::splitmix64(state);
   const std::uint64_t bits = rng::splitmix64(state);
@@ -164,7 +169,8 @@ util::Status FaultInjector::check(Site site) noexcept {
   if (spec.probability <= 0.0) return util::Status();
   const std::uint64_t n =
       state.arrivals.fetch_add(1, std::memory_order_relaxed);
-  if (schedule_uniform(plan_.seed, index, n) >= spec.probability) {
+  if (schedule_uniform(plan_.seed, kScheduleSalts[index], n) >=
+      spec.probability) {
     return util::Status();
   }
   state.injected.fetch_add(1, std::memory_order_relaxed);

@@ -2,14 +2,14 @@
 //
 // The paper's privacy argument (Thm. 2, Alg. 4) only holds if the edge
 // stands between the user's raw top locations and the ad network on EVERY
-// request -- including the ones where a store is unreachable or the
-// exchange times out. This module makes those failure seams testable: a
-// FaultPlan assigns each injection site (table store, profile store,
-// exchange, edge serving) a seeded probability/latency/error schedule, and
-// a FaultInjector replays that schedule deterministically -- the i-th check
-// at a site fires or not as a pure function of (plan seed, site, i), so a
-// fixed seed reproduces the exact fault mix and therefore the exact serving
-// outcomes, across runs and independently of the other sites.
+// request -- including the ones where the obfuscation inputs are down or
+// the exchange times out. This module makes those failure seams testable:
+// a FaultPlan assigns each injection site (exchange, edge serving) a
+// seeded probability/latency/error schedule, and a FaultInjector replays
+// that schedule deterministically -- the i-th check at a site fires or not
+// as a pure function of (plan seed, site, i), so a fixed seed reproduces
+// the exact fault mix and therefore the exact serving outcomes, across runs
+// and independently of the other sites.
 //
 // Cost model: injection is OFF by default. A disabled injector's check()
 // is an inline branch on one bool -- no atomics, no RNG -- so the serving
@@ -36,14 +36,12 @@ namespace privlocad::fault {
 
 /// Every operation boundary faults can be injected into.
 enum class Site : std::size_t {
-  kTableStore = 0,  ///< obfuscation-table persistence (load/save)
-  kProfileStore,    ///< profile persistence (load/save)
-  kExchange,        ///< adnet exchange / ad-network round trip
-  kServe,           ///< edge obfuscation-input acquisition in serve()
+  kExchange = 0,  ///< adnet exchange / ad-network round trip
+  kServe,         ///< edge obfuscation-input acquisition in serve()
 };
-inline constexpr std::size_t kSiteCount = 4;
+inline constexpr std::size_t kSiteCount = 2;
 
-/// Stable lowercase name ("table_store", ...) used by the spec grammar,
+/// Stable lowercase name ("exchange", "serve") used by the spec grammar,
 /// metric names, and error messages.
 const char* site_name(Site site);
 
@@ -80,7 +78,7 @@ struct FaultPlan {
   /// Parses a spec string. Grammar (';'-separated entries):
   ///   seed=<uint>
   ///   <site>:p=<prob>[,latency_us=<us>][,code=<name>]
-  /// where <site> is table_store | profile_store | exchange | serve and
+  /// where <site> is exchange | serve and
   /// <name> is unavailable | timeout | resource_exhausted. Example:
   ///   "seed=42;serve:p=0.3;exchange:p=0.25,latency_us=50,code=timeout"
   /// Returns kParseError with the offending entry on a malformed spec.

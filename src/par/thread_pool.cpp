@@ -1,10 +1,13 @@
 #include "par/thread_pool.hpp"
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 #include <string>
 
 #include "obs/metrics.hpp"
+#include "util/status.hpp"
 #include "util/validation.hpp"
 
 namespace privlocad::par {
@@ -18,12 +21,19 @@ thread_local bool tl_in_pool_task = false;
 }  // namespace
 
 std::size_t hardware_threads() {
-  if (const char* env = std::getenv("PRIVLOCAD_THREADS")) {
-    char* end = nullptr;
-    const unsigned long parsed = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && parsed >= 1) {
-      return static_cast<std::size_t>(parsed);
+  // A malformed override throws: a run must never silently use a different
+  // pool size than its environment claims.
+  if (const char* env = std::getenv("PRIVLOCAD_THREADS");
+      env != nullptr && *env != '\0') {
+    const char* end = env + std::strlen(env);
+    std::size_t parsed = 0;
+    const auto [ptr, error] = std::from_chars(env, end, parsed);
+    if (error != std::errc() || ptr != end || parsed < 1) {
+      throw util::StatusError(util::Status::parse_error(
+          std::string("PRIVLOCAD_THREADS must be a positive integer, got '") +
+          env + "'"));
     }
+    return parsed;
   }
   const unsigned hc = std::thread::hardware_concurrency();
   return hc == 0 ? 1 : static_cast<std::size_t>(hc);

@@ -36,8 +36,9 @@ class MetricsRegistry;
 namespace privlocad::par {
 
 /// Worker count the global pool uses: the PRIVLOCAD_THREADS environment
-/// variable when set to a positive integer, otherwise
-/// std::thread::hardware_concurrency() (minimum 1).
+/// variable when set, otherwise std::thread::hardware_concurrency()
+/// (minimum 1). Throws util::StatusError (kParseError) unless a set,
+/// non-empty PRIVLOCAD_THREADS is a positive integer.
 std::size_t hardware_threads();
 
 /// Cumulative execution counters for one pool (since construction).

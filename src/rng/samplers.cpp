@@ -12,6 +12,7 @@
 #include "rng/lambert_w.hpp"
 #include "rng/ziggurat.hpp"
 #include "simd/kernels.hpp"
+#include "util/status.hpp"
 #include "util/validation.hpp"
 
 namespace privlocad::rng {
@@ -53,19 +54,8 @@ double probit_approx(double p) {
          ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0);
 }
 
-NormalSampler sampler_from_env() {
-  if (const char* env = std::getenv("PRIVLOCAD_SAMPLER")) {
-    if (std::strcmp(env, "icdf") == 0 ||
-        std::strcmp(env, "inverse-cdf") == 0 ||
-        std::strcmp(env, "inverse_cdf") == 0) {
-      return NormalSampler::kInverseCdf;
-    }
-  }
-  return NormalSampler::kZiggurat;
-}
-
 std::atomic<NormalSampler>& sampler_slot() {
-  static std::atomic<NormalSampler> slot{sampler_from_env()};
+  static std::atomic<NormalSampler> slot{normal_sampler_from_env()};
   return slot;
 }
 
@@ -82,6 +72,21 @@ geo::Point gaussian_noise_polar(Engine& engine, double sigma) {
 }
 
 }  // namespace
+
+NormalSampler normal_sampler_from_env() {
+  const char* env = std::getenv("PRIVLOCAD_SAMPLER");
+  if (env == nullptr || *env == '\0' || std::strcmp(env, "ziggurat") == 0) {
+    return NormalSampler::kZiggurat;
+  }
+  if (std::strcmp(env, "icdf") == 0 ||
+      std::strcmp(env, "inverse-cdf") == 0 ||
+      std::strcmp(env, "inverse_cdf") == 0) {
+    return NormalSampler::kInverseCdf;
+  }
+  throw util::StatusError(util::Status::parse_error(
+      std::string("PRIVLOCAD_SAMPLER must be ziggurat | icdf, got '") + env +
+      "'"));
+}
 
 NormalSampler default_normal_sampler() {
   return sampler_slot().load(std::memory_order_relaxed);

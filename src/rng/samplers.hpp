@@ -41,9 +41,16 @@ enum class NormalSampler {
   kInverseCdf,  ///< probit inversion: legacy stream, one draw per variate
 };
 
-/// The process-wide sampler. Initialized once from PRIVLOCAD_SAMPLER
-/// ("ziggurat" or "icdf"/"inverse-cdf"; default ziggurat).
+/// The process-wide sampler. Initialized once from
+/// normal_sampler_from_env().
 NormalSampler default_normal_sampler();
+
+/// The sampler PRIVLOCAD_SAMPLER names: "ziggurat", or "icdf" (alias
+/// "inverse-cdf"/"inverse_cdf"); ziggurat when unset or empty. Throws
+/// util::StatusError (kParseError) on any other value: an experiment must
+/// never silently draw from a different stream than its environment
+/// claims.
+NormalSampler normal_sampler_from_env();
 
 /// Overrides the process-wide sampler (tests and A/B benches). Takes
 /// effect for all subsequent draws; not intended to be flipped

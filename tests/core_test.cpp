@@ -1,6 +1,7 @@
 // Tests for the core Edge-PrivLocAd modules: eta-frequent sets, location
-// management, the permanent obfuscation table, posterior output selection,
-// and the edge device's reporting logic.
+// management and the permanent obfuscation table (both held by the
+// UserArena), posterior output selection, and the edge device's reporting
+// logic.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,9 +11,8 @@
 
 #include "core/edge_device.hpp"
 #include "core/eta_frequent.hpp"
-#include "core/location_management.hpp"
-#include "core/obfuscation_table.hpp"
 #include "core/output_selection.hpp"
+#include "core/user_arena.hpp"
 #include "lppm/gaussian.hpp"
 #include "rng/engine.hpp"
 #include "rng/samplers.hpp"
@@ -86,6 +86,9 @@ TEST(EtaFrequent, DomainErrors) {
 }
 
 // ------------------------------------------------------ location management
+//
+// Paper Section V-B on the UserArena: one user's row holds the pending
+// check-in window, the rebuilt profile and its top-location set.
 
 LocationManagementConfig fast_window() {
   LocationManagementConfig c;
@@ -94,139 +97,188 @@ LocationManagementConfig fast_window() {
   return c;
 }
 
+/// A fresh arena holding one user's row.
+struct ArenaUser {
+  UserArena arena{rng::Engine(1)};
+  UserArena::Row row = arena.find_or_create(1);
+
+  bool record(geo::Point p, trace::Timestamp t,
+              const LocationManagementConfig& c = fast_window()) {
+    return arena.record(row, p, t, c);
+  }
+  void rebuild_now(const LocationManagementConfig& c = fast_window()) {
+    arena.rebuild_now(row, c);
+  }
+  std::size_t tops() const { return arena.top_size(row); }
+  attack::ProfileEntry top(std::size_t i) const {
+    return arena.top_entry(row, i);
+  }
+};
+
 TEST(LocationManager, NoTopLocationsBeforeFirstRebuild) {
-  LocationManager mgr(fast_window());
-  mgr.record({0, 0}, 0);
-  EXPECT_TRUE(mgr.top_locations().empty());
-  EXPECT_FALSE(mgr.profile().has_value());
-  EXPECT_EQ(mgr.pending_check_ins(), 1u);
+  ArenaUser user;
+  user.record({0, 0}, 0);
+  EXPECT_EQ(user.tops(), 0u);
+  EXPECT_FALSE(user.arena.has_profile(user.row));
+  EXPECT_EQ(user.arena.pending_check_ins(user.row), 1u);
 }
 
 TEST(LocationManager, WindowCrossingTriggersRebuild) {
-  LocationManager mgr(fast_window());
+  ArenaUser user;
   for (int i = 0; i < 10; ++i) {
-    EXPECT_FALSE(mgr.record({0.0 + i * 0.1, 0.0}, i));
+    EXPECT_FALSE(user.record({0.0 + i * 0.1, 0.0}, i));
   }
   // Crossing the 1000-second boundary rebuilds from the completed window.
-  EXPECT_TRUE(mgr.record({5000, 5000}, 2000));
-  ASSERT_FALSE(mgr.top_locations().empty());
-  EXPECT_NEAR(mgr.top_locations()[0].location.x, 0.45, 0.01);
-  EXPECT_EQ(mgr.pending_check_ins(), 1u);  // the triggering check-in
+  EXPECT_TRUE(user.record({5000, 5000}, 2000));
+  ASSERT_GT(user.tops(), 0u);
+  EXPECT_NEAR(user.top(0).location.x, 0.45, 0.01);
+  // The triggering check-in.
+  EXPECT_EQ(user.arena.pending_check_ins(user.row), 1u);
 }
 
 TEST(LocationManager, RebuildNowFlushesPending) {
-  LocationManager mgr(fast_window());
-  for (int i = 0; i < 5; ++i) mgr.record({0, 0}, i);
-  mgr.rebuild_now();
-  ASSERT_EQ(mgr.top_locations().size(), 1u);
-  EXPECT_EQ(mgr.top_locations()[0].frequency, 5u);
-  EXPECT_EQ(mgr.pending_check_ins(), 0u);
+  ArenaUser user;
+  for (int i = 0; i < 5; ++i) user.record({0, 0}, i);
+  user.rebuild_now();
+  ASSERT_EQ(user.tops(), 1u);
+  EXPECT_EQ(user.top(0).frequency, 5u);
+  EXPECT_EQ(user.arena.pending_check_ins(user.row), 0u);
 }
 
 TEST(LocationManager, MinTopFrequencyFiltersOneOffs) {
   LocationManagementConfig c = fast_window();
   c.eta_fraction = 1.0;  // would otherwise include everything
   c.min_top_frequency = 3;
-  LocationManager mgr(c);
-  for (int i = 0; i < 5; ++i) mgr.record({0, 0}, i);
-  mgr.record({9000, 9000}, 6);  // single one-off
-  mgr.rebuild_now();
-  ASSERT_EQ(mgr.top_locations().size(), 1u);
-  EXPECT_EQ(mgr.top_locations()[0].frequency, 5u);
+  ArenaUser user;
+  for (int i = 0; i < 5; ++i) user.record({0, 0}, i, c);
+  user.record({9000, 9000}, 6, c);  // single one-off
+  user.rebuild_now(c);
+  ASSERT_EQ(user.tops(), 1u);
+  EXPECT_EQ(user.top(0).frequency, 5u);
 }
 
 TEST(LocationManager, EtaFractionControlsSetSize) {
   LocationManagementConfig c = fast_window();
   c.eta_fraction = 0.6;
   c.min_top_frequency = 1;
-  LocationManager mgr(c);
-  for (int i = 0; i < 60; ++i) mgr.record({0, 0}, i);
-  for (int i = 0; i < 40; ++i) mgr.record({8000, 0}, 100 + i);
-  mgr.rebuild_now();
-  EXPECT_EQ(mgr.top_locations().size(), 1u);  // top-1 covers 60% >= eta
+  ArenaUser user;
+  for (int i = 0; i < 60; ++i) user.record({0, 0}, i, c);
+  for (int i = 0; i < 40; ++i) user.record({8000, 0}, 100 + i, c);
+  user.rebuild_now(c);
+  EXPECT_EQ(user.tops(), 1u);  // top-1 covers 60% >= eta
 }
 
 TEST(LocationManager, SparseWindowDoesNotWipeTopLocations) {
   LocationManagementConfig c = fast_window();
   c.min_window_check_ins = 10;
-  LocationManager mgr(c);
-  for (int i = 0; i < 20; ++i) mgr.record({0, 0}, i);
-  mgr.rebuild_now();
-  ASSERT_EQ(mgr.top_locations().size(), 1u);
+  ArenaUser user;
+  for (int i = 0; i < 20; ++i) user.record({0, 0}, i, c);
+  user.rebuild_now(c);
+  ASSERT_EQ(user.tops(), 1u);
 
   // One straggler check-in crosses the next window boundary: with the
   // guard it must NOT trigger a rebuild that erases the top set.
-  EXPECT_FALSE(mgr.record({0, 0}, 5000));
-  EXPECT_EQ(mgr.top_locations().size(), 1u);
+  EXPECT_FALSE(user.record({0, 0}, 5000, c));
+  EXPECT_EQ(user.tops(), 1u);
   // Once enough check-ins accumulate past the boundary, the rebuild runs.
   bool rebuilt = false;
   for (int i = 1; i < 15; ++i) {
-    rebuilt = mgr.record({0, 0}, 5000 + 2000 + i) || rebuilt;
+    rebuilt = user.record({0, 0}, 5000 + 2000 + i, c) || rebuilt;
   }
   EXPECT_TRUE(rebuilt);
-  EXPECT_EQ(mgr.top_locations().size(), 1u);
+  EXPECT_EQ(user.tops(), 1u);
 }
 
 TEST(LocationManager, InvalidConfigRejected) {
-  LocationManagementConfig c = fast_window();
-  c.window_seconds = 0;
-  EXPECT_THROW(LocationManager{c}, util::InvalidArgument);
-  c = fast_window();
-  c.eta_fraction = 0.0;
-  EXPECT_THROW(LocationManager{c}, util::InvalidArgument);
+  EdgeConfig c;
+  c.management = fast_window();
+  c.management.window_seconds = 0;
+  EXPECT_THROW(c.validate(), util::InvalidArgument);
+  c.management = fast_window();
+  c.management.eta_fraction = 0.0;
+  EXPECT_THROW(c.validate(), util::InvalidArgument);
 }
 
 // -------------------------------------------------------- obfuscation table
+//
+// Paper Section V-C on the UserArena: each top location maps to a
+// PERMANENT candidate set, matched by proximity (100 m here) because top
+// centroids drift between windows.
+
+constexpr double kTableRadiusM = 100.0;
+
+/// The serve path's lookup-or-generate step: the index of the entry
+/// matching `top`, generating it through `mech` on first sight.
+std::size_t candidates_for(ArenaUser& user, rng::Engine& engine,
+                           const lppm::Mechanism& mech, geo::Point top) {
+  const std::int64_t found =
+      user.arena.find_entry(user.row, top, kTableRadiusM);
+  if (found >= 0) return static_cast<std::size_t>(found);
+  return user.arena.add_entry(user.row, top, mech, engine);
+}
+
+std::vector<geo::Point> points_of(simd::PointSpan span) {
+  std::vector<geo::Point> points;
+  for (std::size_t i = 0; i < span.size; ++i) {
+    points.push_back({span.xs[i], span.ys[i]});
+  }
+  return points;
+}
 
 TEST(ObfuscationTable, GeneratesOnceAndReplays) {
-  ObfuscationTable table(100.0);
+  ArenaUser user;
   const lppm::NFoldGaussianMechanism mech(paper_params(5));
   rng::Engine e(1);
 
-  const auto& first = table.candidates_for(e, mech, {0, 0});
-  ASSERT_EQ(first.size(), 5u);
-  const std::vector<geo::Point> snapshot = first;
+  const std::size_t first = candidates_for(user, e, mech, {0, 0});
+  const std::vector<geo::Point> snapshot =
+      points_of(user.arena.entry_candidates(user.row, first));
+  ASSERT_EQ(snapshot.size(), 5u);
 
   // Same location -> identical (permanent) candidates, no regeneration.
-  const auto& again = table.candidates_for(e, mech, {0, 0});
-  ASSERT_EQ(again.size(), snapshot.size());
-  for (std::size_t i = 0; i < snapshot.size(); ++i) {
-    EXPECT_EQ(again[i], snapshot[i]);
-  }
-  EXPECT_EQ(table.size(), 1u);
+  const std::size_t again = candidates_for(user, e, mech, {0, 0});
+  EXPECT_EQ(points_of(user.arena.entry_candidates(user.row, again)),
+            snapshot);
+  EXPECT_EQ(user.arena.entry_count(user.row), 1u);
 }
 
 TEST(ObfuscationTable, NearbyDriftReusesEntry) {
-  ObfuscationTable table(100.0);
+  ArenaUser user;
   const lppm::NFoldGaussianMechanism mech(paper_params(3));
   rng::Engine e(2);
-  const auto& original = table.candidates_for(e, mech, {0, 0});
-  const std::vector<geo::Point> snapshot = original;
+  const std::size_t original = candidates_for(user, e, mech, {0, 0});
+  const std::vector<geo::Point> snapshot =
+      points_of(user.arena.entry_candidates(user.row, original));
   // A centroid drifted 50 m (inside the match radius) hits the same entry.
-  const auto& drifted = table.candidates_for(e, mech, {50, 0});
-  EXPECT_EQ(table.size(), 1u);
-  EXPECT_EQ(drifted[0], snapshot[0]);
+  const std::size_t drifted = candidates_for(user, e, mech, {50, 0});
+  EXPECT_EQ(user.arena.entry_count(user.row), 1u);
+  EXPECT_EQ(points_of(user.arena.entry_candidates(user.row, drifted))[0],
+            snapshot[0]);
 }
 
 TEST(ObfuscationTable, FarLocationCreatesNewEntry) {
-  ObfuscationTable table(100.0);
+  ArenaUser user;
   const lppm::NFoldGaussianMechanism mech(paper_params(3));
   rng::Engine e(3);
-  table.candidates_for(e, mech, {0, 0});
-  table.candidates_for(e, mech, {5000, 0});
-  EXPECT_EQ(table.size(), 2u);
+  candidates_for(user, e, mech, {0, 0});
+  candidates_for(user, e, mech, {5000, 0});
+  EXPECT_EQ(user.arena.entry_count(user.row), 2u);
 }
 
 TEST(ObfuscationTable, LookupWithoutGeneration) {
-  ObfuscationTable table(100.0);
+  ArenaUser user;
   const lppm::NFoldGaussianMechanism mech(paper_params(3));
   rng::Engine e(4);
-  EXPECT_FALSE(table.lookup({0, 0}).has_value());
-  table.candidates_for(e, mech, {0, 0});
-  EXPECT_TRUE(table.lookup({0, 0}).has_value());
-  EXPECT_TRUE(table.lookup({99, 0}).has_value());
-  EXPECT_FALSE(table.lookup({500, 0}).has_value());
-  EXPECT_THROW(ObfuscationTable(0.0), util::InvalidArgument);
+  EXPECT_LT(user.arena.find_entry(user.row, {0, 0}, kTableRadiusM), 0);
+  candidates_for(user, e, mech, {0, 0});
+  EXPECT_GE(user.arena.find_entry(user.row, {0, 0}, kTableRadiusM), 0);
+  EXPECT_GE(user.arena.find_entry(user.row, {99, 0}, kTableRadiusM), 0);
+  EXPECT_LT(user.arena.find_entry(user.row, {500, 0}, kTableRadiusM), 0);
+  EXPECT_EQ(user.arena.entry_count(user.row), 1u);
+
+  EdgeConfig zero_radius;
+  zero_radius.table_match_radius_m = 0.0;
+  EXPECT_THROW(zero_radius.validate(), util::InvalidArgument);
 }
 
 // --------------------------------------------------------- output selection
@@ -387,54 +439,6 @@ TEST(EdgeDevice, UsersAreIsolated) {
   const ReportedLocation r = edge.report_location(2, home, 0);
   EXPECT_EQ(r.kind, ReportKind::kNomadic);
   EXPECT_EQ(edge.user_count(), 2u);
-}
-
-TEST(EdgeDevice, SnapshotRestoreSurvivesRestart) {
-  const geo::Point home{100.0, 200.0};
-  trace::UserTrace history;
-  history.user_id = 1;
-  for (int i = 0; i < 50; ++i) history.check_ins.push_back({home, i});
-
-  // Device A freezes a candidate set, then "crashes".
-  EdgeDevice device_a(fast_edge_config().with_seed(42));
-  device_a.import_history(1, history);
-  const ReportedLocation before = device_a.report_location(1, home, 2000);
-  ASSERT_EQ(before.kind, ReportKind::kTopLocation);
-  const TableSnapshot snapshot = device_a.snapshot_tables();
-  ASSERT_EQ(snapshot.size(), 1u);
-
-  // Device B restarts with a different engine seed but restored tables:
-  // it must replay the SAME frozen candidates, never fresh noise.
-  EdgeDevice device_b(fast_edge_config().with_seed(777));
-  device_b.restore_tables(snapshot);
-  device_b.import_history(1, history);
-  std::set<std::pair<double, double>> replayed;
-  for (int i = 0; i < 100; ++i) {
-    const ReportedLocation r = device_b.report_location(1, home, 3000 + i);
-    ASSERT_EQ(r.kind, ReportKind::kTopLocation);
-    replayed.insert({r.location.x, r.location.y});
-  }
-  const auto& saved = snapshot.at(1).entries().front().candidates;
-  for (const auto& [x, y] : replayed) {
-    const bool from_saved_set = std::any_of(
-        saved.begin(), saved.end(), [&](geo::Point p) {
-          return geo::distance(p, {x, y}) < 1e-9;
-        });
-    EXPECT_TRUE(from_saved_set);
-  }
-}
-
-TEST(EdgeDevice, RestoreOverLiveEntriesRejected) {
-  const geo::Point home{0.0, 0.0};
-  trace::UserTrace history;
-  history.user_id = 1;
-  for (int i = 0; i < 50; ++i) history.check_ins.push_back({home, i});
-
-  EdgeDevice device(fast_edge_config().with_seed(42));
-  device.import_history(1, history);
-  device.prepare_obfuscation(1);
-  const TableSnapshot snapshot = device.snapshot_tables();
-  EXPECT_THROW(device.restore_tables(snapshot), util::InvalidArgument);
 }
 
 TEST(EdgeDevice, AccountantChargesOncePerTopLocation) {

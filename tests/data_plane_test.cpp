@@ -1,24 +1,26 @@
-// Tests for the columnar data plane: UserArena equivalence with the
-// legacy per-user modules, snapshot round-trips (bit-identical serving
-// across save / mmap-open), corruption handling, and shard-count
-// invariance of the per-user RNG streams.
+// Tests for the columnar data plane: the UserArena's recorded
+// location-management golden, snapshot round-trips (bit-identical serving
+// across save / mmap-open), restart permanence, corruption handling, and
+// shard-count invariance of the per-user RNG streams.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/concurrent_edge.hpp"
 #include "core/edge_device.hpp"
-#include "core/location_management.hpp"
 #include "core/output_selection.hpp"
 #include "core/snapshot.hpp"
 #include "core/user_arena.hpp"
 #include "lppm/gaussian.hpp"
+#include "lppm/privacy_params.hpp"
 #include "rng/engine.hpp"
 #include "simd/soa.hpp"
 #include "trace/check_in.hpp"
@@ -80,54 +82,69 @@ trace::UserTrace history_for(std::uint64_t user_id, int check_ins = 40) {
 
 // ------------------------------------------------- arena golden equivalence
 
+/// FNV-1a 64 over the little-endian bytes of each folded word.
+struct Fnv1a {
+  std::uint64_t state = 0xcbf29ce484222325ULL;
+  void add(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      state ^= (word >> (8 * byte)) & 0xFFu;
+      state *= 0x100000001b3ULL;
+    }
+  }
+};
+
+// The location-management golden: a digest of (rebuilt flag, profile
+// entry bits, top-set frequencies, pending count) after each of 4000
+// check-ins. The digest was recorded from the per-user LocationManager
+// this arena replaced, and the arena reproduced it bit-for-bit, so any
+// drift in window, rebuild, clustering or eta-set semantics changes it.
 TEST(UserArena, MatchesLocationManagerThroughManyWindows) {
+  constexpr std::uint64_t kGoldenDigest = 0x3e9d300f75243e42ULL;
   const core::LocationManagementConfig config{
       .window_seconds = 500, .min_window_check_ins = 5};
-  core::LocationManager manager(config);
   core::UserArena arena{rng::Engine(7)};
   const core::UserArena::Row row = arena.find_or_create(42);
 
   // Two alternating anchors plus drift so rebuilds produce multi-entry
   // profiles whose top sets actually change across windows.
   rng::Engine jitter(99);
+  Fnv1a digest;
+  int rebuilds = 0;
   for (int i = 0; i < 4000; ++i) {
     const bool at_home = i % 3 != 1;
     const geo::Point p{(at_home ? 0.0 : 5000.0) + jitter.uniform() * 10.0,
                        (at_home ? 0.0 : -3000.0) + jitter.uniform() * 10.0};
     const trace::Timestamp t = trace::kStudyStart + i * 40;
-    const bool rebuilt_legacy = manager.record(p, t);
-    const bool rebuilt_arena = arena.record(row, p, t, config);
-    ASSERT_EQ(rebuilt_legacy, rebuilt_arena) << "at check-in " << i;
+    const bool rebuilt = arena.record(row, p, t, config);
+    rebuilds += rebuilt ? 1 : 0;
+    digest.add(rebuilt);
+    digest.add(arena.profile_size(row));
+    for (std::size_t k = 0; k < arena.profile_size(row); ++k) {
+      const attack::ProfileEntry e = arena.profile_entry(row, k);
+      digest.add(std::bit_cast<std::uint64_t>(e.location.x));
+      digest.add(std::bit_cast<std::uint64_t>(e.location.y));
+      digest.add(e.frequency);
+    }
+    digest.add(arena.top_size(row));
+    for (std::size_t k = 0; k < arena.top_size(row); ++k) {
+      digest.add(arena.top_entry(row, k).frequency);
+    }
+    digest.add(arena.pending_check_ins(row));
   }
-  ASSERT_TRUE(manager.profile().has_value());
-  ASSERT_TRUE(arena.has_profile(row));
-  ASSERT_EQ(manager.profile()->size(), arena.profile_size(row));
-  for (std::size_t i = 0; i < arena.profile_size(row); ++i) {
-    const attack::ProfileEntry& legacy = manager.profile()->entries()[i];
-    const attack::ProfileEntry ours = arena.profile_entry(row, i);
-    EXPECT_EQ(legacy.frequency, ours.frequency);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(legacy.location.x),
-              std::bit_cast<std::uint64_t>(ours.location.x));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(legacy.location.y),
-              std::bit_cast<std::uint64_t>(ours.location.y));
-  }
-  ASSERT_EQ(manager.top_locations().size(), arena.top_size(row));
-  for (std::size_t i = 0; i < arena.top_size(row); ++i) {
-    EXPECT_EQ(manager.top_locations()[i].frequency,
-              arena.top_entry(row, i).frequency);
-  }
-  EXPECT_EQ(manager.pending_check_ins(), arena.pending_check_ins(row));
-  EXPECT_EQ(manager.total_check_ins(), arena.total_check_ins(row));
+  EXPECT_EQ(digest.state, kGoldenDigest);
+  EXPECT_EQ(rebuilds, 307);
+  EXPECT_EQ(arena.total_check_ins(row), 4000u);
 
   // Compaction is a pure storage transform: state must be unchanged.
   const auto profile_before = arena.profile_of(row);
+  const std::size_t pending_before = arena.pending_check_ins(row);
   arena.compact();
   EXPECT_EQ(profile_before.entries().size(), arena.profile_size(row));
   for (std::size_t i = 0; i < arena.profile_size(row); ++i) {
     EXPECT_EQ(profile_before.entries()[i].frequency,
               arena.profile_entry(row, i).frequency);
   }
-  EXPECT_EQ(manager.pending_check_ins(), arena.pending_check_ins(row));
+  EXPECT_EQ(pending_before, arena.pending_check_ins(row));
 }
 
 TEST(UserArena, DirectoryScalesToManyUsers) {
@@ -276,6 +293,93 @@ TEST(Snapshot, ServingIsShardCountInvariant) {
   EXPECT_EQ(per_shard_outputs[0], per_shard_outputs[2]);
 }
 
+/// Bit patterns of `user_id`'s first frozen candidate set in the snapshot
+/// at `path`, read straight from the file's arena section.
+std::vector<std::pair<std::uint64_t, std::uint64_t>> frozen_set_in(
+    const std::string& path, std::uint64_t user_id) {
+  const util::Result<core::snapshot::OpenedSnapshot> opened =
+      core::snapshot::open_validated(path);
+  EXPECT_TRUE(opened.ok());
+  core::snapshot::Reader reader(opened.value().mapping,
+                                opened.value().payload_offset,
+                                opened.value().payload_end);
+  core::UserArena arena{rng::Engine(0)};
+  EXPECT_TRUE(arena.load(reader).ok());
+  const core::UserArena::Row row = arena.find(user_id);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> bits;
+  if (row == core::UserArena::kNoRow || arena.entry_count(row) != 1) {
+    ADD_FAILURE() << "snapshot holds no single frozen set for " << user_id;
+    return bits;
+  }
+  const simd::PointSpan span = arena.entry_candidates(row, 0);
+  for (std::size_t i = 0; i < span.size; ++i) {
+    bits.emplace_back(std::bit_cast<std::uint64_t>(span.xs[i]),
+                      std::bit_cast<std::uint64_t>(span.ys[i]));
+  }
+  return bits;
+}
+
+bool in_set(const std::vector<std::pair<std::uint64_t, std::uint64_t>>& set,
+            geo::Point p) {
+  return std::find(set.begin(), set.end(),
+                   std::make_pair(std::bit_cast<std::uint64_t>(p.x),
+                                  std::bit_cast<std::uint64_t>(p.y))) !=
+         set.end();
+}
+
+// The privacy-critical restart property (paper Section V-C): a restarted
+// device must replay the SAVED candidates, never draw fresh noise, and
+// must keep every user's personalized privacy level.
+TEST(EdgeDevice, SnapshotRestoreSurvivesRestart) {
+  const std::string path = temp_path("restart.snap");
+  const trace::UserTrace history = history_for(1);
+  const geo::Point home = history.check_ins.front().position;
+
+  // Device A freezes user 1's candidate set and sets user 2 to eps = 0.5.
+  core::EdgeDevice device_a(fast_config().with_seed(42));
+  device_a.import_history(1, history);
+  const core::ReportedLocation before =
+      device_a.report_location(1, home, trace::kStudyStart + 1500);
+  ASSERT_EQ(before.kind, core::ReportKind::kTopLocation);
+  lppm::BoundedGeoIndParams strict = fast_config().top_params;
+  strict.epsilon = 0.5;
+  device_a.set_user_privacy(2, strict);
+  ASSERT_TRUE(device_a.save_snapshot(path).ok());
+  const auto frozen = frozen_set_in(path, 1);
+  ASSERT_EQ(frozen.size(), fast_config().top_params.n);
+  EXPECT_TRUE(in_set(frozen, before.location));
+
+  // Device B restarts with a different seed: every report, from the first
+  // one on, is a replay of A's frozen set, and replays spend nothing.
+  core::EdgeDevice device_b(fast_config().with_seed(777));
+  ASSERT_TRUE(device_b.open_snapshot(path).ok());
+  for (int i = 0; i < 100; ++i) {
+    const core::ReportedLocation r =
+        device_b.report_location(1, home, trace::kStudyStart + 2000 + i);
+    ASSERT_EQ(r.kind, core::ReportKind::kTopLocation) << "replay " << i;
+    EXPECT_TRUE(in_set(frozen, r.location)) << "replay " << i;
+  }
+  EXPECT_EQ(device_b.accountant().spend_for(1).releases, 0u);
+  EXPECT_EQ(device_b.telemetry().tables_generated, 0u);
+
+  const lppm::BoundedGeoIndParams& restored = device_b.user_privacy(2);
+  EXPECT_EQ(restored.epsilon, strict.epsilon);
+  EXPECT_EQ(restored.delta, strict.delta);
+  EXPECT_EQ(restored.radius_m, strict.radius_m);
+  EXPECT_EQ(restored.n, strict.n);
+  std::remove(path.c_str());
+}
+
+TEST(Snapshot, EmptyDeviceRoundTrips) {
+  const std::string path = temp_path("empty.snap");
+  core::EdgeDevice empty(fast_config().with_seed(1));
+  ASSERT_TRUE(empty.save_snapshot(path).ok());
+  core::EdgeDevice reopened(fast_config().with_seed(1));
+  ASSERT_TRUE(reopened.open_snapshot(path).ok());
+  EXPECT_EQ(reopened.user_count(), 0u);
+  std::remove(path.c_str());
+}
+
 // ------------------------------------------------------- crash safety
 
 // Regression: save_snapshot must be atomic. A writer that dies mid-save
@@ -409,6 +513,20 @@ TEST(Snapshot, PreconditionsAreTypedFailures) {
   busy.import_history(9, history_for(9));
   EXPECT_EQ(busy.open_snapshot(path).code(),
             util::ErrorCode::kFailedPrecondition);
+  std::remove(path.c_str());
+}
+
+TEST(EdgeDevice, RestoreOverLiveEntriesRejected) {
+  // A standalone device holding frozen entries refuses to open even its
+  // own snapshot over them: a restore never merges into live state.
+  const std::string path = temp_path("live_entries.snap");
+  core::EdgeDevice live(fast_config().with_seed(4));
+  live.import_history(1, history_for(1));
+  live.prepare_obfuscation(1);
+  ASSERT_TRUE(live.save_snapshot(path).ok());
+  EXPECT_EQ(live.open_snapshot(path).code(),
+            util::ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(live.user_count(), 1u);
   std::remove(path.c_str());
 }
 

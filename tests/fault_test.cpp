@@ -6,16 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "adnet/exchange.hpp"
 #include "core/concurrent_edge.hpp"
-#include "core/profile_store.hpp"
 #include "core/system.hpp"
-#include "core/table_store.hpp"
 #include "fault/fault.hpp"
 #include "fault/retry.hpp"
 #include "trace/synthetic.hpp"
@@ -143,7 +141,6 @@ TEST(FaultPlan, ParsesTheDocumentedGrammar) {
   EXPECT_DOUBLE_EQ(plan.site(fault::Site::kExchange).latency_us, 50.0);
   EXPECT_EQ(plan.site(fault::Site::kExchange).code,
             util::ErrorCode::kTimeout);
-  EXPECT_EQ(plan.site(fault::Site::kTableStore).probability, 0.0);
   EXPECT_FALSE(plan.summary().empty());
 }
 
@@ -156,6 +153,18 @@ TEST(FaultPlan, MalformedSpecsAreParseErrors) {
         fault::FaultPlan::parse(spec);
     ASSERT_FALSE(parsed.ok()) << spec;
     EXPECT_EQ(parsed.status().code(), util::ErrorCode::kParseError) << spec;
+  }
+}
+
+TEST(FaultPlan, RemovedPersistenceSitesAreUnknown) {
+  for (const char* spec : {"table_store:p=0.3", "profile_store:p=0.3"}) {
+    const util::Result<fault::FaultPlan> parsed =
+        fault::FaultPlan::parse(spec);
+    ASSERT_FALSE(parsed.ok()) << spec;
+    EXPECT_EQ(parsed.status().code(), util::ErrorCode::kParseError) << spec;
+    EXPECT_NE(parsed.status().message().find("unknown fault site"),
+              std::string::npos)
+        << spec;
   }
 }
 
@@ -194,6 +203,28 @@ TEST(FaultInjector, SameSeedSameSchedule) {
   // The empirical rate should be in the right ballpark for p=0.3.
   EXPECT_GT(a.injected(fault::Site::kServe), 100u);
   EXPECT_LT(a.injected(fault::Site::kServe), 200u);
+}
+
+// Seeded fault schedules are part of the reproducibility contract: a
+// recorded seed must replay the exact same fault mix. These masks (bit i
+// set = arrival i fired, p = 0.5, seed 42) pin each site's first 64
+// decisions.
+TEST(FaultInjector, SeededSchedulesArePinned) {
+  const std::pair<fault::Site, std::uint64_t> pinned[] = {
+      {fault::Site::kExchange, 0xbfaf98d064025838ULL},
+      {fault::Site::kServe, 0x350c4b0d4e871d44ULL},
+  };
+  for (const auto& [site, expected] : pinned) {
+    fault::FaultPlan plan;
+    plan.seed = 42;
+    plan.site(site).probability = 0.5;
+    fault::FaultInjector injector(plan);
+    std::uint64_t fired = 0;
+    for (int i = 0; i < 64; ++i) {
+      if (!injector.check(site).ok()) fired |= std::uint64_t{1} << i;
+    }
+    EXPECT_EQ(fired, expected) << fault::site_name(site);
+  }
 }
 
 TEST(FaultInjector, SitesScheduleIndependently) {
@@ -511,97 +542,6 @@ TEST(FaultServing, ConcurrentBatchCompletesUnderFaults) {
   EXPECT_EQ(stats.failed, 0u);
   EXPECT_GT(stats.degraded_dropped + stats.served_after_retry, 0u);
   EXPECT_EQ(edge.telemetry().requests, stats.requests);
-}
-
-// ------------------------------------------------------- stores + faults
-
-TEST(FaultStores, MissingFileIsANonRetryableIoError) {
-  const util::Result<core::TableSnapshot> result =
-      core::try_load_tables_file("/nonexistent/tables.csv", 100.0);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), util::ErrorCode::kIoError);
-
-  const util::Result<core::ProfileSnapshot> profiles =
-      core::try_load_profiles_file("/nonexistent/profiles.csv");
-  ASSERT_FALSE(profiles.ok());
-  EXPECT_EQ(profiles.status().code(), util::ErrorCode::kIoError);
-}
-
-TEST(FaultStores, CorruptFileIsAParseErrorNotARetry) {
-  const std::filesystem::path path =
-      std::filesystem::temp_directory_path() / "privlocad_corrupt_tables.csv";
-  {
-    std::ofstream out(path);
-    out << "user_id,entry_index,top_x,top_y,cand_index,cand_x,cand_y\n";
-    out << "1,0,0.0\n";  // ragged row
-  }
-  const util::Result<core::TableSnapshot> result =
-      core::try_load_tables_file(path.string(), 100.0);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), util::ErrorCode::kParseError);
-  std::filesystem::remove(path);
-}
-
-TEST(FaultStores, RoundTripSucceedsAndInjectedFaultsSurface) {
-  core::EdgeDevice device(fast_config().with_seed(42));
-  anchor_home(device, {0, 0});
-  device.prepare_obfuscation(1);
-
-  const std::filesystem::path path =
-      std::filesystem::temp_directory_path() / "privlocad_fault_tables.csv";
-  fault::RetryPolicy policy;
-  policy.initial_backoff_us = 0.0;
-  policy.max_backoff_us = 0.0;
-  policy.jitter = 0.0;
-
-  ASSERT_TRUE(
-      core::try_save_tables_file(path.string(), device.snapshot_tables(),
-                                 policy)
-          .ok());
-  const util::Result<core::TableSnapshot> loaded =
-      core::try_load_tables_file(path.string(), 100.0, policy);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->size(), 1u);
-
-  // A certain table-store fault exhausts retries with the injected code.
-  fault::FaultPlan plan;
-  plan.site(fault::Site::kTableStore).probability = 1.0;
-  fault::FaultInjector injector(plan);
-  const util::Result<core::TableSnapshot> blocked =
-      core::try_load_tables_file(path.string(), 100.0, policy, &injector);
-  ASSERT_FALSE(blocked.ok());
-  EXPECT_EQ(blocked.status().code(), util::ErrorCode::kUnavailable);
-  EXPECT_EQ(injector.injected(fault::Site::kTableStore),
-            policy.max_attempts);
-  std::filesystem::remove(path);
-}
-
-TEST(FaultStores, ProfileStoreHonoursItsOwnFaultSite) {
-  core::EdgeDevice device(fast_config().with_seed(42));
-  anchor_home(device, {0, 0});
-  const std::filesystem::path path =
-      std::filesystem::temp_directory_path() /
-      "privlocad_fault_profiles.csv";
-  fault::RetryPolicy policy;
-  policy.initial_backoff_us = 0.0;
-  policy.max_backoff_us = 0.0;
-  policy.jitter = 0.0;
-
-  fault::FaultPlan plan;
-  plan.site(fault::Site::kProfileStore).probability = 1.0;
-  plan.site(fault::Site::kProfileStore).code =
-      util::ErrorCode::kResourceExhausted;
-  fault::FaultInjector injector(plan);
-
-  const util::Status blocked = core::try_save_profiles_file(
-      path.string(), device.snapshot_profiles(), policy, &injector);
-  EXPECT_EQ(blocked.code(), util::ErrorCode::kResourceExhausted);
-
-  ASSERT_TRUE(core::try_save_profiles_file(path.string(),
-                                           device.snapshot_profiles(), policy)
-                  .ok());
-  EXPECT_TRUE(core::try_load_profiles_file(path.string(), policy).ok());
-  std::filesystem::remove(path);
 }
 
 // ------------------------------------------------------ exchange + system

@@ -15,6 +15,7 @@
 #include "par/parallel.hpp"
 #include "par/thread_pool.hpp"
 #include "trace/synthetic.hpp"
+#include "util/status.hpp"
 #include "util/validation.hpp"
 
 namespace privlocad {
@@ -94,8 +95,13 @@ TEST(ThreadPool, SubmitRunsInlineOnSingleThreadPool) {
 TEST(HardwareThreads, EnvVariableOverrides) {
   ASSERT_EQ(setenv("PRIVLOCAD_THREADS", "3", 1), 0);
   EXPECT_EQ(par::hardware_threads(), 3u);
-  ASSERT_EQ(setenv("PRIVLOCAD_THREADS", "garbage", 1), 0);
-  EXPECT_GE(par::hardware_threads(), 1u);  // falls back to hardware
+  // Malformed overrides fail loudly instead of falling back to hardware.
+  for (const char* bad : {"garbage", "0", "3x", "-2"}) {
+    ASSERT_EQ(setenv("PRIVLOCAD_THREADS", bad, 1), 0);
+    EXPECT_THROW(par::hardware_threads(), util::StatusError) << bad;
+  }
+  ASSERT_EQ(setenv("PRIVLOCAD_THREADS", "", 1), 0);
+  EXPECT_GE(par::hardware_threads(), 1u);  // empty keeps the default
   ASSERT_EQ(unsetenv("PRIVLOCAD_THREADS"), 0);
   EXPECT_GE(par::hardware_threads(), 1u);
 }

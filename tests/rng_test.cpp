@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <numbers>
+#include <string>
 #include <vector>
 
 #include "geo/point.hpp"
@@ -13,6 +15,7 @@
 #include "rng/lambert_w.hpp"
 #include "rng/samplers.hpp"
 #include "rng/ziggurat.hpp"
+#include "util/status.hpp"
 #include "util/validation.hpp"
 
 namespace privlocad::rng {
@@ -555,6 +558,27 @@ TEST(SamplerSwitch, SamplersYieldDifferentStreams) {
   fill_standard_normal(a, za, NormalSampler::kZiggurat);
   fill_standard_normal(b, zb, NormalSampler::kInverseCdf);
   EXPECT_NE(za, zb);
+}
+
+TEST(SamplerSwitch, EnvVariableSelectsOrFailsLoudly) {
+  ASSERT_EQ(setenv("PRIVLOCAD_SAMPLER", "icdf", 1), 0);
+  EXPECT_EQ(normal_sampler_from_env(), NormalSampler::kInverseCdf);
+  ASSERT_EQ(setenv("PRIVLOCAD_SAMPLER", "ziggurat", 1), 0);
+  EXPECT_EQ(normal_sampler_from_env(), NormalSampler::kZiggurat);
+  ASSERT_EQ(setenv("PRIVLOCAD_SAMPLER", "", 1), 0);
+  EXPECT_EQ(normal_sampler_from_env(), NormalSampler::kZiggurat);
+  // A typo must not silently select the default stream.
+  ASSERT_EQ(setenv("PRIVLOCAD_SAMPLER", "zigurat", 1), 0);
+  try {
+    (void)normal_sampler_from_env();
+    ADD_FAILURE() << "unknown sampler name was accepted";
+  } catch (const util::StatusError& error) {
+    EXPECT_EQ(error.code(), util::ErrorCode::kParseError);
+    EXPECT_NE(std::string(error.what()).find("PRIVLOCAD_SAMPLER"),
+              std::string::npos);
+  }
+  ASSERT_EQ(unsetenv("PRIVLOCAD_SAMPLER"), 0);
+  EXPECT_EQ(normal_sampler_from_env(), NormalSampler::kZiggurat);
 }
 
 // ------------------------------------------------- batched 2-D noise fill
