@@ -1,6 +1,8 @@
 #include "net/admission.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <string>
 
 #include "util/validation.hpp"
@@ -43,33 +45,61 @@ BoundedRequestQueue::BoundedRequestQueue(std::size_t capacity,
                 "latency_budget admission needs a budget >= 1us");
 }
 
-bool BoundedRequestQueue::try_push(PendingRequest request) {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (closed_ || items_.size() >= capacity_) return false;
-    if (policy_ == AdmissionPolicy::kLatencyBudget) {
-      const double projected =
-          static_cast<double>(items_.size()) *
-          ewma_item_delay_us_.load(std::memory_order_relaxed);
-      if (projected > static_cast<double>(latency_budget_us_)) {
-        return false;
-      }
-    }
-    request.depth_at_admit = items_.size();
-    items_.push_back(std::move(request));
+bool BoundedRequestQueue::admit_locked(PendingRequest& request) {
+  if (closed_) return false;
+  const std::size_t depth = depth_locked();
+  if (depth >= capacity_) return false;
+  if (policy_ == AdmissionPolicy::kLatencyBudget) {
+    const double projected =
+        static_cast<double>(depth) *
+        ewma_item_delay_us_.load(std::memory_order_relaxed);
+    if (projected > static_cast<double>(latency_budget_us_)) return false;
   }
-  ready_.notify_one();
+  request.depth_at_admit = depth;
+  items_.push_back(std::move(request));
   return true;
 }
 
-bool BoundedRequestQueue::pop(PendingRequest& out) {
+bool BoundedRequestQueue::try_push(PendingRequest request) {
+  bool admitted = false;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    admitted = admit_locked(request);
+  }
+  if (admitted) ready_.notify_one();
+  return admitted;
+}
+
+std::size_t BoundedRequestQueue::try_push_batch(
+    std::span<PendingRequest> requests, std::vector<bool>& admitted) {
+  admitted.resize(requests.size());
+  std::size_t count = 0;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      admitted[i] = admit_locked(requests[i]);
+      if (admitted[i]) ++count;
+    }
+  }
+  if (count > 0) ready_.notify_one();
+  return count;
+}
+
+bool BoundedRequestQueue::pop_batch(std::vector<PendingRequest>& out) {
+  out.clear();
   std::unique_lock<std::mutex> lock(mutex_);
   ready_.wait(lock, [this] { return closed_ || !items_.empty(); });
   if (items_.empty()) return false;  // closed and drained
-  out = std::move(items_.front());
-  items_.pop_front();
+  const std::size_t n = std::min(items_.size(), kPopBatch);
+  const auto last = items_.begin() + static_cast<std::ptrdiff_t>(n);
+  out.assign(std::make_move_iterator(items_.begin()),
+             std::make_move_iterator(last));
+  items_.erase(items_.begin(), last);
+  in_hand_ += n;
   return true;
 }
+
+void BoundedRequestQueue::mark_started() { --in_hand_; }
 
 void BoundedRequestQueue::close() {
   {
@@ -96,13 +126,13 @@ void BoundedRequestQueue::observe_queue_delay_us(
 
 double BoundedRequestQueue::projected_delay_us() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return static_cast<double>(items_.size()) *
+  return static_cast<double>(depth_locked()) *
          ewma_item_delay_us_.load(std::memory_order_relaxed);
 }
 
 std::size_t BoundedRequestQueue::size() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return items_.size();
+  return depth_locked();
 }
 
 }  // namespace privlocad::net

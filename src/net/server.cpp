@@ -154,13 +154,16 @@ util::Status EdgeServer::start() {
     return util::Status::failed_precondition(
         "EdgeServer::start called twice");
   }
-  stopping_.store(false, std::memory_order_relaxed);
-  queues_.clear();
+  if (stopped_) {
+    return util::Status::failed_precondition(
+        "EdgeServer is single-use: start() after stop()");
+  }
   for (std::size_t i = 0; i < config_.workers; ++i) {
     queues_.push_back(std::make_unique<BoundedRequestQueue>(
         config_.queue_capacity, config_.admission,
         config_.latency_budget_us));
   }
+  admit_batches_.resize(config_.workers);
   for (std::size_t i = 0; i < config_.workers; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
   }
@@ -186,46 +189,61 @@ void EdgeServer::stop() {
   listen_fd_.reset();
   wake_fd_.reset();
   started_ = false;
+  stopped_ = true;
 }
 
 void EdgeServer::worker_loop(std::size_t worker_index) {
   BoundedRequestQueue& queue = *queues_[worker_index];
-  PendingRequest pending;
-  while (queue.pop(pending)) {
-    const auto picked_up = std::chrono::steady_clock::now();
-    const double delay_us = us_between(pending.admitted, picked_up);
-    queue_delay_us_->record(delay_us);
-    queue.observe_queue_delay_us(delay_us, pending.depth_at_admit);
+  std::vector<PendingRequest> batch;
+  std::vector<CompletedResponse> done;
+  done.reserve(BoundedRequestQueue::kPopBatch);
+  while (queue.pop_batch(batch)) {
+    // One clock read per request: each request's service ends where the
+    // next one's starts.
+    auto now = std::chrono::steady_clock::now();
+    for (const PendingRequest& pending : batch) {
+      queue.mark_started();
+      const auto picked_up = now;
+      const double delay_us = us_between(pending.admitted, picked_up);
+      queue_delay_us_->record(delay_us);
+      queue.observe_queue_delay_us(delay_us, pending.depth_at_admit);
 
-    if (config_.service_delay_us > 0) {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(config_.service_delay_us));
-    }
-    const core::ServeResult result =
-        edge_.serve(pending.request.user_id,
-                    {pending.request.x, pending.request.y},
-                    pending.request.time);
-    service_time_us_->record(
-        us_between(picked_up, std::chrono::steady_clock::now()));
+      if (config_.service_delay_us > 0) {
+        std::this_thread::sleep_for(
+            std::chrono::microseconds(config_.service_delay_us));
+      }
+      const core::ServeResult result =
+          edge_.serve(pending.request.user_id,
+                      {pending.request.x, pending.request.y},
+                      pending.request.time);
+      now = std::chrono::steady_clock::now();
+      service_time_us_->record(us_between(picked_up, now));
 
-    ServeResponseFrame frame;
-    frame.request_id = pending.request.request_id;
-    frame.outcome = static_cast<std::uint8_t>(result.outcome);
-    frame.kind = static_cast<std::uint8_t>(result.reported.kind);
-    frame.status_code = static_cast<std::uint8_t>(result.status.code());
-    frame.released = result.released() ? 1 : 0;
-    frame.retries = result.retries;
-    if (result.released()) {
-      frame.x = result.reported.location.x;
-      frame.y = result.reported.location.y;
+      ServeResponseFrame frame;
+      frame.request_id = pending.request.request_id;
+      frame.outcome = static_cast<std::uint8_t>(result.outcome);
+      frame.kind = static_cast<std::uint8_t>(result.reported.kind);
+      frame.status_code = static_cast<std::uint8_t>(result.status.code());
+      frame.released = result.released() ? 1 : 0;
+      frame.retries = result.retries;
+      if (result.released()) {
+        frame.x = result.reported.location.x;
+        frame.y = result.reported.location.y;
+      }
+      done.push_back({pending.conn_id, frame});
     }
     {
       const std::lock_guard<std::mutex> lock(completed_mutex_);
-      completed_.push_back({pending.conn_id, frame});
+      completed_.insert(completed_.end(), done.begin(), done.end());
     }
-    std::uint64_t one = 1;
-    [[maybe_unused]] ssize_t n =
-        ::write(wake_fd_.get(), &one, sizeof(one));
+    done.clear();
+    // Only the worker that raises the flag writes: the IO thread has not
+    // yet drained since the last write, and that drain will see `done`.
+    if (!wake_pending_.exchange(true)) {
+      std::uint64_t one = 1;
+      [[maybe_unused]] ssize_t n =
+          ::write(wake_fd_.get(), &one, sizeof(one));
+    }
   }
 }
 
@@ -282,7 +300,12 @@ void EdgeServer::on_data(std::uint64_t conn_id, const std::uint8_t* data,
   ConnState& conn = it->second;
   conn.in.insert(conn.in.end(), data, data + n);
 
-  // Frame and admit everything buffered.
+  // Frame everything buffered, staging each request on its worker's
+  // batch; one clock read stamps the whole chunk.
+  const auto admitted_at = std::chrono::steady_clock::now();
+  for (AdmitBatch& batch : admit_batches_) batch.requests.clear();
+  staged_workers_.clear();
+  bool poisoned = false;
   while (true) {
     Frame frame;
     std::size_t consumed = 0;
@@ -291,25 +314,26 @@ void EdgeServer::on_data(std::uint64_t conn_id, const std::uint8_t* data,
                    conn.in.size() - conn.in_head, frame, consumed);
     if (!parsed.ok() ||
         (consumed > 0 && frame.type != FrameType::kServeRequest)) {
-      parse_errors_->add();
-      close_and_forget(conn_id);  // poisoned stream: no resync point
-      return;
+      poisoned = true;  // no resync point past this frame
+      break;
     }
     if (consumed == 0) break;  // partial frame; wait for more bytes
     conn.in_head += consumed;
-    requests_->add();
     const std::size_t worker = worker_for(frame.request.user_id);
     PendingRequest pending;
     pending.conn_id = conn_id;
     pending.request = frame.request;
-    pending.admitted = std::chrono::steady_clock::now();
-    if (!queues_[worker]->try_push(std::move(pending))) {
-      // Admission shed: immediate degraded_dropped, counted in both the
-      // net layer and the box-level serve taxonomy.
-      shed_->add();
-      degraded_dropped_->add();
-      queue_response(conn_id, shed_response(frame.request));
-    }
+    pending.admitted = admitted_at;
+    admit_batches_[worker].requests.push_back(pending);
+    staged_workers_.push_back(worker);
+  }
+  // Frames decoded before a poisoned one are admitted (and answered)
+  // exactly as if the stream had ended there.
+  admit_staged(conn_id);
+  if (poisoned) {
+    parse_errors_->add();
+    close_and_forget(conn_id);
+    return;
   }
   conn.compact_in();
 
@@ -319,7 +343,33 @@ void EdgeServer::on_data(std::uint64_t conn_id, const std::uint8_t* data,
   reevaluate_backpressure(conn_id);
 }
 
+void EdgeServer::admit_staged(std::uint64_t conn_id) {
+  if (staged_workers_.empty()) return;
+  requests_->add(staged_workers_.size());
+  for (std::size_t w = 0; w < admit_batches_.size(); ++w) {
+    AdmitBatch& batch = admit_batches_[w];
+    batch.cursor = 0;
+    if (!batch.requests.empty()) {
+      queues_[w]->try_push_batch(batch.requests, batch.admitted);
+    }
+  }
+  for (const std::size_t w : staged_workers_) {
+    AdmitBatch& batch = admit_batches_[w];
+    const std::size_t i = batch.cursor++;
+    if (batch.admitted[i]) continue;
+    // Admission shed: immediate degraded_dropped, counted in both the
+    // net layer and the box-level serve taxonomy.
+    shed_->add();
+    degraded_dropped_->add();
+    queue_response(conn_id, shed_response(batch.requests[i].request));
+  }
+}
+
 void EdgeServer::drain_completed() {
+  // Clear the flag BEFORE the swap: a worker appending after the swap
+  // then sees it clear and writes the eventfd, so its responses are
+  // drained on the next wake instead of waiting for the poll tick.
+  wake_pending_.store(false);
   {
     const std::lock_guard<std::mutex> lock(completed_mutex_);
     drain_scratch_.swap(completed_);

@@ -16,8 +16,19 @@
 //     ConcurrentEdge::serve (itself shard-locked). Users hash to workers
 //     with the SAME fibonacci multiply ConcurrentEdge uses for shards,
 //     so one user's requests stay ordered end to end.
-//   - Workers hand finished responses back through a mutex-swapped
-//     vector + eventfd wakeup; the IO thread serializes them onto the
+//   - The handoff is batched both ways. IO -> worker: on_data frames the
+//     whole received chunk, stamps it with one clock read, and admits
+//     each worker's share with one lock and one notify_one
+//     (BoundedRequestQueue::try_push_batch; same per-request decisions
+//     as sequential try_push). The worker pops up to kPopBatch requests
+//     per lock; popped-but-unstarted requests stay counted as queued.
+//   - Worker -> IO: a worker appends its whole batch of responses to a
+//     mutex-swapped vector (completed_) under one lock, then writes the
+//     eventfd only if wake_pending_ was clear, so a burst of batches
+//     costs one wakeup. drain_completed clears wake_pending_ BEFORE it
+//     swaps completed_: a response appended after the swap finds the
+//     flag clear and wakes the IO thread again, so none is stranded
+//     until the poll tick. The IO thread serializes responses onto the
 //     owning connection (or drops them if it has gone away).
 //
 // Overload behavior:
@@ -164,7 +175,8 @@ class EdgeServer final : private IoSink {
   EdgeServer& operator=(const EdgeServer&) = delete;
 
   /// Spawns the worker + IO threads. kFailedPrecondition if already
-  /// started.
+  /// started, or if stop() already ran: stop() tears down the backend and
+  /// the listen socket, so an EdgeServer is single-use.
   util::Status start();
 
   /// Idempotent. Closes the admission queues (workers drain their
@@ -198,6 +210,14 @@ class EdgeServer final : private IoSink {
     std::uint64_t conn_id = 0;
     ServeResponseFrame frame{};
   };
+  /// One worker's share of the frames a single recv carried, and the
+  /// admission decision for each. Sized by the chunk (a backend read is
+  /// at most 64 KiB), so the capacity never grows with load.
+  struct AdmitBatch {
+    std::vector<PendingRequest> requests;
+    std::vector<bool> admitted;
+    std::size_t cursor = 0;
+  };
 
   EdgeServer(core::EdgeConfig edge_config, ServerConfig server_config,
              IoBackendKind backend_kind,
@@ -221,6 +241,9 @@ class EdgeServer final : private IoSink {
   void close_and_forget(std::uint64_t conn_id);
   /// Pause/resume decision against the byte budget after a flush.
   void reevaluate_backpressure(std::uint64_t conn_id);
+  /// Admits the frames staged in admit_batches_ (one lock per worker),
+  /// then answers the shed ones in arrival order.
+  void admit_staged(std::uint64_t conn_id);
   void drain_completed();
 
   ServerConfig config_;
@@ -236,15 +259,23 @@ class EdgeServer final : private IoSink {
   std::vector<std::uint8_t> encode_scratch_;
   std::vector<CompletedResponse> drain_scratch_;
   std::vector<std::uint64_t> flush_scratch_;
+  /// on_data scratch: per-worker batches plus the worker of each staged
+  /// frame in arrival order (to send shed responses in that order).
+  std::vector<AdmitBatch> admit_batches_;
+  std::vector<std::size_t> staged_workers_;
 
   std::vector<std::unique_ptr<BoundedRequestQueue>> queues_;
   std::vector<std::thread> workers_;
   std::thread io_thread_;
   std::atomic<bool> stopping_{false};
   bool started_ = false;
+  bool stopped_ = false;
 
   std::mutex completed_mutex_;
   std::vector<CompletedResponse> completed_;
+  /// Set by the worker whose eventfd write is still unconsumed; see the
+  /// threading-model note for the ordering that makes this lossless.
+  std::atomic<bool> wake_pending_{false};
 
   // Hot-path metric handles, resolved once in create().
   obs::Counter* connections_opened_ = nullptr;

@@ -298,5 +298,84 @@ TEST(BackendConformance, LatencyBudgetAccountsEveryRequestUnderOverload) {
   }
 }
 
+TEST(BackendConformance, StartAfterStopIsATypedErrorOnEveryBackend) {
+  // stop() tears the engine down (io_uring unmaps its ring), so a second
+  // start() must be refused, not spawn an IO thread over a dead backend.
+  for (const net::IoBackendKind kind : conformance_kinds()) {
+    std::unique_ptr<net::EdgeServer> server =
+        boot(core::EdgeConfig{}, net::ServerConfig{}.with_backend(kind));
+    ASSERT_NE(server, nullptr) << net::io_backend_kind_name(kind);
+    server->stop();
+    const util::Status restarted = server->start();
+    EXPECT_EQ(restarted.code(), util::ErrorCode::kFailedPrecondition)
+        << net::io_backend_kind_name(kind);
+    EXPECT_NE(restarted.message().find("single-use"), std::string::npos);
+    server->stop();  // still a no-op
+  }
+}
+
+TEST(BackendConformance, SequentialRoundTripsNeverWaitForThePollTick) {
+  // 4 connections x 2,000 strictly sequential round trips against 2
+  // workers: each response is the only one in flight on its connection,
+  // so a lost eventfd wakeup (a completion appended while the IO thread
+  // clears wake_pending_) parks it until the 50 ms poll tick or until
+  // another connection's request happens to wake the IO thread. 8,000
+  // tick stalls would cost >= 100 s per backend; the run must finish in
+  // a small fraction of that, with every response matched and almost
+  // no round trip as slow as a tick.
+  constexpr std::size_t kConnections = 4;
+  constexpr std::uint64_t kRoundTrips = 2000;
+  for (const net::IoBackendKind kind : conformance_kinds()) {
+    core::EdgeConfig edge_config;
+    edge_config.seed = 11;
+    edge_config.shards = 4;
+    std::unique_ptr<net::EdgeServer> server = boot(
+        edge_config, net::ServerConfig{}.with_workers(2).with_backend(kind));
+    ASSERT_NE(server, nullptr) << net::io_backend_kind_name(kind);
+
+    const auto started = std::chrono::steady_clock::now();
+    std::vector<std::uint64_t> answered(kConnections, 0);
+    std::vector<std::uint64_t> tick_slow(kConnections, 0);
+    std::vector<std::thread> clients;
+    for (std::size_t c = 0; c < kConnections; ++c) {
+      clients.emplace_back([&, c] {
+        util::Result<net::BlockingClient> client =
+            net::BlockingClient::connect(server->port());
+        if (!client.ok()) return;
+        for (std::uint64_t i = 0; i < kRoundTrips; ++i) {
+          const std::uint64_t id = c * kRoundTrips + i;
+          const auto sent = std::chrono::steady_clock::now();
+          util::Result<net::ServeResponseFrame> response =
+              client->call(conformance_request(id));
+          if (!response.ok() || response->request_id != id) return;
+          ++answered[c];
+          if (std::chrono::steady_clock::now() - sent >=
+              std::chrono::milliseconds(40)) {
+            ++tick_slow[c];
+          }
+        }
+      });
+    }
+    for (std::thread& client : clients) client.join();
+    const double wall_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - started)
+                              .count();
+    std::uint64_t slow = 0;
+    for (std::size_t c = 0; c < kConnections; ++c) {
+      EXPECT_EQ(answered[c], kRoundTrips)
+          << "connection " << c << " on " << net::io_backend_kind_name(kind);
+      slow += tick_slow[c];
+    }
+    EXPECT_LT(wall_s, 10.0) << net::io_backend_kind_name(kind);
+    // Scheduler hiccups on a loaded host may cost a few; a lost-wakeup
+    // path costs hundreds.
+    EXPECT_LT(slow, kConnections * kRoundTrips / 100)
+        << net::io_backend_kind_name(kind);
+    EXPECT_EQ(server->metrics().counter_value(net::net_metrics::kResponses),
+              kConnections * kRoundTrips);
+    server->stop();
+  }
+}
+
 }  // namespace
 }  // namespace privlocad

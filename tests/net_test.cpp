@@ -4,13 +4,16 @@
 // service-time latency split, and the fail-private contract ON THE WIRE
 // under injected faults and under overload.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -158,8 +161,10 @@ TEST(Admission, ShedsDeterministicallyAtCapacity) {
   EXPECT_FALSE(queue.try_push(pending));  // full: shed, not block
   EXPECT_EQ(queue.size(), 3u);
 
-  net::PendingRequest out;
-  EXPECT_TRUE(queue.pop(out));
+  std::vector<net::PendingRequest> out;
+  EXPECT_TRUE(queue.pop_batch(out));
+  EXPECT_EQ(out.size(), 3u);
+  queue.mark_started();
   EXPECT_TRUE(queue.try_push(pending));  // room again
 }
 
@@ -171,10 +176,13 @@ TEST(Admission, CloseDrainsBacklogThenUnblocks) {
   queue.close();
   EXPECT_FALSE(queue.try_push(pending));  // closed refuses new work
 
-  net::PendingRequest out;
-  EXPECT_TRUE(queue.pop(out));  // backlog still drains
-  EXPECT_EQ(out.conn_id, 17u);
-  EXPECT_FALSE(queue.pop(out));  // drained + closed
+  std::vector<net::PendingRequest> out;
+  EXPECT_TRUE(queue.pop_batch(out));  // backlog still drains
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].conn_id, 17u);
+  queue.mark_started();
+  EXPECT_FALSE(queue.pop_batch(out));  // drained + closed
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(Admission, PolicyNamesRoundTripAndRejectGarbage) {
@@ -210,9 +218,12 @@ TEST(Admission, LatencyBudgetShedsOnProjectedDelayAtPush) {
   EXPECT_GT(queue.projected_delay_us(), 500.0);
   EXPECT_FALSE(queue.try_push(pending));  // depth 1: ~1000us > budget
 
-  net::PendingRequest out;
-  ASSERT_TRUE(queue.pop(out));
-  EXPECT_EQ(out.depth_at_admit, 0u);
+  std::vector<net::PendingRequest> out;
+  ASSERT_TRUE(queue.pop_batch(out));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].depth_at_admit, 0u);
+  EXPECT_GT(queue.projected_delay_us(), 500.0);  // popped, not started
+  queue.mark_started();
   EXPECT_TRUE(queue.try_push(pending));   // drained: projected 0 again
 }
 
@@ -235,6 +246,134 @@ TEST(Admission, LatencyBudgetWithNoObservationsAdmitsFreely) {
   EXPECT_TRUE(queue.try_push(pending));
   EXPECT_TRUE(queue.try_push(pending));
   EXPECT_DOUBLE_EQ(queue.ewma_item_delay_us(), 0.0);
+}
+
+TEST(Admission, BatchAdmitMatchesSequentialTryPush) {
+  // try_push_batch must give every request the decision and
+  // depth_at_admit a run of sequential try_push calls gives, from the
+  // same starting state: some requests already queued, one popped but
+  // not yet started (still counted), and a seeded EWMA.
+  struct Case {
+    net::AdmissionPolicy policy;
+    std::size_t capacity;
+    std::uint32_t budget_us;
+  };
+  const Case cases[] = {
+      {net::AdmissionPolicy::kQueueCapacity, 6, 0},
+      {net::AdmissionPolicy::kLatencyBudget, 100, 4500},
+  };
+  for (const Case& c : cases) {
+    auto prepared = [&c] {
+      auto queue = std::make_unique<net::BoundedRequestQueue>(
+          c.capacity, c.policy, c.budget_us);
+      for (int i = 0; i < 64; ++i) queue->observe_queue_delay_us(1000.0, 1);
+      net::PendingRequest pending;
+      EXPECT_TRUE(queue->try_push(pending));
+      EXPECT_TRUE(queue->try_push(pending));
+      std::vector<net::PendingRequest> popped;
+      EXPECT_TRUE(queue->pop_batch(popped));
+      queue->mark_started();                  // one in service, one in hand
+      EXPECT_TRUE(queue->try_push(pending));  // and one queued
+      EXPECT_EQ(queue->size(), 2u);
+      return queue;
+    };
+    const std::unique_ptr<net::BoundedRequestQueue> sequential = prepared();
+    const std::unique_ptr<net::BoundedRequestQueue> batched = prepared();
+
+    std::vector<net::PendingRequest> requests(10);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      requests[i].conn_id = 100 + i;
+    }
+    std::vector<bool> expected;
+    for (const net::PendingRequest& request : requests) {
+      expected.push_back(sequential->try_push(request));
+    }
+    std::vector<bool> admitted;
+    const std::size_t count = batched->try_push_batch(requests, admitted);
+    EXPECT_EQ(admitted, expected) << net::admission_policy_name(c.policy);
+    EXPECT_EQ(count, static_cast<std::size_t>(
+                         std::count(expected.begin(), expected.end(), true)));
+    // Both policies shed the tail of the burst, not all of it.
+    EXPECT_TRUE(expected.front());
+    EXPECT_FALSE(expected.back());
+
+    std::vector<net::PendingRequest> from_sequential;
+    std::vector<net::PendingRequest> from_batched;
+    ASSERT_TRUE(sequential->pop_batch(from_sequential));
+    ASSERT_TRUE(batched->pop_batch(from_batched));
+    ASSERT_EQ(from_sequential.size(), from_batched.size());
+    for (std::size_t i = 0; i < from_batched.size(); ++i) {
+      EXPECT_EQ(from_batched[i].conn_id, from_sequential[i].conn_id);
+      EXPECT_EQ(from_batched[i].depth_at_admit,
+                from_sequential[i].depth_at_admit);
+    }
+    // The admitted ones were admitted behind 2, 3, ... waiting requests.
+    EXPECT_EQ(from_batched[1].depth_at_admit, 2u);
+  }
+}
+
+TEST(Admission, PoppedButUnstartedRequestsStillCountAsQueued) {
+  net::BoundedRequestQueue queue(3);
+  net::PendingRequest pending;
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(queue.try_push(pending));
+  std::vector<net::PendingRequest> out;
+  ASSERT_TRUE(queue.pop_batch(out));
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(queue.in_hand(), 3u);
+  EXPECT_EQ(queue.size(), 3u);
+  EXPECT_FALSE(queue.try_push(pending));  // in hand still fills capacity
+
+  queue.mark_started();
+  EXPECT_EQ(queue.size(), 2u);
+  ASSERT_TRUE(queue.try_push(pending));   // the started one freed a slot
+  queue.mark_started();
+  queue.mark_started();
+  EXPECT_EQ(queue.in_hand(), 0u);
+  ASSERT_TRUE(queue.pop_batch(out));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].depth_at_admit, 2u);  // two were waiting in hand
+  queue.mark_started();
+  EXPECT_EQ(queue.size(), 0u);
+}
+
+TEST(Admission, ConcurrentBatchesDrainEverythingAdmittedAfterClose) {
+  // One producer admitting batches, one consumer popping them: after
+  // close every admitted request is popped exactly once, in admission
+  // order, the batches never exceed kPopBatch, and the books end at 0.
+  net::BoundedRequestQueue queue(96);
+  std::vector<std::uint64_t> popped_ids;
+  std::size_t largest_batch = 0;
+  std::thread worker([&] {
+    std::vector<net::PendingRequest> batch;
+    while (queue.pop_batch(batch)) {
+      largest_batch = std::max(largest_batch, batch.size());
+      for (const net::PendingRequest& pending : batch) {
+        queue.mark_started();
+        popped_ids.push_back(pending.conn_id);
+      }
+    }
+  });
+  std::vector<std::uint64_t> admitted_ids;
+  std::vector<net::PendingRequest> requests;
+  std::vector<bool> admitted;
+  std::uint64_t next_id = 0;
+  for (int round = 0; round < 400; ++round) {
+    requests.assign(1 + static_cast<std::size_t>(round % 150), {});
+    for (net::PendingRequest& request : requests) request.conn_id = next_id++;
+    queue.try_push_batch(requests, admitted);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      if (admitted[i]) admitted_ids.push_back(requests[i].conn_id);
+    }
+  }
+  queue.close();
+  worker.join();
+  EXPECT_EQ(popped_ids, admitted_ids);
+  EXPECT_LE(largest_batch, net::BoundedRequestQueue::kPopBatch);
+  EXPECT_EQ(queue.in_hand(), 0u);
+  EXPECT_EQ(queue.size(), 0u);
+  std::vector<net::PendingRequest> late(1);
+  EXPECT_EQ(queue.try_push_batch(late, admitted), 0u);  // closed
+  EXPECT_FALSE(admitted[0]);
 }
 
 // ------------------------------------------------------------ load model
@@ -577,6 +716,53 @@ TEST(EdgeServer, PipelinedRequestsAllComeBackMatched) {
     EXPECT_FALSE(seen[response->request_id]);  // each id exactly once
     seen[response->request_id] = true;
   }
+  server->stop();
+}
+
+TEST(EdgeServer, PoisonedStreamStillServesTheFramesBeforeIt) {
+  // One send carries k valid requests and then a bad header. The k
+  // requests were decoded before the poison, so they are admitted and
+  // served exactly as if the stream had ended there; then the
+  // connection closes with one parse error.
+  const std::unique_ptr<net::EdgeServer> server =
+      make_server(small_edge_config());
+  ASSERT_NE(server, nullptr);
+  ASSERT_TRUE(server->start().ok());
+  util::Result<net::UniqueFd> fd = net::connect_loopback(server->port());
+  ASSERT_TRUE(fd.ok()) << fd.status().to_string();
+
+  const std::uint64_t k = 9;
+  std::vector<std::uint8_t> bytes;
+  for (std::uint64_t i = 0; i < k; ++i) {
+    net::append_request(bytes, request_frame(i, 1 + i, 700.0, 800.0));
+  }
+  bytes.insert(bytes.end(), net::kFrameHeaderBytes, 0xFF);  // bad magic
+  ASSERT_TRUE(net::write_all(fd->get(), bytes.data(), bytes.size()).ok());
+
+  // The server closes the stream; read until EOF/reset.
+  std::uint8_t sink[256];
+  while (::recv(fd->get(), sink, sizeof(sink), 0) > 0) {
+  }
+  const obs::LatencyHistogram& service_time =
+      server->metrics().histogram(net::net_metrics::kServiceTimeUs);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while ((service_time.count() < k ||
+          server->metrics().counter_value(
+              net::net_metrics::kConnectionsClosed) < 1) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  obs::MetricsRegistry& metrics = server->metrics();
+  EXPECT_EQ(metrics.counter_value(net::net_metrics::kRequests), k);
+  EXPECT_EQ(metrics.counter_value(net::net_metrics::kParseErrors), 1u);
+  EXPECT_EQ(metrics.counter_value(net::net_metrics::kShed), 0u);
+  EXPECT_EQ(service_time.count(), k);
+  EXPECT_EQ(metrics.counter_value(core::edge_metrics::kTopReports) +
+                metrics.counter_value(core::edge_metrics::kNomadicReports),
+            k);
+  EXPECT_EQ(metrics.counter_value(net::net_metrics::kConnectionsClosed),
+            1u);
   server->stop();
 }
 
