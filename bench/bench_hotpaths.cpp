@@ -1,11 +1,9 @@
 // Hot-path microbenches for the sampling + attack kernels: the two inner
 // loops population-scale runs actually spend their time in.
 //
-//   1. Standard-normal sampling. fill_standard_normal throughput for the
-//      ziggurat path vs the legacy inverse-CDF path (PRIVLOCAD_SAMPLER
-//      switch), plus the paired 2-D noise fill the mechanisms use. The
-//      emitted record pins the ziggurat/inverse-CDF speedup so a sampler
-//      regression shows up as a number, not a feeling.
+//   1. Standard-normal sampling. fill_standard_normal (ziggurat)
+//      throughput, plus the paired 2-D noise fill the mechanisms use, so
+//      a sampler regression shows up as a number, not a feeling.
 //   2. De-obfuscation. Repeated Algorithm-1 clusterings of one fixed
 //      observation stream through a reused DeobfuscationWorkspace
 //      (clusterings/sec), then a full evaluate_population pass whose
@@ -40,10 +38,10 @@ namespace {
 
 using namespace privlocad;
 
-/// Samples/sec of fill_standard_normal under `sampler`, drawn through the
-/// same chunked-buffer pattern the mechanisms use (so the number reflects
-/// the real call shape, not one giant resident buffer).
-double sampler_rate(rng::NormalSampler sampler, std::uint64_t total) {
+/// Samples/sec of fill_standard_normal, drawn through the same
+/// chunked-buffer pattern the mechanisms use (so the number reflects the
+/// real call shape, not one giant resident buffer).
+double sampler_rate(std::uint64_t total) {
   constexpr std::size_t kChunk = 16384;
   std::vector<double> buffer(kChunk);
   rng::Engine engine(97);
@@ -53,7 +51,7 @@ double sampler_rate(rng::NormalSampler sampler, std::uint64_t total) {
   while (remaining > 0) {
     const std::size_t n =
         remaining < kChunk ? static_cast<std::size_t>(remaining) : kChunk;
-    rng::fill_standard_normal(engine, {buffer.data(), n}, sampler);
+    rng::fill_standard_normal(engine, {buffer.data(), n});
     sink += buffer[0] + buffer[n - 1];
     remaining -= n;
   }
@@ -63,7 +61,7 @@ double sampler_rate(rng::NormalSampler sampler, std::uint64_t total) {
 }
 
 /// 2-D noise pairs/sec through fill_gaussian_noise_2d (the n-fold release
-/// hot path) under the process-default sampler.
+/// hot path).
 double noise2d_rate(std::uint64_t total_pairs) {
   constexpr std::size_t kChunk = 8192;
   std::vector<geo::Point> buffer(kChunk);
@@ -179,8 +177,7 @@ double noise_apply_rate(std::uint64_t total_pairs) {
   constexpr std::size_t kPairs = 8192;
   rng::Engine engine(35);
   std::vector<double> samples(2 * kPairs), out(2 * kPairs);
-  rng::fill_standard_normal(engine, {samples.data(), samples.size()},
-                            rng::NormalSampler::kZiggurat);
+  rng::fill_standard_normal(engine, {samples.data(), samples.size()});
   std::uint64_t done = 0;
   const util::Timer timer;
   while (done < total_pairs) {
@@ -224,18 +221,12 @@ int main(int argc, char** argv) {
 
   bench::print_header("Hot paths -- batched sampling + attack workspace");
 
-  // ---- 1. sampler throughput, both paths.
-  const double zig_rate =
-      sampler_rate(rng::NormalSampler::kZiggurat, samples);
-  const double icdf_rate =
-      sampler_rate(rng::NormalSampler::kInverseCdf, samples);
-  const double speedup = zig_rate / icdf_rate;
+  // ---- 1. sampler throughput.
+  const double zig_rate = sampler_rate(samples);
   const double pair_rate = noise2d_rate(samples / 2);
   std::printf("standard normal (%llu samples, 16k chunks):\n",
               static_cast<unsigned long long>(samples));
   std::printf("  ziggurat     : %12.0f samples/s\n", zig_rate);
-  std::printf("  inverse CDF  : %12.0f samples/s\n", icdf_rate);
-  std::printf("  speedup      : %12.2fx\n", speedup);
   std::printf("  2-D noise    : %12.0f pairs/s\n", pair_rate);
 
   // ---- 1b. SIMD kernel layer: identical workload under forced-scalar
@@ -364,8 +355,6 @@ int main(int argc, char** argv) {
   record.add_string("bench", "hotpaths");
   record.add("samples", samples);
   record.add("ziggurat_samples_per_second", zig_rate);
-  record.add("inverse_cdf_samples_per_second", icdf_rate);
-  record.add("sampler_speedup", speedup);
   record.add("noise2d_pairs_per_second", pair_rate);
   record.add("distance_scan_points_per_second_scalar", scan_scalar);
   record.add("distance_scan_points_per_second_simd", scan_simd);

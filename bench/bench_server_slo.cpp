@@ -1,6 +1,5 @@
 // Open-loop server SLO bench: the maximum sustainable load of one
-// edge_serverd box, and its behavior past saturation -- per IO backend
-// and per admission policy.
+// edge_serverd box, and its behavior past saturation -- per IO backend.
 //
 // Protocol:
 //   1. Boot an EdgeServer (in-process: same threads + sockets as the
@@ -26,10 +25,7 @@
 //   6. One final BURSTY overload phase at ~4x the sustainable rate
 //      verifies the saturation contract: bounded queues shed
 //      deterministically (degraded_dropped), every request is accounted
-//      for, and no raw coordinate crosses the wire. The same overload
-//      plan then hits a fresh latency-budget server, so the record
-//      compares both admission policies (admission_queue_capacity_* vs
-//      admission_latency_budget_*) under identical pressure.
+//      for, and no raw coordinate crosses the wire.
 //
 // Emits BENCH_server_slo.json (per-rung + summaries + the server's
 // queue-delay/service-time split) for the perf_guard trajectory.
@@ -368,47 +364,6 @@ int main(int argc, char** argv) {
   metrics.add("overload_responses", overload.stats.responses);
   metrics.add("overload_missing", overload.stats.missing);
 
-  // Admission-policy comparison: the SAME bursty overload plan against a
-  // fresh latency-budget server (budget = the SLO p99). The primary
-  // server's overload above is the queue-capacity column; this is the
-  // latency-budget one. Projected-delay shedding should hold queue delay
-  // near the budget instead of letting the full queue depth build.
-  metrics.add("admission_queue_capacity_achieved_rps",
-              overload.stats.achieved_rps);
-  metrics.add("admission_queue_capacity_p99_us",
-              overload.stats.latency_p99_us);
-  metrics.add("admission_queue_capacity_shed_fraction",
-              overload.stats.shed_fraction());
-  std::unique_ptr<net::EdgeServer> budget_server = make_server(
-      edge_config,
-      base_config.with_backend(primary_kind)
-          .with_admission(net::AdmissionPolicy::kLatencyBudget)
-          .with_latency_budget_us(static_cast<std::uint32_t>(slo_p99_us)));
-  if (budget_server == nullptr) return 1;
-  const StepOutcome budget_overload = run_step(
-      budget_server->port(), overload_rps, duration_s,
-      static_cast<std::size_t>(users),
-      static_cast<std::size_t>(connections), seed + 1000,
-      net::ArrivalProcess::kBursty, static_cast<double>(slo_p99_us),
-      max_shed_fraction);
-  budget_server->stop();
-  std::printf("admission: queue_capacity p99 %.0f us shed %.1f%% | "
-              "latency_budget p99 %.0f us shed %.1f%% (missing %llu)\n",
-              overload.stats.latency_p99_us,
-              overload.stats.shed_fraction() * 100.0,
-              budget_overload.stats.latency_p99_us,
-              budget_overload.stats.shed_fraction() * 100.0,
-              static_cast<unsigned long long>(
-                  budget_overload.stats.missing));
-  metrics.add("admission_latency_budget_achieved_rps",
-              budget_overload.stats.achieved_rps);
-  metrics.add("admission_latency_budget_p99_us",
-              budget_overload.stats.latency_p99_us);
-  metrics.add("admission_latency_budget_shed_fraction",
-              budget_overload.stats.shed_fraction());
-  metrics.add("admission_latency_budget_missing",
-              budget_overload.stats.missing);
-
   // The server-side latency split: time queued vs time serving.
   bench::add_latency_percentiles(
       metrics, "net_queue_delay_us",
@@ -419,15 +374,12 @@ int main(int argc, char** argv) {
 
   server->stop();
 
-  if (overload.stats.raw_leaks != 0 ||
-      budget_overload.stats.raw_leaks != 0) {
+  if (overload.stats.raw_leaks != 0) {
     std::fprintf(stderr, "FAIL: raw coordinates leaked under overload\n");
     return 1;
   }
   if (overload.stats.responses + overload.stats.missing !=
-          overload.stats.sent ||
-      budget_overload.stats.responses + budget_overload.stats.missing !=
-          budget_overload.stats.sent) {
+      overload.stats.sent) {
     std::fprintf(stderr, "FAIL: requests unaccounted for\n");
     return 1;
   }

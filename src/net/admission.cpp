@@ -1,61 +1,19 @@
 #include "net/admission.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <iterator>
-#include <string>
 
 #include "util/validation.hpp"
 
 namespace privlocad::net {
 
-const char* admission_policy_name(AdmissionPolicy policy) {
-  switch (policy) {
-    case AdmissionPolicy::kQueueCapacity:
-      return "queue_capacity";
-    case AdmissionPolicy::kLatencyBudget:
-      return "latency_budget";
-  }
-  return "unknown";
-}
-
-util::Result<AdmissionPolicy> parse_admission_policy(const char* name) {
-  if (name != nullptr && std::strcmp(name, "queue_capacity") == 0) {
-    return AdmissionPolicy::kQueueCapacity;
-  }
-  if (name != nullptr && std::strcmp(name, "latency_budget") == 0) {
-    return AdmissionPolicy::kLatencyBudget;
-  }
-  return util::Status::parse_error(
-      std::string(
-          "admission policy must be queue_capacity | latency_budget, "
-          "got '") +
-      (name == nullptr ? "" : name) + "'");
-}
-
-BoundedRequestQueue::BoundedRequestQueue(std::size_t capacity,
-                                         AdmissionPolicy policy,
-                                         std::uint32_t latency_budget_us)
-    : capacity_(capacity),
-      policy_(policy),
-      latency_budget_us_(latency_budget_us) {
+BoundedRequestQueue::BoundedRequestQueue(std::size_t capacity)
+    : capacity_(capacity) {
   util::require(capacity >= 1, "request queue capacity must be >= 1");
-  util::require(policy != AdmissionPolicy::kLatencyBudget ||
-                    latency_budget_us >= 1,
-                "latency_budget admission needs a budget >= 1us");
 }
 
 bool BoundedRequestQueue::admit_locked(PendingRequest& request) {
-  if (closed_) return false;
-  const std::size_t depth = depth_locked();
-  if (depth >= capacity_) return false;
-  if (policy_ == AdmissionPolicy::kLatencyBudget) {
-    const double projected =
-        static_cast<double>(depth) *
-        ewma_item_delay_us_.load(std::memory_order_relaxed);
-    if (projected > static_cast<double>(latency_budget_us_)) return false;
-  }
-  request.depth_at_admit = depth;
+  if (closed_ || depth_locked() >= capacity_) return false;
   items_.push_back(std::move(request));
   return true;
 }
@@ -107,27 +65,6 @@ void BoundedRequestQueue::close() {
     closed_ = true;
   }
   ready_.notify_all();
-}
-
-void BoundedRequestQueue::observe_queue_delay_us(
-    double delay_us, std::size_t depth_at_admit) {
-  if (delay_us < 0.0) delay_us = 0.0;
-  const double sample =
-      delay_us / static_cast<double>(depth_at_admit > 0 ? depth_at_admit
-                                                        : std::size_t{1});
-  double current = ewma_item_delay_us_.load(std::memory_order_relaxed);
-  double next = current + (sample - current) / 8.0;
-  while (!ewma_item_delay_us_.compare_exchange_weak(
-      current, next, std::memory_order_relaxed,
-      std::memory_order_relaxed)) {
-    next = current + (sample - current) / 8.0;
-  }
-}
-
-double BoundedRequestQueue::projected_delay_us() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return static_cast<double>(depth_locked()) *
-         ewma_item_delay_us_.load(std::memory_order_relaxed);
 }
 
 std::size_t BoundedRequestQueue::size() const {

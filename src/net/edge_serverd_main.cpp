@@ -5,14 +5,15 @@
 //   edge_serverd [--port N] [--shards N] [--workers N]
 //                [--queue-capacity N] [--seed N]
 //                [--backend=auto|epoll|io_uring]
-//                [--admission=queue_capacity|latency_budget]
-//                [--latency-budget-us N]
 //     Runs until SIGINT/SIGTERM, then stops cleanly and dumps the
 //     metrics registry to stdout.
 //   edge_serverd --selftest[=N]
 //     Boots on an ephemeral port, drives N requests through a loopback
 //     client, verifies the fail-private wire contract and counter
 //     consistency, shuts down, exits 0/1. This is the ctest smoke.
+// A malformed flag value (a number with trailing characters, an
+// unknown backend name) prints the typed parse error and exits 2.
+#include <charconv>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -20,6 +21,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "core/telemetry.hpp"
@@ -33,32 +35,37 @@ volatile std::sig_atomic_t g_stop = 0;
 
 void handle_signal(int) { g_stop = 1; }
 
-/// `--name=V` or `--name V`; returns `fallback` when absent.
-std::uint64_t flag_or(int argc, char** argv, const char* name,
-                      std::uint64_t fallback) {
+/// The value of `--name=V` or `--name V` (V not itself a flag);
+/// nullptr when absent.
+const char* flag_value(int argc, char** argv, const char* name) {
   const std::string prefix = std::string(name) + "=";
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) {
-      return std::strtoull(arg.c_str() + prefix.size(), nullptr, 10);
-    }
-    if (arg == name && i + 1 < argc) {
-      return std::strtoull(argv[i + 1], nullptr, 10);
+    const std::string_view arg = argv[i];
+    if (arg.starts_with(prefix)) return argv[i] + prefix.size();
+    if (arg == name && i + 1 < argc &&
+        !std::string_view(argv[i + 1]).starts_with("--")) {
+      return argv[i + 1];
     }
   }
-  return fallback;
+  return nullptr;
 }
 
-/// `--name=V` or `--name V` as a string; `fallback` when absent.
-std::string string_flag_or(int argc, char** argv, const char* name,
-                           const char* fallback) {
-  const std::string prefix = std::string(name) + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
-    if (arg == name && i + 1 < argc) return argv[i + 1];
+/// A decimal numeric flag, `fallback` when absent. The whole value must
+/// parse: `--seed=12x` is a typed parse error, not seed 12.
+privlocad::util::Result<std::uint64_t> numeric_flag(int argc, char** argv,
+                                                    const char* name,
+                                                    std::uint64_t fallback) {
+  const char* value = flag_value(argc, argv, name);
+  if (value == nullptr) return fallback;
+  const char* end = value + std::strlen(value);
+  std::uint64_t parsed = 0;
+  const auto [ptr, error] = std::from_chars(value, end, parsed);
+  if (error != std::errc() || ptr != end || ptr == value) {
+    return privlocad::util::Status::parse_error(
+        std::string(name) + " needs an unsigned decimal integer, got '" +
+        value + "'");
   }
-  return fallback;
+  return parsed;
 }
 
 bool has_flag(int argc, char** argv, const char* name) {
@@ -133,42 +140,39 @@ int selftest(privlocad::net::EdgeServer& server, std::uint64_t requests) {
 int main(int argc, char** argv) {
   using namespace privlocad;
 
+  util::Result<std::uint64_t> seed = numeric_flag(argc, argv, "--seed", 1);
+  util::Result<std::uint64_t> shards =
+      numeric_flag(argc, argv, "--shards", 4);
+  util::Result<std::uint64_t> port = numeric_flag(argc, argv, "--port", 0);
+  util::Result<std::uint64_t> workers =
+      numeric_flag(argc, argv, "--workers", 2);
+  util::Result<std::uint64_t> queue_capacity =
+      numeric_flag(argc, argv, "--queue-capacity", 1024);
+  util::Result<std::uint64_t> selftest_requests =
+      numeric_flag(argc, argv, "--selftest", 32);
+  const char* backend_name = flag_value(argc, argv, "--backend");
+  util::Result<net::IoBackendKind> backend = net::parse_io_backend_kind(
+      backend_name == nullptr ? "auto" : backend_name);
+  for (const util::Status& status :
+       {seed.status(), shards.status(), port.status(), workers.status(),
+        queue_capacity.status(), selftest_requests.status(),
+        backend.status()}) {
+    if (!status.ok()) {
+      std::fprintf(stderr, "edge_serverd: %s\n", status.to_string().c_str());
+      return 2;
+    }
+  }
+
   core::EdgeConfig edge_config;
-  edge_config.seed = flag_or(argc, argv, "--seed", 1);
-  edge_config.shards =
-      static_cast<std::size_t>(flag_or(argc, argv, "--shards", 4));
-
-  const std::string backend_name =
-      string_flag_or(argc, argv, "--backend", "auto");
-  util::Result<net::IoBackendKind> backend =
-      net::parse_io_backend_kind(backend_name.c_str());
-  if (!backend.ok()) {
-    std::fprintf(stderr, "edge_serverd: %s\n",
-                 backend.status().to_string().c_str());
-    return 1;
-  }
-  const std::string admission_name =
-      string_flag_or(argc, argv, "--admission", "queue_capacity");
-  util::Result<net::AdmissionPolicy> admission =
-      net::parse_admission_policy(admission_name.c_str());
-  if (!admission.ok()) {
-    std::fprintf(stderr, "edge_serverd: %s\n",
-                 admission.status().to_string().c_str());
-    return 1;
-  }
-
+  edge_config.seed = seed.value();
+  edge_config.shards = static_cast<std::size_t>(shards.value());
   const net::ServerConfig server_config =
       net::ServerConfig{}
-          .with_port(
-              static_cast<std::uint32_t>(flag_or(argc, argv, "--port", 0)))
-          .with_workers(
-              static_cast<std::size_t>(flag_or(argc, argv, "--workers", 2)))
-          .with_queue_capacity(static_cast<std::size_t>(
-              flag_or(argc, argv, "--queue-capacity", 1024)))
-          .with_backend(backend.value())
-          .with_admission(admission.value())
-          .with_latency_budget_us(static_cast<std::uint32_t>(
-              flag_or(argc, argv, "--latency-budget-us", 20000)));
+          .with_port(static_cast<std::uint32_t>(port.value()))
+          .with_workers(static_cast<std::size_t>(workers.value()))
+          .with_queue_capacity(
+              static_cast<std::size_t>(queue_capacity.value()))
+          .with_backend(backend.value());
 
   // No exceptions to catch: every failure (bad port, bind failure, an
   // unsatisfiable backend request) comes back as a typed Status.
@@ -187,7 +191,7 @@ int main(int argc, char** argv) {
   }
 
   if (has_flag(argc, argv, "--selftest")) {
-    const std::uint64_t n = flag_or(argc, argv, "--selftest", 32);
+    const std::uint64_t n = selftest_requests.value();
     const int rc = selftest(server, n == 0 ? 32 : n);
     server.stop();
     return rc;
@@ -195,11 +199,9 @@ int main(int argc, char** argv) {
 
   std::signal(SIGINT, handle_signal);
   std::signal(SIGTERM, handle_signal);
-  std::printf("edge_serverd listening on 127.0.0.1:%u (%s backend, %s "
-              "admission)\n",
+  std::printf("edge_serverd listening on 127.0.0.1:%u (%s backend)\n",
               static_cast<unsigned>(server.port()),
-              net::io_backend_kind_name(server.backend_kind()),
-              net::admission_policy_name(server_config.admission));
+              net::io_backend_kind_name(server.backend_kind()));
   std::fflush(stdout);
   while (g_stop == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));

@@ -60,7 +60,8 @@ util::Status EpollBackend::init(int listen_fd, int wake_fd, IoSink& sink) {
 
 void EpollBackend::update_interest(std::uint64_t id, Conn& conn) {
   epoll_event ev{};
-  ev.events = (conn.read_paused ? 0u : static_cast<unsigned>(EPOLLIN)) |
+  const bool reading = !conn.read_paused && !conn.read_eof;
+  ev.events = (reading ? static_cast<unsigned>(EPOLLIN) : 0u) |
               (conn.want_write ? static_cast<unsigned>(EPOLLOUT) : 0u);
   ev.data.u64 = id;
   ::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_MOD, conn.fd.get(), &ev);
@@ -82,13 +83,7 @@ bool EpollBackend::try_flush(Conn& conn) {
     return false;
   }
   conn.compact_out();
-  const bool need_epollout = conn.out_backlog() > 0;
-  if (need_epollout != conn.want_write) {
-    conn.want_write = need_epollout;
-    // The caller knows the id; re-arm via the map lookup the call sites
-    // already hold. update_interest needs the id, so flush() and the
-    // EPOLLOUT path call it directly.
-  }
+  conn.want_write = conn.out_backlog() > 0;
   return conn.out_backlog() < before;
 }
 
@@ -104,13 +99,12 @@ void EpollBackend::flush(std::uint64_t conn_id) {
   if (it == conns_.end() || it->second.dead) return;
   Conn& conn = it->second;
   const bool was_want_write = conn.want_write;
-  const bool flushed = try_flush(conn);
+  try_flush(conn);
   if (conn.dead) {
     if (sink_ != nullptr) sink_->on_closed(conn_id);
     return;
   }
   if (conn.want_write != was_want_write) update_interest(conn_id, conn);
-  (void)flushed;
 }
 
 std::size_t EpollBackend::outbound_bytes(std::uint64_t conn_id) const {
@@ -182,9 +176,18 @@ void EpollBackend::handle_readable(std::uint64_t id, Conn& conn) {
       if (static_cast<std::size_t>(got) < read_chunk_.size()) break;
       continue;
     }
-    if (got < 0 && errno == EINTR) continue;
-    if (got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    conn.dead = true;  // EOF or hard error
+    if (got == 0) {
+      // The peer shut down its sending side. Stop reading (EPOLLIN stays
+      // ready at EOF) but keep the connection: the sink still owes it
+      // responses and closes it once they are out.
+      conn.read_eof = true;
+      update_interest(id, conn);
+      sink_->on_read_eof(id);
+      return;
+    }
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+    conn.dead = true;  // hard error
     sink_->on_closed(id);
     return;
   }

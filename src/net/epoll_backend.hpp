@@ -43,6 +43,7 @@ class EpollBackend final : public IoBackend {
     std::size_t out_head = 0;
     bool want_write = false;   ///< EPOLLOUT currently armed
     bool read_paused = false;  ///< EPOLLIN disarmed by the sink
+    bool read_eof = false;     ///< peer shut down writes; never read again
     bool dead = false;         ///< close at the end of this poll batch
 
     std::size_t out_backlog() const { return out.size() - out_head; }

@@ -96,9 +96,16 @@ class IoSink {
   /// byte-budget backpressure decision via outbound_bytes().
   virtual void on_writable_resume(std::uint64_t conn_id) = 0;
 
-  /// The peer closed or the connection failed. The backend has already
-  /// discarded its state for `conn_id`; this is the sink's cue to drop
-  /// its own. Never fired for sink-initiated close_connection() calls.
+  /// The peer shut down its sending side (read EOF). Every byte it sent
+  /// has been delivered through on_data; the backend reads `conn_id` no
+  /// more but keeps it open for queue_send/flush. The sink closes it with
+  /// close_connection once it has answered everything it owes.
+  virtual void on_read_eof(std::uint64_t conn_id) = 0;
+
+  /// The connection failed (hard error, reset, or a send to a peer that
+  /// is gone). The backend has already discarded its state for
+  /// `conn_id`; this is the sink's cue to drop its own. Never fired for
+  /// sink-initiated close_connection() calls.
   virtual void on_closed(std::uint64_t conn_id) = 0;
 };
 

@@ -90,6 +90,7 @@ class IoUringBackend final : public IoBackend {
     bool recv_inflight = false;
     bool send_inflight = false;
     bool read_paused = false;
+    bool read_eof = false;  ///< peer shut down writes; never re-armed
     bool dead = false;
 
     std::size_t out_backlog() const {
@@ -428,7 +429,15 @@ void IoUringBackend::on_recv_cqe(std::uint64_t id, std::int32_t res) {
     if (!now.read_paused) arm_recv(id, now);
     return;
   }
-  // EOF (0) or error (<0): the peer is gone.
+  if (res == 0) {
+    // The peer shut down its sending side. Stop reading but keep the
+    // connection: the sink still owes it responses and closes it once
+    // they are out (close_connection may erase `conn` in the callback).
+    conn.read_eof = true;
+    sink_->on_read_eof(id);
+    return;
+  }
+  // Error: the peer is gone.
   conn.dead = true;
   sink_->on_closed(id);
   begin_teardown(id, conn);
@@ -536,7 +545,7 @@ void IoUringBackend::resume_reads(std::uint64_t conn_id) {
   Conn& conn = it->second;
   if (!conn.read_paused) return;
   conn.read_paused = false;
-  if (!conn.recv_inflight) arm_recv(conn_id, conn);
+  if (!conn.recv_inflight && !conn.read_eof) arm_recv(conn_id, conn);
 }
 
 void IoUringBackend::close_connection(std::uint64_t conn_id) {

@@ -58,12 +58,6 @@ util::Status ServerConfig::validated() const {
         "ServerConfig.max_outbound_bytes must hold at least one frame (" +
         std::to_string(kMaxFrameBytes) + " bytes)");
   }
-  if (admission == AdmissionPolicy::kLatencyBudget &&
-      latency_budget_us < 1) {
-    return util::Status::invalid_argument(
-        "ServerConfig.latency_budget_us must be >= 1 under the "
-        "latency_budget admission policy");
-  }
   return util::Status();
 }
 
@@ -159,9 +153,8 @@ util::Status EdgeServer::start() {
         "EdgeServer is single-use: start() after stop()");
   }
   for (std::size_t i = 0; i < config_.workers; ++i) {
-    queues_.push_back(std::make_unique<BoundedRequestQueue>(
-        config_.queue_capacity, config_.admission,
-        config_.latency_budget_us));
+    queues_.push_back(
+        std::make_unique<BoundedRequestQueue>(config_.queue_capacity));
   }
   admit_batches_.resize(config_.workers);
   for (std::size_t i = 0; i < config_.workers; ++i) {
@@ -204,9 +197,7 @@ void EdgeServer::worker_loop(std::size_t worker_index) {
     for (const PendingRequest& pending : batch) {
       queue.mark_started();
       const auto picked_up = now;
-      const double delay_us = us_between(pending.admitted, picked_up);
-      queue_delay_us_->record(delay_us);
-      queue.observe_queue_delay_us(delay_us, pending.depth_at_admit);
+      queue_delay_us_->record(us_between(pending.admitted, picked_up));
 
       if (config_.service_delay_us > 0) {
         std::this_thread::sleep_for(
@@ -278,6 +269,15 @@ void EdgeServer::reevaluate_backpressure(std::uint64_t conn_id) {
   }
 }
 
+void EdgeServer::close_if_drained(std::uint64_t conn_id) {
+  const auto it = conn_states_.find(conn_id);
+  if (it == conn_states_.end() || !it->second.read_eof ||
+      it->second.unanswered > 0 || backend_->outbound_bytes(conn_id) > 0) {
+    return;
+  }
+  close_and_forget(conn_id);
+}
+
 void EdgeServer::on_accept(std::uint64_t conn_id) {
   conn_states_[conn_id];  // default ConnState
   connections_opened_->add();
@@ -291,6 +291,14 @@ void EdgeServer::on_closed(std::uint64_t conn_id) {
 
 void EdgeServer::on_writable_resume(std::uint64_t conn_id) {
   reevaluate_backpressure(conn_id);
+  close_if_drained(conn_id);
+}
+
+void EdgeServer::on_read_eof(std::uint64_t conn_id) {
+  const auto it = conn_states_.find(conn_id);
+  if (it == conn_states_.end()) return;
+  it->second.read_eof = true;
+  close_if_drained(conn_id);
 }
 
 void EdgeServer::on_data(std::uint64_t conn_id, const std::uint8_t* data,
@@ -329,7 +337,7 @@ void EdgeServer::on_data(std::uint64_t conn_id, const std::uint8_t* data,
   }
   // Frames decoded before a poisoned one are admitted (and answered)
   // exactly as if the stream had ended there.
-  admit_staged(conn_id);
+  admit_staged(conn, conn_id);
   if (poisoned) {
     parse_errors_->add();
     close_and_forget(conn_id);
@@ -343,14 +351,15 @@ void EdgeServer::on_data(std::uint64_t conn_id, const std::uint8_t* data,
   reevaluate_backpressure(conn_id);
 }
 
-void EdgeServer::admit_staged(std::uint64_t conn_id) {
+void EdgeServer::admit_staged(ConnState& conn, std::uint64_t conn_id) {
   if (staged_workers_.empty()) return;
   requests_->add(staged_workers_.size());
   for (std::size_t w = 0; w < admit_batches_.size(); ++w) {
     AdmitBatch& batch = admit_batches_[w];
     batch.cursor = 0;
     if (!batch.requests.empty()) {
-      queues_[w]->try_push_batch(batch.requests, batch.admitted);
+      conn.unanswered +=
+          queues_[w]->try_push_batch(batch.requests, batch.admitted);
     }
   }
   for (const std::size_t w : staged_workers_) {
@@ -376,9 +385,9 @@ void EdgeServer::drain_completed() {
   }
   if (drain_scratch_.empty()) return;
   for (const CompletedResponse& done : drain_scratch_) {
-    if (conn_states_.find(done.conn_id) == conn_states_.end()) {
-      continue;  // peer left; drop it
-    }
+    const auto it = conn_states_.find(done.conn_id);
+    if (it == conn_states_.end()) continue;  // peer left; drop it
+    --it->second.unanswered;
     queue_response(done.conn_id, done.frame);
   }
   drain_scratch_.clear();
@@ -393,6 +402,7 @@ void EdgeServer::drain_completed() {
     if (conn_states_.find(id) == conn_states_.end()) continue;
     backend_->flush(id);
     reevaluate_backpressure(id);
+    close_if_drained(id);
   }
 }
 

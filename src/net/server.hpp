@@ -35,14 +35,17 @@
 //   - A request is shed AT ADMISSION -- immediate degraded_dropped
 //     response, released=0, zero coordinates, counted in net.shed AND
 //     edge.serve.degraded_dropped (the shared registry), never queued.
-//     Which arrivals shed is the AdmissionPolicy: queue_capacity (full
-//     queue, PR 8 semantics) or latency_budget (projected queue delay
-//     over budget; see net/admission.hpp). Either way the decision is
-//     made at push, so served + shed == sent holds exactly.
+//     An arrival sheds iff its worker's queue is full (see
+//     net/admission.hpp); the decision is made at push, so
+//     served + shed == sent holds exactly.
 //   - A connection whose outbound buffer exceeds max_outbound_bytes
 //     stops being read (backend pause_reads) until the peer drains it
 //     below half the cap -- TCP backpressure propagates to the client
 //     instead of the server buffering without bound.
+//   - A peer that half-closes (shutdown(SHUT_WR) after its last
+//     request) still gets every response: read EOF stops reading, and
+//     the connection closes once no admitted request on it is
+//     unanswered and no outbound byte is left.
 //   - net.queue_delay_us / net.service_time_us split every served
 //     request's latency into time-waiting vs time-serving, so a bench
 //     can tell queueing collapse from a slow serving path.
@@ -108,11 +111,6 @@ struct ServerConfig {
   /// PRIVLOCAD_NET_BACKEND and then capability; an explicit request this
   /// build/kernel cannot satisfy fails EdgeServer::create loudly.
   IoBackendKind backend = IoBackendKind::kAuto;
-  /// Which shed rule the worker queues apply at admission.
-  AdmissionPolicy admission = AdmissionPolicy::kQueueCapacity;
-  /// The projected-queue-delay budget for kLatencyBudget (ignored by
-  /// kQueueCapacity).
-  std::uint32_t latency_budget_us = 20000;
 
   ServerConfig with_port(std::uint32_t value) const {
     ServerConfig copy = *this;
@@ -142,16 +140,6 @@ struct ServerConfig {
   ServerConfig with_backend(IoBackendKind value) const {
     ServerConfig copy = *this;
     copy.backend = value;
-    return copy;
-  }
-  ServerConfig with_admission(AdmissionPolicy value) const {
-    ServerConfig copy = *this;
-    copy.admission = value;
-    return copy;
-  }
-  ServerConfig with_latency_budget_us(std::uint32_t value) const {
-    ServerConfig copy = *this;
-    copy.latency_budget_us = value;
     return copy;
   }
 
@@ -195,14 +183,19 @@ class EdgeServer final : private IoSink {
   obs::MetricsRegistry& metrics() { return edge_.metrics(); }
 
  private:
-  /// Protocol-side per-connection state: the inbound framing buffer and
-  /// the core's own view of backpressure. The backend owns the fd and
-  /// the outbound buffer. `in` is head-indexed so framing never
-  /// memmoves the whole buffer per event.
+  /// Protocol-side per-connection state: the inbound framing buffer,
+  /// the core's own view of backpressure, and what the connection is
+  /// still owed. The backend owns the fd and the outbound buffer. `in`
+  /// is head-indexed so framing never memmoves the whole buffer per
+  /// event.
   struct ConnState {
     std::vector<std::uint8_t> in;
     std::size_t in_head = 0;
     bool read_paused = false;
+    /// The peer shut down its sending side; close once drained.
+    bool read_eof = false;
+    /// Admitted requests whose response has not been queued yet.
+    std::size_t unanswered = 0;
 
     void compact_in();
   };
@@ -228,6 +221,7 @@ class EdgeServer final : private IoSink {
   void on_data(std::uint64_t conn_id, const std::uint8_t* data,
                std::size_t n) override;
   void on_writable_resume(std::uint64_t conn_id) override;
+  void on_read_eof(std::uint64_t conn_id) override;
   void on_closed(std::uint64_t conn_id) override;
 
   void io_loop();
@@ -241,9 +235,12 @@ class EdgeServer final : private IoSink {
   void close_and_forget(std::uint64_t conn_id);
   /// Pause/resume decision against the byte budget after a flush.
   void reevaluate_backpressure(std::uint64_t conn_id);
+  /// Closes a half-closed connection once it is owed nothing: no
+  /// unanswered admitted request and no outbound byte left.
+  void close_if_drained(std::uint64_t conn_id);
   /// Admits the frames staged in admit_batches_ (one lock per worker),
   /// then answers the shed ones in arrival order.
-  void admit_staged(std::uint64_t conn_id);
+  void admit_staged(ConnState& conn, std::uint64_t conn_id);
   void drain_completed();
 
   ServerConfig config_;

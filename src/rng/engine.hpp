@@ -9,8 +9,9 @@
 //
 // The engine satisfies std::uniform_random_bit_generator, so it composes
 // with <random> distributions where convenient, but all samplers in this
-// library (rng/samplers.hpp) use explicit inverse-CDF transforms so results
-// are bit-reproducible across standard-library implementations.
+// library (rng/samplers.hpp: explicit inverse-CDF transforms and the
+// ziggurat Gaussian) are written out so results are bit-reproducible
+// across standard-library implementations.
 #pragma once
 
 #include <array>

@@ -13,7 +13,7 @@
 //     running a different kernel than the experiment claims.
 //   - PRIVLOCAD_SIMD=scalar: force the scalar fallbacks.
 //   - anything else: loud parse failure (same contract as
-//     PRIVLOCAD_SAMPLER / PRIVLOCAD_FAULTS).
+//     PRIVLOCAD_THREADS / PRIVLOCAD_FAULTS).
 //
 // DETERMINISM CONTRACT. Scalar and AVX2 kernels agree BIT-FOR-BIT: every
 // lane performs the same sub/mul/add/div sequence as the scalar loop (no

@@ -7,8 +7,8 @@
 //     (paper Alg. 1 stage 1 and the connectivity clustering it shares);
 //   - posterior_log_densities: Eq. 17-18 output-selection scoring;
 //   - apply_noise_pairs: the n-fold Gaussian release's scale-and-offset
-//     pass over batched ziggurat variates (lppm/gaussian,
-//     core/obfuscation_table via rng::fill_gaussian_noise_2d).
+//     pass over batched ziggurat variates (lppm/gaussian and
+//     lppm/baselines via rng::fill_gaussian_noise_2d).
 //
 // Each kernel has a scalar and an AVX2 implementation; the unsuffixed
 // entry point dispatches on simd::active_dispatch_level(). Both variants

@@ -313,43 +313,42 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --------------------------------------- determinism / batched-release API
 
-TEST(DeterminismContract, FixedSeedAndSamplerReproduceReleases) {
-  // The contract the goldens and obfuscation tables rely on: seed +
-  // sampler choice fully determine every release.
+TEST(DeterminismContract, FixedSeedAloneReproducesReleases) {
+  // The contract the goldens and snapshot replays rely on: the engine
+  // seed alone fully determines every release -- there is no process
+  // state (sampler choice, environment) that could change the stream.
   const NFoldGaussianMechanism mech(paper_params(10));
-  for (const rng::NormalSampler sampler :
-       {rng::NormalSampler::kZiggurat, rng::NormalSampler::kInverseCdf}) {
-    const rng::NormalSampler saved = rng::default_normal_sampler();
-    rng::set_default_normal_sampler(sampler);
-    rng::Engine a(42), b(42);
-    const auto ra = mech.obfuscate(a, {100.0, 200.0});
-    const auto rb = mech.obfuscate(b, {100.0, 200.0});
-    rng::set_default_normal_sampler(saved);
-    ASSERT_EQ(ra.size(), rb.size());
-    for (std::size_t i = 0; i < ra.size(); ++i) {
-      EXPECT_DOUBLE_EQ(ra[i].x, rb[i].x);
-      EXPECT_DOUBLE_EQ(ra[i].y, rb[i].y);
-    }
+  rng::Engine a(42), b(42);
+  const auto ra = mech.obfuscate(a, {100.0, 200.0});
+  const auto rb = mech.obfuscate(b, {100.0, 200.0});
+  ASSERT_EQ(ra.size(), rb.size());
+  for (std::size_t i = 0; i < ra.size(); ++i) {
+    EXPECT_EQ(ra[i].x, rb[i].x);
+    EXPECT_EQ(ra[i].y, rb[i].y);
   }
+  EXPECT_EQ(a(), b());  // engines in lockstep after
 }
 
-TEST(DeterminismContract, SamplerChoiceChangesTheStream) {
+TEST(DeterminismContract, SeedAloneSelectsTheStream) {
+  // The n-fold release is the seed's i.i.d. Gaussian pair stream around
+  // the true location (Alg. 3's noise law), and a different seed gives a
+  // different release.
   const NFoldGaussianMechanism mech(paper_params(10));
-  const rng::NormalSampler saved = rng::default_normal_sampler();
+  const geo::Point center{100.0, 200.0};
+  rng::Engine a(42), manual(42);
+  const auto release = mech.obfuscate(a, center);
+  for (const geo::Point& p : release) {
+    const geo::Point q = center + rng::gaussian_noise(manual, mech.sigma());
+    EXPECT_DOUBLE_EQ(p.x, q.x);
+    EXPECT_DOUBLE_EQ(p.y, q.y);
+  }
 
-  rng::set_default_normal_sampler(rng::NormalSampler::kZiggurat);
-  rng::Engine a(42);
-  const auto zig = mech.obfuscate(a, {100.0, 200.0});
-
-  rng::set_default_normal_sampler(rng::NormalSampler::kInverseCdf);
-  rng::Engine b(42);
-  const auto icdf = mech.obfuscate(b, {100.0, 200.0});
-  rng::set_default_normal_sampler(saved);
-
-  ASSERT_EQ(zig.size(), icdf.size());
+  rng::Engine b(43);
+  const auto other = mech.obfuscate(b, center);
+  ASSERT_EQ(release.size(), other.size());
   bool any_different = false;
-  for (std::size_t i = 0; i < zig.size(); ++i) {
-    any_different |= zig[i].x != icdf[i].x || zig[i].y != icdf[i].y;
+  for (std::size_t i = 0; i < release.size(); ++i) {
+    any_different |= release[i].x != other[i].x || release[i].y != other[i].y;
   }
   EXPECT_TRUE(any_different);
 }

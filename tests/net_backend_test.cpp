@@ -8,9 +8,14 @@
 // (epoll always; io_uring when the kernel accepts the ring) and compares
 // the full response stream across them. The suite is also the TSan
 // target for the backends: it exercises accept, framing, admission,
-// worker handoff, backpressure, and teardown on both implementations.
+// worker handoff, backpressure, half-close, and teardown on both
+// implementations.
+#include <errno.h>
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdint>
@@ -23,11 +28,12 @@
 
 #include "core/edge_device.hpp"
 #include "fault/fault.hpp"
-#include "net/admission.hpp"
 #include "net/client.hpp"
 #include "net/io_backend.hpp"
 #include "net/load_model.hpp"
 #include "net/server.hpp"
+#include "net/socket.hpp"
+#include "net/wire.hpp"
 #include "trace/check_in.hpp"
 
 namespace privlocad {
@@ -249,11 +255,11 @@ TEST(BackendConformance, ShedPartitionIsDeterministicAcrossBackends) {
   }
 }
 
-TEST(BackendConformance, LatencyBudgetAccountsEveryRequestUnderOverload) {
-  // 4x overload against the latency-budget policy: projected-delay
-  // shedding must keep PR 8's at-push accounting -- every request that
-  // went out comes back as exactly one response (served or shed), with
-  // nothing missing and nothing leaked -- on BOTH backends.
+TEST(BackendConformance, CapacitySheddingAccountsEveryRequestUnderOverload) {
+  // 4x open-loop overload against bounded queues: at-push shedding must
+  // keep exact accounting -- every request that went out comes back as
+  // exactly one response (served or shed), with nothing missing and
+  // nothing leaked -- on every backend.
   for (const net::IoBackendKind kind : conformance_kinds()) {
     core::EdgeConfig edge_config;
     edge_config.seed = 11;
@@ -264,8 +270,6 @@ TEST(BackendConformance, LatencyBudgetAccountsEveryRequestUnderOverload) {
                  .with_workers(2)
                  .with_queue_capacity(256)
                  .with_service_delay_us(500)
-                 .with_admission(net::AdmissionPolicy::kLatencyBudget)
-                 .with_latency_budget_us(2000)
                  .with_backend(kind));
     ASSERT_NE(server, nullptr);
 
@@ -292,9 +296,101 @@ TEST(BackendConformance, LatencyBudgetAccountsEveryRequestUnderOverload) {
                   stats.failed,
               stats.responses);
     EXPECT_GT(stats.degraded_dropped, 0u)
-        << "4x overload shed nothing; the budget is not binding";
+        << "4x overload shed nothing; the queue bound is not binding";
     EXPECT_EQ(stats.raw_leaks, 0u);
     EXPECT_EQ(stats.wire_errors, 0u);
+  }
+}
+
+TEST(BackendConformance, HalfClosedPeerStillGetsEveryResponse) {
+  // A peer may write its last request and shut down its sending side
+  // before it reads (shutdown(SHUT_WR)). Read EOF ends the request
+  // stream, not the connection: every admitted request is still
+  // answered, then the server closes its end. A full connection next to
+  // it is served as usual, and the box's books balance.
+  constexpr std::uint64_t kRequests = 50;
+  for (const net::IoBackendKind kind : conformance_kinds()) {
+    core::EdgeConfig edge_config;
+    edge_config.seed = 11;
+    edge_config.shards = 4;
+    std::unique_ptr<net::EdgeServer> server = boot(
+        edge_config, net::ServerConfig{}.with_workers(2).with_backend(kind));
+    ASSERT_NE(server, nullptr) << net::io_backend_kind_name(kind);
+
+    util::Result<net::BlockingClient> full =
+        net::BlockingClient::connect(server->port());
+    ASSERT_TRUE(full.ok()) << full.status().to_string();
+    for (std::uint64_t i = 0; i < kRequests; ++i) {
+      ASSERT_TRUE(full->send(conformance_request(i)).ok());
+    }
+    // Two workers answer in completion order, not request order.
+    std::vector<std::uint64_t> full_ids;
+    for (std::uint64_t i = 0; i < kRequests; ++i) {
+      util::Result<net::ServeResponseFrame> response = full->receive();
+      ASSERT_TRUE(response.ok()) << response.status().to_string();
+      full_ids.push_back(response->request_id);
+    }
+    std::sort(full_ids.begin(), full_ids.end());
+    for (std::uint64_t i = 0; i < kRequests; ++i) EXPECT_EQ(full_ids[i], i);
+
+    util::Result<net::UniqueFd> half = net::connect_loopback(server->port());
+    ASSERT_TRUE(half.ok()) << half.status().to_string();
+    const int fd = half->get();
+    std::vector<std::uint8_t> out;
+    for (std::uint64_t i = 0; i < kRequests; ++i) {
+      net::append_request(out, conformance_request(kRequests + i));
+    }
+    ASSERT_TRUE(net::write_all(fd, out.data(), out.size()).ok());
+    ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+
+    // Read until the server closes its end (or 5 s pass).
+    const timeval timeout{5, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    std::vector<std::uint8_t> in;
+    std::uint8_t chunk[4096];
+    bool server_closed = false;
+    while (true) {
+      const ssize_t got = ::recv(fd, chunk, sizeof(chunk), 0);
+      if (got > 0) {
+        in.insert(in.end(), chunk, chunk + got);
+        continue;
+      }
+      if (got < 0 && errno == EINTR) continue;
+      server_closed = got == 0;
+      break;
+    }
+    std::vector<std::uint64_t> ids;
+    std::size_t head = 0;
+    while (head < in.size()) {
+      net::Frame frame;
+      std::size_t consumed = 0;
+      ASSERT_TRUE(
+          net::try_decode(in.data() + head, in.size() - head, frame, consumed)
+              .ok());
+      ASSERT_GT(consumed, 0u) << "truncated response stream";
+      ASSERT_EQ(frame.type, net::FrameType::kServeResponse);
+      ids.push_back(frame.response.request_id);
+      head += consumed;
+    }
+    std::sort(ids.begin(), ids.end());
+    std::vector<std::uint64_t> expected_ids;
+    for (std::uint64_t i = 0; i < kRequests; ++i) {
+      expected_ids.push_back(kRequests + i);
+    }
+    EXPECT_EQ(ids, expected_ids)
+        << ids.size() << " of " << kRequests << " responses on "
+        << net::io_backend_kind_name(kind);
+    EXPECT_TRUE(server_closed)
+        << "server never closed the drained half-closed connection on "
+        << net::io_backend_kind_name(kind);
+
+    server->stop();
+    obs::MetricsRegistry& metrics = server->metrics();
+    EXPECT_EQ(metrics.counter_value(net::net_metrics::kRequests),
+              2 * kRequests);
+    EXPECT_EQ(metrics.counter_value(net::net_metrics::kResponses),
+              metrics.counter_value(net::net_metrics::kRequests))
+        << net::io_backend_kind_name(kind);
   }
 }
 

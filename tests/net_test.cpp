@@ -185,130 +185,51 @@ TEST(Admission, CloseDrainsBacklogThenUnblocks) {
   EXPECT_TRUE(out.empty());
 }
 
-TEST(Admission, PolicyNamesRoundTripAndRejectGarbage) {
-  EXPECT_STREQ(
-      net::admission_policy_name(net::AdmissionPolicy::kQueueCapacity),
-      "queue_capacity");
-  EXPECT_STREQ(
-      net::admission_policy_name(net::AdmissionPolicy::kLatencyBudget),
-      "latency_budget");
-  EXPECT_EQ(net::parse_admission_policy("queue_capacity").value(),
-            net::AdmissionPolicy::kQueueCapacity);
-  EXPECT_EQ(net::parse_admission_policy("latency_budget").value(),
-            net::AdmissionPolicy::kLatencyBudget);
-  EXPECT_EQ(net::parse_admission_policy("lifo").status().code(),
-            util::ErrorCode::kParseError);
-  EXPECT_EQ(net::parse_admission_policy(nullptr).status().code(),
-            util::ErrorCode::kParseError);
-}
-
-TEST(Admission, LatencyBudgetShedsOnProjectedDelayAtPush) {
-  // Capacity is generous; the budget is the binding constraint. Feed the
-  // EWMA until it converges to ~1000us per queued item, then: an empty
-  // queue projects 0 (admit), one queued item projects ~1000us > 500us
-  // budget (shed). The decision is entirely at push time.
-  net::BoundedRequestQueue queue(100,
-                                 net::AdmissionPolicy::kLatencyBudget,
-                                 /*latency_budget_us=*/500);
-  for (int i = 0; i < 64; ++i) queue.observe_queue_delay_us(1000.0, 1);
-  EXPECT_NEAR(queue.ewma_item_delay_us(), 1000.0, 10.0);
-
-  net::PendingRequest pending;
-  EXPECT_TRUE(queue.try_push(pending));   // depth 0: projected 0
-  EXPECT_GT(queue.projected_delay_us(), 500.0);
-  EXPECT_FALSE(queue.try_push(pending));  // depth 1: ~1000us > budget
-
-  std::vector<net::PendingRequest> out;
-  ASSERT_TRUE(queue.pop_batch(out));
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].depth_at_admit, 0u);
-  EXPECT_GT(queue.projected_delay_us(), 500.0);  // popped, not started
-  queue.mark_started();
-  EXPECT_TRUE(queue.try_push(pending));   // drained: projected 0 again
-}
-
-TEST(Admission, LatencyBudgetKeepsCapacityAsHardBackstop) {
-  // A huge budget never lets the queue grow past its capacity bound.
-  net::BoundedRequestQueue queue(2, net::AdmissionPolicy::kLatencyBudget,
-                                 /*latency_budget_us=*/1u << 30);
-  net::PendingRequest pending;
-  EXPECT_TRUE(queue.try_push(pending));
-  EXPECT_TRUE(queue.try_push(pending));
-  EXPECT_FALSE(queue.try_push(pending));  // capacity, not budget
-}
-
-TEST(Admission, LatencyBudgetWithNoObservationsAdmitsFreely) {
-  // Before any worker feedback the projection is 0: an idle box must not
-  // shed its first requests.
-  net::BoundedRequestQueue queue(8, net::AdmissionPolicy::kLatencyBudget,
-                                 /*latency_budget_us=*/1);
-  net::PendingRequest pending;
-  EXPECT_TRUE(queue.try_push(pending));
-  EXPECT_TRUE(queue.try_push(pending));
-  EXPECT_DOUBLE_EQ(queue.ewma_item_delay_us(), 0.0);
-}
-
 TEST(Admission, BatchAdmitMatchesSequentialTryPush) {
-  // try_push_batch must give every request the decision and
-  // depth_at_admit a run of sequential try_push calls gives, from the
-  // same starting state: some requests already queued, one popped but
-  // not yet started (still counted), and a seeded EWMA.
-  struct Case {
-    net::AdmissionPolicy policy;
-    std::size_t capacity;
-    std::uint32_t budget_us;
+  // try_push_batch must give every request the decision a run of
+  // sequential try_push calls gives, from the same starting state: some
+  // requests already queued and one popped but not yet started (still
+  // counted against capacity).
+  auto prepared = [] {
+    auto queue = std::make_unique<net::BoundedRequestQueue>(6);
+    net::PendingRequest pending;
+    EXPECT_TRUE(queue->try_push(pending));
+    EXPECT_TRUE(queue->try_push(pending));
+    std::vector<net::PendingRequest> popped;
+    EXPECT_TRUE(queue->pop_batch(popped));
+    queue->mark_started();                  // one in service, one in hand
+    EXPECT_TRUE(queue->try_push(pending));  // and one queued
+    EXPECT_EQ(queue->size(), 2u);
+    return queue;
   };
-  const Case cases[] = {
-      {net::AdmissionPolicy::kQueueCapacity, 6, 0},
-      {net::AdmissionPolicy::kLatencyBudget, 100, 4500},
-  };
-  for (const Case& c : cases) {
-    auto prepared = [&c] {
-      auto queue = std::make_unique<net::BoundedRequestQueue>(
-          c.capacity, c.policy, c.budget_us);
-      for (int i = 0; i < 64; ++i) queue->observe_queue_delay_us(1000.0, 1);
-      net::PendingRequest pending;
-      EXPECT_TRUE(queue->try_push(pending));
-      EXPECT_TRUE(queue->try_push(pending));
-      std::vector<net::PendingRequest> popped;
-      EXPECT_TRUE(queue->pop_batch(popped));
-      queue->mark_started();                  // one in service, one in hand
-      EXPECT_TRUE(queue->try_push(pending));  // and one queued
-      EXPECT_EQ(queue->size(), 2u);
-      return queue;
-    };
-    const std::unique_ptr<net::BoundedRequestQueue> sequential = prepared();
-    const std::unique_ptr<net::BoundedRequestQueue> batched = prepared();
+  const std::unique_ptr<net::BoundedRequestQueue> sequential = prepared();
+  const std::unique_ptr<net::BoundedRequestQueue> batched = prepared();
 
-    std::vector<net::PendingRequest> requests(10);
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      requests[i].conn_id = 100 + i;
-    }
-    std::vector<bool> expected;
-    for (const net::PendingRequest& request : requests) {
-      expected.push_back(sequential->try_push(request));
-    }
-    std::vector<bool> admitted;
-    const std::size_t count = batched->try_push_batch(requests, admitted);
-    EXPECT_EQ(admitted, expected) << net::admission_policy_name(c.policy);
-    EXPECT_EQ(count, static_cast<std::size_t>(
-                         std::count(expected.begin(), expected.end(), true)));
-    // Both policies shed the tail of the burst, not all of it.
-    EXPECT_TRUE(expected.front());
-    EXPECT_FALSE(expected.back());
+  std::vector<net::PendingRequest> requests(10);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    requests[i].conn_id = 100 + i;
+  }
+  std::vector<bool> expected;
+  for (const net::PendingRequest& request : requests) {
+    expected.push_back(sequential->try_push(request));
+  }
+  std::vector<bool> admitted;
+  const std::size_t count = batched->try_push_batch(requests, admitted);
+  EXPECT_EQ(admitted, expected);
+  // The 2 waiting requests leave room for exactly 4 of the burst.
+  EXPECT_EQ(count, 4u);
+  EXPECT_EQ(count, static_cast<std::size_t>(
+                       std::count(expected.begin(), expected.end(), true)));
+  EXPECT_TRUE(expected.front());
+  EXPECT_FALSE(expected.back());
 
-    std::vector<net::PendingRequest> from_sequential;
-    std::vector<net::PendingRequest> from_batched;
-    ASSERT_TRUE(sequential->pop_batch(from_sequential));
-    ASSERT_TRUE(batched->pop_batch(from_batched));
-    ASSERT_EQ(from_sequential.size(), from_batched.size());
-    for (std::size_t i = 0; i < from_batched.size(); ++i) {
-      EXPECT_EQ(from_batched[i].conn_id, from_sequential[i].conn_id);
-      EXPECT_EQ(from_batched[i].depth_at_admit,
-                from_sequential[i].depth_at_admit);
-    }
-    // The admitted ones were admitted behind 2, 3, ... waiting requests.
-    EXPECT_EQ(from_batched[1].depth_at_admit, 2u);
+  std::vector<net::PendingRequest> from_sequential;
+  std::vector<net::PendingRequest> from_batched;
+  ASSERT_TRUE(sequential->pop_batch(from_sequential));
+  ASSERT_TRUE(batched->pop_batch(from_batched));
+  ASSERT_EQ(from_sequential.size(), from_batched.size());
+  for (std::size_t i = 0; i < from_batched.size(); ++i) {
+    EXPECT_EQ(from_batched[i].conn_id, from_sequential[i].conn_id);
   }
 }
 
@@ -331,7 +252,6 @@ TEST(Admission, PoppedButUnstartedRequestsStillCountAsQueued) {
   EXPECT_EQ(queue.in_hand(), 0u);
   ASSERT_TRUE(queue.pop_batch(out));
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].depth_at_admit, 2u);  // two were waiting in hand
   queue.mark_started();
   EXPECT_EQ(queue.size(), 0u);
 }
@@ -544,16 +464,12 @@ TEST(ServerConfig, FluentCopiesComposeWithoutMutatingTheSource) {
       base.with_workers(7)
           .with_queue_capacity(99)
           .with_backend(net::IoBackendKind::kEpoll)
-          .with_admission(net::AdmissionPolicy::kLatencyBudget)
-          .with_latency_budget_us(1234)
           .with_service_delay_us(55)
           .with_max_outbound_bytes(1 << 16)
           .with_port(8080);
   EXPECT_EQ(tuned.workers, 7u);
   EXPECT_EQ(tuned.queue_capacity, 99u);
   EXPECT_EQ(tuned.backend, net::IoBackendKind::kEpoll);
-  EXPECT_EQ(tuned.admission, net::AdmissionPolicy::kLatencyBudget);
-  EXPECT_EQ(tuned.latency_budget_us, 1234u);
   EXPECT_EQ(tuned.service_delay_us, 55u);
   EXPECT_EQ(tuned.max_outbound_bytes, std::size_t{1} << 16);
   EXPECT_EQ(tuned.port, 8080u);
@@ -577,11 +493,6 @@ TEST(ServerConfig, ValidatedNamesEachBadField) {
   EXPECT_EQ(good.with_queue_capacity(0).validated().code(),
             util::ErrorCode::kInvalidArgument);
   EXPECT_EQ(good.with_max_outbound_bytes(8).validated().code(),
-            util::ErrorCode::kInvalidArgument);
-  EXPECT_EQ(good.with_admission(net::AdmissionPolicy::kLatencyBudget)
-                .with_latency_budget_us(0)
-                .validated()
-                .code(),
             util::ErrorCode::kInvalidArgument);
 }
 
