@@ -67,7 +67,13 @@ int main(int argc, char** argv) {
   std::size_t total_requests = 0;
   for (const trace::SyntheticUser& user : population) {
     for (const trace::CheckIn& c : user.trace.check_ins) {
-      cluster.report_location(user.trace.user_id, c.position, c.time);
+      const core::ServeResult served =
+          cluster.serve(user.trace.user_id, c.position, c.time);
+      if (!served.released()) {
+        std::fprintf(stderr, "request not released: %s\n",
+                     served.status.to_string().c_str());
+        return 1;
+      }
       ++total_requests;
     }
   }

@@ -49,8 +49,8 @@ int main() {
   for (int i = 0; i < 200; ++i) {
     const trace::Timestamp t =
         trace::kStudyStart + 40 * trace::kSecondsPerDay + i * 600;
-    device.report_location(1, alice_home, t);
-    device.report_location(2, {i * 400.0, -i * 250.0}, t);  // bob roams
+    device.serve(1, alice_home, t);
+    device.serve(2, {i * 400.0, -i * 250.0}, t);  // bob roams
   }
   std::printf("--- telemetry after 400 requests ---\n%s\n",
               device.telemetry().to_string().c_str());
@@ -75,8 +75,14 @@ int main() {
                  opened.to_string().c_str());
     return 1;
   }
-  const core::ReportedLocation replay = restarted.report_location(
+  const core::ServeResult served = restarted.serve(
       1, alice_home, trace::kStudyStart + 100 * trace::kSecondsPerDay);
+  if (!served.released()) {
+    std::fprintf(stderr, "replay after restart was not released: %s\n",
+                 served.status.to_string().c_str());
+    return 1;
+  }
+  const core::ReportedLocation& replay = served.reported;
   std::printf("after restart, alice's report still comes from the frozen "
               "set: (%.1f, %.1f) [%s]\n",
               replay.location.x, replay.location.y,

@@ -46,23 +46,6 @@ ServeResult ConcurrentEdge::serve(std::uint64_t user_id,
   return shard.device->serve(user_id, true_location, time);
 }
 
-ReportedLocation ConcurrentEdge::report_location(std::uint64_t user_id,
-                                                 geo::Point true_location,
-                                                 trace::Timestamp time) {
-  const ServeResult result = serve(user_id, true_location, time);
-  if (!result.released()) throw util::StatusError(result.status);
-  return result.reported;
-}
-
-std::vector<adnet::Ad> ConcurrentEdge::filter_ads(
-    std::uint64_t user_id, const std::vector<adnet::Ad>& ads,
-    geo::Point true_location) {
-  Shard& shard = shard_for(user_id);
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  ++shard.lock_count;
-  return shard.device->filter_ads(ads, true_location);
-}
-
 void ConcurrentEdge::import_history(std::uint64_t user_id,
                                     const trace::UserTrace& trace) {
   Shard& shard = shard_for(user_id);

@@ -60,17 +60,6 @@ class ConcurrentEdge {
   ServeResult serve(std::uint64_t user_id, geo::Point true_location,
                     trace::Timestamp time);
 
-  /// Thread-safe legacy wrapper; throws util::StatusError on a dropped or
-  /// failed request (never happens with fault injection disabled).
-  ReportedLocation report_location(std::uint64_t user_id,
-                                   geo::Point true_location,
-                                   trace::Timestamp time);
-
-  /// Thread-safe ad filtering (runs on the user's shard).
-  std::vector<adnet::Ad> filter_ads(std::uint64_t user_id,
-                                    const std::vector<adnet::Ad>& ads,
-                                    geo::Point true_location);
-
   /// Thread-safe history import.
   void import_history(std::uint64_t user_id, const trace::UserTrace& trace);
 

@@ -9,7 +9,10 @@ namespace privlocad::core {
 
 EdgeCluster::EdgeCluster(EdgeClusterConfig config)
     : config_(config), seed_(config.edge.seed) {
-  util::require_positive(config.cell_size_m, "edge cluster cell size");
+  // serve() bounds |x|, |y| by kMaxPlaneCoordinateM; cells of at least
+  // 1 cm keep every cell index inside key_for's int32 range.
+  util::require(config.cell_size_m >= 0.01,
+                "edge cluster cell size must be >= 0.01 m");
   config_.edge.validate();
 }
 
@@ -22,8 +25,7 @@ EdgeCluster::CellKey EdgeCluster::key_for(geo::Point location) const {
          static_cast<std::uint64_t>(static_cast<std::uint32_t>(cy));
 }
 
-EdgeDevice& EdgeCluster::device_for(geo::Point location) {
-  const CellKey key = key_for(location);
+EdgeDevice& EdgeCluster::device_at(CellKey key) {
   auto it = devices_.find(key);
   if (it == devices_.end()) {
     // Each device gets its own deterministic seed derived from its cell.
@@ -36,33 +38,27 @@ EdgeDevice& EdgeCluster::device_for(geo::Point location) {
   return *it->second;
 }
 
+EdgeDevice& EdgeCluster::device_for(geo::Point location) {
+  if (util::Status bad = check_plane_location(location); !bad.ok()) {
+    throw util::StatusError(std::move(bad));
+  }
+  return device_at(key_for(location));
+}
+
 ServeResult EdgeCluster::serve(std::uint64_t user_id,
                                geo::Point true_location,
                                trace::Timestamp time) {
-  ++served_[key_for(true_location)];
-  return device_for(true_location).serve(user_id, true_location, time);
-}
-
-ReportedLocation EdgeCluster::report_location(std::uint64_t user_id,
-                                              geo::Point true_location,
-                                              trace::Timestamp time) {
-  const ServeResult result = serve(user_id, true_location, time);
-  if (!result.released()) throw util::StatusError(result.status);
-  return result.reported;
-}
-
-std::vector<adnet::Ad> EdgeCluster::filter_ads(
-    const std::vector<adnet::Ad>& ads, geo::Point true_location) const {
-  const double r2 =
-      config_.edge.targeting_radius_m * config_.edge.targeting_radius_m;
-  std::vector<adnet::Ad> relevant;
-  relevant.reserve(ads.size());
-  for (const adnet::Ad& ad : ads) {
-    if (geo::distance_squared(ad.business_location, true_location) <= r2) {
-      relevant.push_back(ad);
-    }
+  // key_for's float-to-int32 cast is undefined for NaN and out-of-range
+  // quotients, so the plane check comes before any cell is computed.
+  if (util::Status bad = check_plane_location(true_location); !bad.ok()) {
+    ServeResult failed;
+    failed.outcome = ServeOutcome::kFailed;
+    failed.status = std::move(bad);
+    return failed;
   }
-  return relevant;
+  const CellKey key = key_for(true_location);
+  ++served_[key];
+  return device_at(key).serve(user_id, true_location, time);
 }
 
 std::vector<EdgeCluster::CellLoad> EdgeCluster::cell_loads() const {

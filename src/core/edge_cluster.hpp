@@ -3,12 +3,11 @@
 // distributed").
 //
 // The cluster partitions the study area into square cells, one edge device
-// per cell; an LBA request is served by the device owning the user's
-// current cell. Because a moving user touches several devices, each device
-// only sees a local profile slice; the cluster periodically merges the
-// slices (core/profile_merge.hpp) into a global profile and pushes the
-// resulting top-location set back so every device answers from the same
-// permanent obfuscation state.
+// per cell; an LBA request is served by the device owning the location's
+// cell. Devices share nothing: a user who moves between cells has an
+// independent profile slice, top-location set and frozen candidate sets
+// on each device that has seen them, each built from that cell's
+// check-ins alone.
 //
 // This models the deployment topology the paper's scalability evaluation
 // (Tables II/III) assumes, and lets the benches measure per-device load.
@@ -41,19 +40,11 @@ class EdgeCluster {
   explicit EdgeCluster(EdgeClusterConfig config);
 
   /// Typed serving through the device owning the location's cell. Never
-  /// throws (see EdgeDevice::serve).
+  /// throws (see EdgeDevice::serve). A location failing
+  /// check_plane_location is kFailed with kInvalidArgument before it is
+  /// mapped to a cell: no device is created and no cell counts it.
   ServeResult serve(std::uint64_t user_id, geo::Point true_location,
                     trace::Timestamp time);
-
-  /// Legacy throwing wrapper; throws util::StatusError on a dropped or
-  /// failed request (never happens with fault injection disabled).
-  ReportedLocation report_location(std::uint64_t user_id,
-                                   geo::Point true_location,
-                                   trace::Timestamp time);
-
-  /// Ad filtering is stateless w.r.t. the device; any device can do it.
-  std::vector<adnet::Ad> filter_ads(const std::vector<adnet::Ad>& ads,
-                                    geo::Point true_location) const;
 
   /// Number of devices that have served at least one request.
   std::size_t active_devices() const { return devices_.size(); }
@@ -73,12 +64,15 @@ class EdgeCluster {
   /// stats must not silently miss devices outside a fixed scan window).
   std::vector<CellLoad> cell_loads() const;
 
-  /// The device owning `location`'s cell, created on first use.
+  /// The device owning `location`'s cell, created on first use. Throws
+  /// util::StatusError (kInvalidArgument) for a location failing
+  /// check_plane_location.
   EdgeDevice& device_for(geo::Point location);
 
  private:
   using CellKey = std::uint64_t;
   CellKey key_for(geo::Point location) const;
+  EdgeDevice& device_at(CellKey key);
 
   EdgeClusterConfig config_;
   std::uint64_t seed_;

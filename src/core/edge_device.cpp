@@ -1,5 +1,7 @@
 #include "core/edge_device.hpp"
 
+#include <cmath>
+
 #include "core/output_selection.hpp"
 #include "core/snapshot.hpp"
 #include "util/validation.hpp"
@@ -21,6 +23,20 @@ void EdgeConfig::validate() const {
       management.eta_fraction > 0.0 && management.eta_fraction <= 1.0,
       "eta_fraction must be in (0, 1]");
   retry.validate();
+}
+
+util::Status check_plane_location(geo::Point location) {
+  // One comparison per axis also rejects NaN and +-inf: every comparison
+  // against NaN is false, and |inf| exceeds the bound.
+  if (std::abs(location.x) <= kMaxPlaneCoordinateM &&
+      std::abs(location.y) <= kMaxPlaneCoordinateM) {
+    return util::Status();
+  }
+  // The message names no coordinate: a status may be logged, and a
+  // half-valid point still carries one real axis.
+  return util::Status::invalid_argument(
+      "request location is non-finite or outside the local plane "
+      "(|x|, |y| <= 2.1e7 m)");
 }
 
 const char* serve_outcome_name(ServeOutcome outcome) {
@@ -73,16 +89,21 @@ ServeResult EdgeDevice::serve(std::uint64_t user_id,
                               trace::Timestamp time) {
   // The no-throw boundary: whatever breaks inside, the caller gets a
   // typed outcome and nothing unobfuscated has left the device (the raw
-  // location is only ever released through a mechanism).
-  try {
-    return serve_impl(user_id, true_location, time);
-  } catch (const std::exception& error) {
-    serve_failed_total_->add();
-    ServeResult failed;
-    failed.outcome = ServeOutcome::kFailed;
-    failed.status = util::status_from_exception(error);
-    return failed;
+  // location is only ever released through a mechanism). An off-plane
+  // location fails here, before it can reach the arena or a mechanism.
+  util::Status status = check_plane_location(true_location);
+  if (status.ok()) {
+    try {
+      return serve_impl(user_id, true_location, time);
+    } catch (const std::exception& error) {
+      status = util::status_from_exception(error);
+    }
   }
+  serve_failed_total_->add();
+  ServeResult failed;
+  failed.outcome = ServeOutcome::kFailed;
+  failed.status = std::move(status);
+  return failed;
 }
 
 ServeResult EdgeDevice::serve_impl(std::uint64_t user_id,
@@ -178,14 +199,6 @@ ServeResult EdgeDevice::serve_impl(std::uint64_t user_id,
   result.reported = {nomadic_mechanism_.obfuscate_one(engine, true_location),
                      ReportKind::kNomadic};
   return result;
-}
-
-ReportedLocation EdgeDevice::report_location(std::uint64_t user_id,
-                                             geo::Point true_location,
-                                             trace::Timestamp time) {
-  const ServeResult result = serve(user_id, true_location, time);
-  if (!result.released()) throw util::StatusError(result.status);
-  return result.reported;
 }
 
 std::vector<adnet::Ad> EdgeDevice::filter_ads(

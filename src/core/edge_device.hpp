@@ -131,11 +131,21 @@ enum class ServeOutcome {
 /// Human-readable outcome name ("served_after_retry", ...).
 const char* serve_outcome_name(ServeOutcome outcome);
 
-/// One in this many report_location calls is latency-timed (per device,
+/// One in this many serve calls is latency-timed (per device,
 /// starting with the first). Reading the clock twice per request costs
 /// more than the entire metrics write path, so serve-latency percentiles
 /// come from a deterministic 1-in-16 systematic sample.
 inline constexpr std::uint64_t kServeLatencySampleStride = 16;
+
+/// Largest |x| or |y|, in metres, of a request location. No point on
+/// Earth projects farther than this from a local-plane origin (half the
+/// equator is ~2.0e7 m), so anything beyond -- or non-finite -- is a
+/// malformed request, not a place, and serve() refuses it.
+inline constexpr double kMaxPlaneCoordinateM = 2.1e7;
+
+/// Ok when both coordinates are finite and within kMaxPlaneCoordinateM;
+/// otherwise kInvalidArgument (the message quotes neither coordinate).
+util::Status check_plane_location(geo::Point location);
 
 struct ReportedLocation {
   geo::Point location;
@@ -181,16 +191,11 @@ class EdgeDevice {
   /// the user's frozen candidate set when one covers the matched top
   /// location, otherwise drops the request. In every path the released
   /// location (if any) is obfuscated; a raw coordinate never crosses this
-  /// boundary ("fail private").
+  /// boundary ("fail private"). A location failing check_plane_location
+  /// is kFailed with kInvalidArgument before any state is touched: the
+  /// user's arena row, RNG stream and privacy ledger stay as they were.
   ServeResult serve(std::uint64_t user_id, geo::Point true_location,
                     trace::Timestamp time);
-
-  /// Legacy throwing wrapper around serve(): returns the released
-  /// location, throwing util::StatusError when the request was degraded-
-  /// dropped or failed (never happens with fault injection disabled).
-  ReportedLocation report_location(std::uint64_t user_id,
-                                   geo::Point true_location,
-                                   trace::Timestamp time);
 
   /// Step 5: keeps only the ads whose business lies inside the AOI of the
   /// user's true location. Non-const: updates the filter telemetry.

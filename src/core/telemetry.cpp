@@ -64,20 +64,4 @@ std::string EdgeTelemetry::to_string() const {
   return out;
 }
 
-void EdgeTelemetry::merge(const EdgeTelemetry& other) {
-  requests += other.requests;
-  top_reports += other.top_reports;
-  nomadic_reports += other.nomadic_reports;
-  profile_rebuilds += other.profile_rebuilds;
-  tables_generated += other.tables_generated;
-  ads_seen += other.ads_seen;
-  ads_delivered += other.ads_delivered;
-  serve_retries += other.serve_retries;
-  served_after_retry += other.served_after_retry;
-  degraded_cached += other.degraded_cached;
-  degraded_dropped += other.degraded_dropped;
-  serve_failed += other.serve_failed;
-  adnet_degraded += other.adnet_degraded;
-}
-
 }  // namespace privlocad::core

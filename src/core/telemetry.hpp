@@ -11,8 +11,7 @@
 // JSON alongside the serve-latency histograms, and shared across the
 // shards of one ConcurrentEdge. EdgeTelemetry is the typed snapshot VIEW
 // over those counters: EdgeDevice::telemetry() materializes one via
-// from_registry(), and value semantics (merge, ratios, to_string) keep
-// working for cluster rollups and tests.
+// from_registry(), adding the derived ratios and a to_string report.
 #pragma once
 
 #include <cstddef>
@@ -38,7 +37,7 @@ inline constexpr const char* kProfileRebuilds = "edge.profile_rebuilds";
 inline constexpr const char* kTablesGenerated = "edge.tables_generated";
 inline constexpr const char* kAdsSeen = "edge.ads.seen";
 inline constexpr const char* kAdsDelivered = "edge.ads.delivered";
-/// Latency histogram (microseconds) around report_location.
+/// Latency histogram (microseconds) around a sampled serve call.
 inline constexpr const char* kServeLatencyUs = "edge.serve_latency_us";
 /// Fault-tolerance counters (PR 5). Retries counts individual re-attempts
 /// of the obfuscation-input acquisition; after_retry counts requests that
@@ -84,9 +83,6 @@ struct EdgeTelemetry {
 
   /// Multi-line human-readable report for logs/dashboards.
   std::string to_string() const;
-
-  /// Aggregates another device's counters (cluster-level rollup).
-  void merge(const EdgeTelemetry& other);
 };
 
 }  // namespace privlocad::core

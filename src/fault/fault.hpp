@@ -36,7 +36,7 @@ namespace privlocad::fault {
 
 /// Every operation boundary faults can be injected into.
 enum class Site : std::size_t {
-  kExchange = 0,  ///< adnet exchange / ad-network round trip
+  kExchange = 0,  ///< EdgePrivLocAd's ad leg: the ad-network round trip
   kServe,         ///< edge obfuscation-input acquisition in serve()
 };
 inline constexpr std::size_t kSiteCount = 2;

@@ -1,7 +1,7 @@
 // Capped exponential backoff with jitter, over the Status taxonomy.
 //
-// One policy shape for every fallible backend call (store load/save,
-// exchange round trip, obfuscation-input acquisition): attempt, and on a
+// One policy shape for every fallible backend call (the ad-network round
+// trip, obfuscation-input acquisition): attempt, and on a
 // TRANSIENT status (util::is_transient -- unavailable/timeout/resource
 // exhausted) wait delay_i = min(max, initial * multiplier^i) scaled by a
 // seeded jitter factor, then retry, up to max_attempts total attempts.

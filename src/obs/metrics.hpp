@@ -100,8 +100,8 @@ std::vector<double> default_latency_bounds_us();
 /// bucket by binary search and does two relaxed fetch_adds on the calling
 /// thread's slot; quantiles interpolate linearly inside the bucket that
 /// holds the rank. Values above the last bound land in an implicit
-/// overflow bucket; non-finite values are tallied separately (never
-/// binned), mirroring stats::Histogram.
+/// overflow bucket; non-finite values are tallied separately in
+/// invalid(), never binned.
 class LatencyHistogram {
  public:
   /// `upper_bounds` must be non-empty, finite, and strictly increasing.

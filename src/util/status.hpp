@@ -7,8 +7,8 @@
 // coordinates when a transient store blip looks fatal. Every failure a
 // caller can react to is therefore classified by ErrorCode; Status carries
 // the code plus a human-readable cause, and Result<T> is the value-or-
-// Status return shape of the fallible APIs (serve, try_load_*,
-// try_run_auction). is_transient() is the single source of truth the
+// Status return shape of the fallible APIs (FaultPlan::parse,
+// EdgeServer::create). is_transient() is the single source of truth the
 // fault/retry layer consults for what is safe to retry.
 //
 // Exceptions remain the vehicle at the legacy throwing boundaries
@@ -85,9 +85,10 @@ class [[nodiscard]] Status {
   std::string message_;
 };
 
-/// Exception carrying a full Status: thrown by the legacy throwing
-/// wrappers around Result-returning operations, so `catch` sites keep
-/// the code + cause instead of a bare string.
+/// Exception carrying a full Status: thrown where a Status has to cross a
+/// throwing boundary (environment-variable parsing, EdgeCluster::
+/// device_for), so `catch` sites keep the code + cause instead of a bare
+/// string.
 class StatusError : public std::runtime_error {
  public:
   explicit StatusError(Status status)

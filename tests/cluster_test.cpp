@@ -1,80 +1,13 @@
-// Tests for multi-edge deployment: profile merging across edge devices and
-// the cell-sharded edge cluster.
+// Tests for the cell-sharded edge cluster (multi-edge deployment).
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/edge_cluster.hpp"
-#include "core/profile_merge.hpp"
 #include "util/validation.hpp"
 
 namespace privlocad::core {
 namespace {
-
-attack::LocationProfile make_profile(
-    std::vector<std::pair<geo::Point, std::uint64_t>> raw) {
-  std::sort(raw.begin(), raw.end(),
-            [](const auto& a, const auto& b) { return a.second > b.second; });
-  std::vector<attack::ProfileEntry> entries;
-  for (const auto& [p, f] : raw) entries.push_back({p, f});
-  return attack::LocationProfile(std::move(entries));
-}
-
-// ------------------------------------------------------------ merge logic
-
-TEST(ProfileMerge, EmptyInputYieldsEmptyProfile) {
-  const auto merged = merge_profiles({});
-  EXPECT_TRUE(merged.empty());
-}
-
-TEST(ProfileMerge, SingleSliceIsIdentity) {
-  const auto slice = make_profile({{{0, 0}, 10}, {{5000, 0}, 4}});
-  const auto merged = merge_profiles({slice});
-  ASSERT_EQ(merged.size(), 2u);
-  EXPECT_EQ(merged.top(0).frequency, 10u);
-  EXPECT_EQ(merged.top(1).frequency, 4u);
-}
-
-TEST(ProfileMerge, CoalescesSameLocationAcrossSlices) {
-  // Two edges saw the same home with slightly drifted centroids.
-  const auto edge_a = make_profile({{{0, 0}, 30}});
-  const auto edge_b = make_profile({{{20, 0}, 10}});
-  const auto merged = merge_profiles({edge_a, edge_b}, 50.0);
-  ASSERT_EQ(merged.size(), 1u);
-  EXPECT_EQ(merged.top(0).frequency, 40u);
-  // Frequency-weighted centroid: (30*0 + 10*20) / 40 = 5.
-  EXPECT_NEAR(merged.top(0).location.x, 5.0, 1e-9);
-}
-
-TEST(ProfileMerge, KeepsDistantLocationsSeparate) {
-  const auto edge_a = make_profile({{{0, 0}, 30}});
-  const auto edge_b = make_profile({{{5000, 0}, 50}});
-  const auto merged = merge_profiles({edge_a, edge_b}, 50.0);
-  ASSERT_EQ(merged.size(), 2u);
-  // Re-sorted: the 50-visit location wins rank 0.
-  EXPECT_EQ(merged.top(0).frequency, 50u);
-  EXPECT_NEAR(merged.top(0).location.x, 5000.0, 1e-9);
-}
-
-TEST(ProfileMerge, TotalFrequencyIsConserved) {
-  const auto a = make_profile({{{0, 0}, 12}, {{3000, 0}, 5}});
-  const auto b = make_profile({{{10, 10}, 7}, {{-4000, 2}, 9}});
-  const auto c = make_profile({{{2990, 5}, 3}});
-  const auto merged = merge_profiles({a, b, c}, 50.0);
-  EXPECT_EQ(merged.total_frequency(), 12u + 5u + 7u + 9u + 3u);
-}
-
-TEST(ProfileMerge, MergedEntropyMatchesGlobalProfile) {
-  // Merging slices of one ground truth must reproduce the global profile's
-  // entropy (the property the eta-frequent computation depends on).
-  const auto a = make_profile({{{0, 0}, 50}});
-  const auto b = make_profile({{{0, 0}, 50}, {{8000, 0}, 100}});
-  const auto merged = merge_profiles({a, b}, 50.0);
-  const auto global = make_profile({{{0, 0}, 100}, {{8000, 0}, 100}});
-  EXPECT_NEAR(merged.entropy(), global.entropy(), 1e-12);
-}
-
-TEST(ProfileMerge, RejectsNonPositiveThreshold) {
-  EXPECT_THROW(merge_profiles({}, 0.0), util::InvalidArgument);
-}
 
 // ------------------------------------------------------------ edge cluster
 
@@ -91,9 +24,9 @@ EdgeClusterConfig cluster_config() {
 
 TEST(EdgeCluster, RoutesRequestsToCellDevices) {
   EdgeCluster cluster(cluster_config().with_seed(1));
-  cluster.report_location(1, {1000, 1000}, 0);     // cell (0, 0)
-  cluster.report_location(1, {15000, 1000}, 1);    // cell (1, 0)
-  cluster.report_location(2, {1000, 1000}, 2);     // cell (0, 0)
+  cluster.serve(1, {1000, 1000}, 0);     // cell (0, 0)
+  cluster.serve(1, {15000, 1000}, 1);    // cell (1, 0)
+  cluster.serve(2, {1000, 1000}, 2);     // cell (0, 0)
   EXPECT_EQ(cluster.active_devices(), 2u);
   EXPECT_EQ(cluster.requests_served(0, 0), 2u);
   EXPECT_EQ(cluster.requests_served(1, 0), 1u);
@@ -102,8 +35,8 @@ TEST(EdgeCluster, RoutesRequestsToCellDevices) {
 
 TEST(EdgeCluster, NegativeCoordinatesGetOwnCells) {
   EdgeCluster cluster(cluster_config().with_seed(2));
-  cluster.report_location(1, {-1000, -1000}, 0);   // cell (-1, -1)
-  cluster.report_location(1, {1000, 1000}, 1);     // cell (0, 0)
+  cluster.serve(1, {-1000, -1000}, 0);   // cell (-1, -1)
+  cluster.serve(1, {1000, 1000}, 1);     // cell (0, 0)
   EXPECT_EQ(cluster.active_devices(), 2u);
   EXPECT_EQ(cluster.requests_served(-1, -1), 1u);
 }
@@ -112,10 +45,10 @@ TEST(EdgeCluster, CellLoadsCoverEveryActiveCell) {
   // Load stats must see devices however far out the population wandered --
   // including cells far outside any fixed scan window like [-4, 4].
   EdgeCluster cluster(cluster_config().with_seed(7));
-  cluster.report_location(1, {1000, 1000}, 0);       // cell (0, 0)
-  cluster.report_location(1, {1500, 1200}, 1);       // cell (0, 0)
-  cluster.report_location(2, {-95000, 1000}, 2);     // cell (-10, 0)
-  cluster.report_location(3, {250000, 250000}, 3);   // cell (25, 25)
+  cluster.serve(1, {1000, 1000}, 0);       // cell (0, 0)
+  cluster.serve(1, {1500, 1200}, 1);       // cell (0, 0)
+  cluster.serve(2, {-95000, 1000}, 2);     // cell (-10, 0)
+  cluster.serve(3, {250000, 250000}, 3);   // cell (25, 25)
 
   const std::vector<EdgeCluster::CellLoad> loads = cluster.cell_loads();
   ASSERT_EQ(loads.size(), 3u);
@@ -142,43 +75,47 @@ TEST(EdgeCluster, DeviceForIsStablePerCell) {
   EXPECT_NE(&a, &c);
 }
 
-TEST(EdgeCluster, LocalSlicesMergeIntoGlobalTopSet) {
-  // A commuter splits check-ins between two cells; each device only sees
-  // its slice. Merging the slices recovers both top locations globally.
+TEST(EdgeCluster, CellDevicesKeepIndependentProfileSlices) {
+  // Devices share nothing: a commuter's home device learns only home and
+  // the office device only the office. Nothing merges the two slices.
   EdgeCluster cluster(cluster_config().with_seed(4));
   const geo::Point home{1000, 1000};     // cell (0, 0)
   const geo::Point office{15000, 1000};  // cell (1, 0)
-
   trace::UserTrace home_hist, office_hist;
   home_hist.user_id = office_hist.user_id = 9;
   for (int i = 0; i < 40; ++i) home_hist.check_ins.push_back({home, i});
   for (int i = 0; i < 20; ++i) office_hist.check_ins.push_back({office, i});
-
   cluster.device_for(home).import_history(9, home_hist);
   cluster.device_for(office).import_history(9, office_hist);
 
-  // Each device's eta-frequent set is one local slice of the profile.
-  std::vector<attack::LocationProfile> slices;
-  for (const geo::Point where : {home, office}) {
-    auto entries = cluster.device_for(where).top_locations(9);
-    slices.emplace_back(std::move(entries));
-  }
-  const attack::LocationProfile global = merge_profiles(slices, 50.0);
-
-  ASSERT_EQ(global.size(), 2u);
-  EXPECT_EQ(global.top(0).frequency, 40u);
-  EXPECT_EQ(global.top(1).frequency, 20u);
-  EXPECT_LT(geo::distance(global.top(0).location, home), 1.0);
-  EXPECT_LT(geo::distance(global.top(1).location, office), 1.0);
+  const auto home_tops = cluster.device_for(home).top_locations(9);
+  const auto office_tops = cluster.device_for(office).top_locations(9);
+  ASSERT_EQ(home_tops.size(), 1u);
+  ASSERT_EQ(office_tops.size(), 1u);
+  EXPECT_EQ(home_tops[0].frequency, 40u);
+  EXPECT_LT(geo::distance(home_tops[0].location, home), 1.0);
+  EXPECT_EQ(office_tops[0].frequency, 20u);
+  EXPECT_LT(geo::distance(office_tops[0].location, office), 1.0);
 }
 
-TEST(EdgeCluster, FilterAdsMatchesDeviceSemantics) {
-  EdgeCluster cluster(cluster_config().with_seed(5));
-  std::vector<adnet::Ad> ads{{1, {1000, 0}, "a", 1.0},
-                             {2, {30000, 0}, "b", 1.0}};
-  const auto kept = cluster.filter_ads(ads, {0, 0});
-  ASSERT_EQ(kept.size(), 1u);
-  EXPECT_EQ(kept[0].advertiser_id, 1u);
+TEST(EdgeCluster, OffPlaneCoordinatesFailBeforeAnyCellIsComputed) {
+  // NaN would reach an undefined float-to-int32 cast in the cell key, so
+  // the check runs first: no device is created and no cell counts the
+  // request.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  EdgeCluster cluster(cluster_config().with_seed(6));
+  for (const geo::Point p : {geo::Point{kNan, 0.0}, geo::Point{0.0, -kInf},
+                             geo::Point{kInf, 1e300}, geo::Point{3e7, 0.0}}) {
+    const ServeResult r = cluster.serve(1, p, 0);
+    EXPECT_EQ(r.outcome, ServeOutcome::kFailed);
+    EXPECT_EQ(r.status.code(), util::ErrorCode::kInvalidArgument);
+    EXPECT_FALSE(r.released());
+  }
+  EXPECT_EQ(cluster.active_devices(), 0u);
+  EXPECT_TRUE(cluster.cell_loads().empty());
+  EXPECT_THROW(cluster.device_for({kNan, 0.0}), util::StatusError);
+  EXPECT_EQ(cluster.active_devices(), 0u);
 }
 
 TEST(EdgeCluster, RejectsBadCellSize) {

@@ -31,9 +31,16 @@ core::EdgeConfig fast_config() {
   return c;
 }
 
+/// The location one serve() call released; a request that released
+/// nothing fails the calling test.
+core::ReportedLocation served_location(const core::ServeResult& result) {
+  EXPECT_TRUE(result.released()) << result.status.to_string();
+  return result.reported;
+}
+
 // ---------------------------------------------------------------- telemetry
 
-TEST(Telemetry, RatiosAndMerge) {
+TEST(Telemetry, RatiosDivideByTheirOwnBase) {
   core::EdgeTelemetry a;
   a.requests = 10;
   a.top_reports = 7;
@@ -43,15 +50,14 @@ TEST(Telemetry, RatiosAndMerge) {
   EXPECT_DOUBLE_EQ(a.top_report_ratio(), 0.7);
   EXPECT_DOUBLE_EQ(a.filter_drop_ratio(), 0.75);
 
+  // The top ratio is over requests, the drop ratio over ads seen.
   core::EdgeTelemetry b;
-  b.requests = 10;
-  b.top_reports = 1;
-  b.ads_seen = 100;
-  b.ads_delivered = 75;
-  a.merge(b);
-  EXPECT_EQ(a.requests, 20u);
-  EXPECT_DOUBLE_EQ(a.top_report_ratio(), 0.4);
-  EXPECT_DOUBLE_EQ(a.filter_drop_ratio(), 0.5);
+  b.requests = 20;
+  b.top_reports = 8;
+  b.ads_seen = 200;
+  b.ads_delivered = 100;
+  EXPECT_DOUBLE_EQ(b.top_report_ratio(), 0.4);
+  EXPECT_DOUBLE_EQ(b.filter_drop_ratio(), 0.5);
 }
 
 TEST(Telemetry, EmptyCountersAreSafe) {
@@ -69,8 +75,8 @@ TEST(Telemetry, EdgeDeviceCountsReportsAndFilters) {
   for (int i = 0; i < 50; ++i) history.check_ins.push_back({home, i});
   device.import_history(1, history);
 
-  device.report_location(1, home, 2000);            // top
-  device.report_location(1, {30000, 30000}, 2001);  // nomadic
+  EXPECT_TRUE(device.serve(1, home, 2000).released());            // top
+  EXPECT_TRUE(device.serve(1, {30000, 30000}, 2001).released());  // nomadic
   device.filter_ads({{1, {1000, 0}, "a", 1.0}, {2, {20000, 0}, "b", 1.0}},
                     home);
 
@@ -149,7 +155,8 @@ TEST(ConcurrentEdge, SingleThreadBehavesLikeEdgeDevice) {
   for (int i = 0; i < 50; ++i) history.check_ins.push_back({home, i});
   edge.import_history(1, history);
 
-  const core::ReportedLocation r = edge.report_location(1, home, 2000);
+  const core::ReportedLocation r =
+      served_location(edge.serve(1, home, 2000));
   EXPECT_EQ(r.kind, core::ReportKind::kTopLocation);
   EXPECT_EQ(edge.user_count(), 1u);
   EXPECT_EQ(edge.telemetry().requests, 1u);
@@ -159,8 +166,8 @@ TEST(ConcurrentEdge, UsersStickToOneShard) {
   core::ConcurrentEdge edge(fast_config().with_shards(4).with_seed(42));
   // Two requests from the same user must hit the same per-user state:
   // the second one is counted for the same user, not a duplicate user.
-  edge.report_location(7, {0, 0}, 0);
-  edge.report_location(7, {10, 0}, 1);
+  EXPECT_TRUE(edge.serve(7, {0, 0}, 0).released());
+  EXPECT_TRUE(edge.serve(7, {10, 0}, 1).released());
   EXPECT_EQ(edge.user_count(), 1u);
   EXPECT_EQ(edge.telemetry().requests, 2u);
 }
@@ -177,10 +184,11 @@ TEST(ConcurrentEdge, ParallelHammeringKeepsCountsExact) {
       rng::Engine e(1000 + t);
       for (int i = 0; i < kRequestsPerThread; ++i) {
         const std::uint64_t user = t * 100 + (i % 50);
-        edge.report_location(user,
-                             {e.uniform_in(-40000, 40000),
-                              e.uniform_in(-40000, 40000)},
-                             i);
+        EXPECT_TRUE(edge.serve(user,
+                               {e.uniform_in(-40000, 40000),
+                                e.uniform_in(-40000, 40000)},
+                               i)
+                        .released());
       }
     });
   }
@@ -261,8 +269,9 @@ TEST(EdgeDevice, ServeLatencySamplesOneInStrideRequests) {
   core::EdgeDevice device(fast_config().with_seed(42));
   const std::uint64_t requests = 2 * core::kServeLatencySampleStride + 3;
   for (std::uint64_t i = 0; i < requests; ++i) {
-    device.report_location(1 + i % 3, {0, 0},
-                           static_cast<trace::Timestamp>(i));
+    EXPECT_TRUE(
+        device.serve(1 + i % 3, {0, 0}, static_cast<trace::Timestamp>(i))
+            .released());
   }
   // Samples land at call 0, stride, 2*stride, ... => ceil(requests/stride).
   const obs::LatencyHistogram& latency =

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -368,6 +370,13 @@ TEST(OutputSelection, DomainErrors) {
 
 // -------------------------------------------------------------- edge device
 
+/// The location one serve() call released; a request that released
+/// nothing fails the calling test.
+ReportedLocation served_location(const ServeResult& result) {
+  EXPECT_TRUE(result.released()) << result.status.to_string();
+  return result.reported;
+}
+
 EdgeConfig fast_edge_config() {
   EdgeConfig c;
   c.top_params = paper_params(10);
@@ -378,8 +387,47 @@ EdgeConfig fast_edge_config() {
 
 TEST(EdgeDevice, NomadicBeforeProfileExists) {
   EdgeDevice edge(fast_edge_config().with_seed(42));
-  const ReportedLocation r = edge.report_location(1, {0, 0}, 0);
+  const ReportedLocation r = served_location(edge.serve(1, {0, 0}, 0));
   EXPECT_EQ(r.kind, ReportKind::kNomadic);
+}
+
+TEST(EdgeDevice, OffPlaneCoordinatesFailTypedAndTouchNoState) {
+  // A location that is no place -- non-finite, or farther than any point
+  // on Earth projects -- is a typed kInvalidArgument failure. It must not
+  // be "served": at 1e300 the noise is absorbed and the release would be
+  // the raw coordinate. It creates no user, spends no privacy, and leaves
+  // the user's RNG stream untouched.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<geo::Point> hostile{
+      {kInf, 1e300}, {kNan, 0.0},         {0.0, kNan},
+      {-kInf, 0.0},  {0.0, kInf},         {1e300, 0.0},
+      {2.1e7 + 1.0, 0.0}, {0.0, -2.1e7 - 1.0}};
+  EdgeDevice edge(fast_edge_config().with_seed(42));
+  for (const geo::Point p : hostile) {
+    const ServeResult r = edge.serve(8, p, 0);
+    EXPECT_EQ(r.outcome, ServeOutcome::kFailed);
+    EXPECT_EQ(r.status.code(), util::ErrorCode::kInvalidArgument);
+    EXPECT_FALSE(r.released());
+  }
+  EXPECT_EQ(edge.user_count(), 0u);
+  EXPECT_EQ(edge.accountant().spend_for(8).releases, 0u);
+  EXPECT_EQ(edge.telemetry().serve_failed, hostile.size());
+  EXPECT_EQ(edge.telemetry().requests, hostile.size());
+
+  // The rim of the plane is still a place, and the user's valid requests
+  // are bit-identical to a device that never saw the hostile ones.
+  EdgeDevice fresh(fast_edge_config().with_seed(42));
+  for (const geo::Point p :
+       {geo::Point{0.0, 0.0}, geo::Point{2.1e7, -2.1e7}}) {
+    const ServeResult a = edge.serve(8, p, 1);
+    const ServeResult b = fresh.serve(8, p, 1);
+    ASSERT_TRUE(a.released());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.reported.location.x),
+              std::bit_cast<std::uint64_t>(b.reported.location.x));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.reported.location.y),
+              std::bit_cast<std::uint64_t>(b.reported.location.y));
+  }
 }
 
 TEST(EdgeDevice, TopLocationReportsReplayFrozenCandidates) {
@@ -394,7 +442,8 @@ TEST(EdgeDevice, TopLocationReportsReplayFrozenCandidates) {
   // All top-location reports must come from the same frozen candidate set.
   std::set<std::pair<double, double>> reported;
   for (int i = 0; i < 200; ++i) {
-    const ReportedLocation r = edge.report_location(1, home, 2000 + i);
+    const ReportedLocation r =
+        served_location(edge.serve(1, home, 2000 + i));
     ASSERT_EQ(r.kind, ReportKind::kTopLocation);
     reported.insert({r.location.x, r.location.y});
   }
@@ -410,7 +459,7 @@ TEST(EdgeDevice, FarCheckInIsNomadic) {
   edge.import_history(1, history);
 
   const ReportedLocation r =
-      edge.report_location(1, {30000.0, 30000.0}, 5000);
+      served_location(edge.serve(1, {30000.0, 30000.0}, 5000));
   EXPECT_EQ(r.kind, ReportKind::kNomadic);
 }
 
@@ -436,7 +485,7 @@ TEST(EdgeDevice, UsersAreIsolated) {
   edge.import_history(1, history);
 
   // User 2 has no profile: same location reports nomadically.
-  const ReportedLocation r = edge.report_location(2, home, 0);
+  const ReportedLocation r = served_location(edge.serve(2, home, 0));
   EXPECT_EQ(r.kind, ReportKind::kNomadic);
   EXPECT_EQ(edge.user_count(), 2u);
 }
@@ -450,7 +499,8 @@ TEST(EdgeDevice, AccountantChargesOncePerTopLocation) {
   EdgeDevice device(fast_edge_config().with_seed(42));
   device.import_history(1, history);
   for (int i = 0; i < 100; ++i) {
-    const ReportedLocation r = device.report_location(1, home, 2000 + i);
+    const ReportedLocation r =
+        served_location(device.serve(1, home, 2000 + i));
     ASSERT_EQ(r.kind, ReportKind::kTopLocation);
   }
   // One permanent charge at (eps=1, delta=0.01), not 100 of them.
@@ -463,7 +513,7 @@ TEST(EdgeDevice, AccountantChargesOncePerTopLocation) {
 TEST(EdgeDevice, AccountantChargesEveryNomadicRelease) {
   EdgeDevice device(fast_edge_config().with_seed(42));
   for (int i = 0; i < 10; ++i) {
-    device.report_location(2, {i * 20000.0, 0.0}, i);
+    EXPECT_TRUE(device.serve(2, {i * 20000.0, 0.0}, i).released());
   }
   const lppm::PrivacySpend spend = device.accountant().spend_for(2);
   EXPECT_EQ(spend.releases, 10u);
@@ -484,7 +534,7 @@ TEST(EdgeDevice, PersonalizedPrivacyGovernsNewTables) {
   EXPECT_DOUBLE_EQ(device.user_privacy(1).epsilon, 0.5);
 
   device.import_history(1, history);
-  device.report_location(1, home, 2000);
+  EXPECT_TRUE(device.serve(1, home, 2000).released());
   // The accountant charged at the PERSONAL epsilon, not the device's.
   const lppm::PrivacySpend spend = device.accountant().spend_for(1);
   EXPECT_DOUBLE_EQ(spend.basic_epsilon, 0.5);
@@ -511,7 +561,8 @@ TEST(EdgeDevice, FrozenTablesSurvivePrivacyChanges) {
 
   EdgeDevice device(fast_edge_config().with_seed(42));
   device.import_history(1, history);
-  const ReportedLocation before = device.report_location(1, home, 2000);
+  const ReportedLocation before =
+      served_location(device.serve(1, home, 2000));
   ASSERT_EQ(before.kind, ReportKind::kTopLocation);
 
   // Changing the personal level must NOT regenerate the frozen set.
@@ -521,7 +572,8 @@ TEST(EdgeDevice, FrozenTablesSurvivePrivacyChanges) {
   std::set<std::pair<double, double>> reported;
   reported.insert({before.location.x, before.location.y});
   for (int i = 0; i < 100; ++i) {
-    const ReportedLocation r = device.report_location(1, home, 3000 + i);
+    const ReportedLocation r =
+        served_location(device.serve(1, home, 3000 + i));
     reported.insert({r.location.x, r.location.y});
   }
   EXPECT_LE(reported.size(), 10u);  // still the original n candidates
@@ -558,7 +610,7 @@ TEST(EdgeDevice, PrepareObfuscationFillsTable) {
   edge.prepare_obfuscation(9);
   // After preparation, reporting from a top location must not change the
   // candidate set (it was already frozen).
-  const ReportedLocation r1 = edge.report_location(9, {0, 0}, 1000);
+  const ReportedLocation r1 = served_location(edge.serve(9, {0, 0}, 1000));
   EXPECT_EQ(r1.kind, ReportKind::kTopLocation);
 }
 

@@ -39,6 +39,13 @@ core::EdgeConfig fast_config() {
   return c;
 }
 
+/// The location one serve() call released; a request that released
+/// nothing fails the calling test.
+core::ReportedLocation served_location(const core::ServeResult& result) {
+  EXPECT_TRUE(result.released()) << result.status.to_string();
+  return result.reported;
+}
+
 std::string temp_path(const std::string& name) {
   return testing::TempDir() + name;
 }
@@ -339,7 +346,7 @@ TEST(EdgeDevice, SnapshotRestoreSurvivesRestart) {
   core::EdgeDevice device_a(fast_config().with_seed(42));
   device_a.import_history(1, history);
   const core::ReportedLocation before =
-      device_a.report_location(1, home, trace::kStudyStart + 1500);
+      served_location(device_a.serve(1, home, trace::kStudyStart + 1500));
   ASSERT_EQ(before.kind, core::ReportKind::kTopLocation);
   lppm::BoundedGeoIndParams strict = fast_config().top_params;
   strict.epsilon = 0.5;
@@ -355,7 +362,7 @@ TEST(EdgeDevice, SnapshotRestoreSurvivesRestart) {
   ASSERT_TRUE(device_b.open_snapshot(path).ok());
   for (int i = 0; i < 100; ++i) {
     const core::ReportedLocation r =
-        device_b.report_location(1, home, trace::kStudyStart + 2000 + i);
+        served_location(device_b.serve(1, home, trace::kStudyStart + 2000 + i));
     ASSERT_EQ(r.kind, core::ReportKind::kTopLocation) << "replay " << i;
     EXPECT_TRUE(in_set(frozen, r.location)) << "replay " << i;
   }

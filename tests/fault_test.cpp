@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "adnet/exchange.hpp"
 #include "core/concurrent_edge.hpp"
 #include "core/system.hpp"
 #include "fault/fault.hpp"
@@ -397,8 +396,6 @@ TEST(FaultServing, CertainFaultWithNoCacheDropsTheRequest) {
   EXPECT_TRUE(result.status.transient());
   EXPECT_EQ(device.telemetry().degraded_dropped, 1u);
   EXPECT_EQ(device.telemetry().requests, 1u);
-  // The legacy throwing wrapper surfaces the same outcome as StatusError.
-  EXPECT_THROW(device.report_location(1, {0, 0}, 101), util::StatusError);
 }
 
 TEST(FaultServing, CertainFaultReplaysTheFrozenCandidateSet) {
@@ -544,33 +541,7 @@ TEST(FaultServing, ConcurrentBatchCompletesUnderFaults) {
   EXPECT_EQ(edge.telemetry().requests, stats.requests);
 }
 
-// ------------------------------------------------------ exchange + system
-
-TEST(FaultExchange, TryRunAuctionDegradesTyped) {
-  adnet::Exchange exchange;
-  exchange.add_dsp(std::make_unique<adnet::Dsp>("dsp-a",
-                                                std::vector<adnet::Advertiser>{}));
-  const adnet::AdRequest request{1, {0, 0}, 100, {}};
-
-  const util::Result<adnet::AuctionResult> ok_result =
-      exchange.try_run_auction(request);
-  ASSERT_TRUE(ok_result.ok());
-  EXPECT_FALSE(ok_result->filled);
-
-  fault::FaultPlan plan;
-  plan.site(fault::Site::kExchange).probability = 1.0;
-  fault::FaultInjector injector(plan);
-  fault::RetryPolicy policy;
-  policy.max_attempts = 2;
-  policy.initial_backoff_us = 0.0;
-  policy.max_backoff_us = 0.0;
-  policy.jitter = 0.0;
-  const util::Result<adnet::AuctionResult> blocked =
-      exchange.try_run_auction(request, policy, &injector);
-  ASSERT_FALSE(blocked.ok());
-  EXPECT_TRUE(blocked.status().transient());
-  EXPECT_EQ(injector.injected(fault::Site::kExchange), 2u);
-}
+// ------------------------------------------------- ad leg of the system
 
 TEST(FaultSystem, AdPathDegradesWhileTheLocationReportSurvives) {
   fault::FaultPlan plan;

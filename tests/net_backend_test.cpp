@@ -19,6 +19,7 @@
 #include <bit>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -26,6 +27,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/concurrent_edge.hpp"
 #include "core/edge_device.hpp"
 #include "fault/fault.hpp"
 #include "net/client.hpp"
@@ -391,6 +393,91 @@ TEST(BackendConformance, HalfClosedPeerStillGetsEveryResponse) {
     EXPECT_EQ(metrics.counter_value(net::net_metrics::kResponses),
               metrics.counter_value(net::net_metrics::kRequests))
         << net::io_backend_kind_name(kind);
+  }
+}
+
+TEST(BackendConformance, OffPlaneCoordinatesFailTypedAndReleaseNothing) {
+  // A hostile peer sends well-formed frames whose coordinates are no
+  // place: NaN, +-inf, 1e300. Each is answered kFailed with
+  // kInvalidArgument, released=0 and zero coordinates, never an echo of
+  // the input. The same user's next valid request is then served exactly
+  // as if the hostile frames had never arrived.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<double, double>> hostile{
+      {kNan, 2000.0}, {1000.0, kNan}, {kInf, 2000.0}, {-kInf, 2000.0},
+      {1000.0, -kInf}, {1e300, 2000.0}, {1000.0, -1e300}, {kInf, 1e300}};
+  constexpr std::uint64_t kUser = 8;
+  const geo::Point valid{1000.0, 2000.0};
+  const trace::Timestamp valid_time =
+      trace::kStudyStart + static_cast<std::int64_t>(hostile.size());
+
+  core::EdgeConfig edge_config;
+  edge_config.seed = 11;
+  edge_config.shards = 4;
+  core::ConcurrentEdge untouched(edge_config);
+  const core::ServeResult expected =
+      untouched.serve(kUser, valid, valid_time);
+  ASSERT_TRUE(expected.released());
+
+  for (const net::IoBackendKind kind : conformance_kinds()) {
+    const char* name = net::io_backend_kind_name(kind);
+    std::unique_ptr<net::EdgeServer> server = boot(
+        edge_config, net::ServerConfig{}.with_workers(2).with_backend(kind));
+    ASSERT_NE(server, nullptr) << name;
+    util::Result<net::BlockingClient> client =
+        net::BlockingClient::connect(server->port());
+    ASSERT_TRUE(client.ok()) << client.status().to_string();
+
+    for (std::size_t i = 0; i < hostile.size(); ++i) {
+      net::ServeRequestFrame request;
+      request.request_id = i;
+      request.user_id = kUser;
+      request.x = hostile[i].first;
+      request.y = hostile[i].second;
+      request.time = trace::kStudyStart + static_cast<std::int64_t>(i);
+      util::Result<net::ServeResponseFrame> response = client->call(request);
+      ASSERT_TRUE(response.ok()) << response.status().to_string();
+      const ResponseRecord got = record_of(response.value());
+      EXPECT_EQ(got.request_id, i) << name;
+      EXPECT_EQ(got.outcome,
+                static_cast<std::uint8_t>(core::ServeOutcome::kFailed))
+          << name << " frame " << i;
+      EXPECT_EQ(got.status_code,
+                static_cast<std::uint8_t>(util::ErrorCode::kInvalidArgument))
+          << name << " frame " << i;
+      EXPECT_EQ(got.released, 0u) << name << " frame " << i;
+      EXPECT_EQ(got.x_bits, 0u) << name << " frame " << i;
+      EXPECT_EQ(got.y_bits, 0u) << name << " frame " << i;
+    }
+
+    net::ServeRequestFrame request;
+    request.request_id = hostile.size();
+    request.user_id = kUser;
+    request.x = valid.x;
+    request.y = valid.y;
+    request.time = valid_time;
+    util::Result<net::ServeResponseFrame> response = client->call(request);
+    ASSERT_TRUE(response.ok()) << response.status().to_string();
+    const ResponseRecord got = record_of(response.value());
+    EXPECT_EQ(got.outcome, static_cast<std::uint8_t>(expected.outcome))
+        << name;
+    EXPECT_EQ(got.released, 1u) << name;
+    EXPECT_EQ(got.x_bits,
+              std::bit_cast<std::uint64_t>(expected.reported.location.x))
+        << name;
+    EXPECT_EQ(got.y_bits,
+              std::bit_cast<std::uint64_t>(expected.reported.location.y))
+        << name;
+
+    server->stop();
+    obs::MetricsRegistry& metrics = server->metrics();
+    EXPECT_EQ(metrics.counter_value(net::net_metrics::kRequests),
+              hostile.size() + 1)
+        << name;
+    EXPECT_EQ(metrics.counter_value(net::net_metrics::kResponses),
+              metrics.counter_value(net::net_metrics::kRequests))
+        << name;
   }
 }
 

@@ -17,7 +17,6 @@
 #include "attack/profile.hpp"
 #include "core/eta_frequent.hpp"
 #include "core/output_selection.hpp"
-#include "core/profile_merge.hpp"
 #include "geo/grid_index.hpp"
 #include "lppm/baselines.hpp"
 #include "lppm/gaussian.hpp"
@@ -347,47 +346,6 @@ TEST_P(SimplexRandom, MatchesBruteForceVertexEnumerationIn2D) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimplexRandom,
                          ::testing::Range<std::uint64_t>(100, 120));
-
-// ------------------------------------------ profile merge order invariance
-
-TEST(ProfileMergeProperty, OrderOfSlicesDoesNotChangeTheResult) {
-  rng::Engine e(321);
-  // Three random slices over four real-world places.
-  const std::vector<geo::Point> places{{0, 0}, {5000, 0}, {0, 7000},
-                                       {-6000, -2000}};
-  auto random_slice = [&]() {
-    std::vector<attack::ProfileEntry> entries;
-    for (const geo::Point& place : places) {
-      const auto freq = e.uniform_index(40);
-      if (freq == 0) continue;
-      // Drift within the merge threshold.
-      entries.push_back(
-          {place + geo::Point{e.uniform_in(-20, 20), e.uniform_in(-20, 20)},
-           freq});
-    }
-    std::sort(entries.begin(), entries.end(),
-              [](const attack::ProfileEntry& a,
-                 const attack::ProfileEntry& b) {
-                return a.frequency > b.frequency;
-              });
-    return attack::LocationProfile(std::move(entries));
-  };
-
-  const auto s1 = random_slice();
-  const auto s2 = random_slice();
-  const auto s3 = random_slice();
-  const auto abc = core::merge_profiles({s1, s2, s3}, 60.0);
-  const auto cba = core::merge_profiles({s3, s2, s1}, 60.0);
-
-  ASSERT_EQ(abc.size(), cba.size());
-  EXPECT_EQ(abc.total_frequency(), cba.total_frequency());
-  for (std::size_t i = 0; i < abc.size(); ++i) {
-    EXPECT_EQ(abc.top(i).frequency, cba.top(i).frequency);
-    // Centroids may differ by the weighting order only within drift scale.
-    EXPECT_LT(geo::distance(abc.top(i).location, cba.top(i).location),
-              60.0);
-  }
-}
 
 // --------------------------------- scalar vs SIMD kernel bit-agreement
 //

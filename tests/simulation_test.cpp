@@ -26,7 +26,7 @@ TEST(Simulation, RunsEndToEndAndAccountsEveryRequest) {
   EXPECT_EQ(result.users, 15u);
   EXPECT_GT(result.live_requests, 0u);
   // Telemetry covers exactly the live requests (history import does not
-  // call report_location).
+  // call serve).
   EXPECT_EQ(result.telemetry.requests, result.live_requests);
   EXPECT_EQ(result.telemetry.top_reports + result.telemetry.nomadic_reports,
             result.live_requests);

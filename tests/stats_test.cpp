@@ -2,11 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
 #include <vector>
 
 #include "stats/entropy.hpp"
-#include "stats/histogram.hpp"
 #include "stats/monte_carlo.hpp"
 #include "stats/quantiles.hpp"
 #include "stats/running_stats.hpp"
@@ -167,80 +165,6 @@ TEST(EntropyOfDistribution, MatchesFrequencyVersion) {
   EXPECT_NEAR(entropy_of_distribution({0.5, 0.5}), std::log(2.0), 1e-12);
   EXPECT_THROW(entropy_of_distribution({0.5, 0.2}), util::InvalidArgument);
   EXPECT_THROW(entropy_of_distribution({1.5, -0.5}), util::InvalidArgument);
-}
-
-// -------------------------------------------------------------- histogram
-
-TEST(Histogram, BinningAndEdges) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(0.1);   // bin 0
-  h.add(0.3);   // bin 1
-  h.add(0.85);  // bin 3
-  h.add(-0.5);  // underflow
-  h.add(1.5);   // overflow
-  EXPECT_EQ(h.count_in_bin(0), 1u);
-  EXPECT_EQ(h.count_in_bin(1), 1u);
-  EXPECT_EQ(h.count_in_bin(2), 0u);
-  EXPECT_EQ(h.count_in_bin(3), 1u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_DOUBLE_EQ(h.bin_lower_edge(2), 0.5);
-  EXPECT_DOUBLE_EQ(h.fraction_in_bin(0), 0.2);
-}
-
-TEST(Histogram, UpperEdgeGoesToOverflow) {
-  Histogram h(0.0, 1.0, 2);
-  h.add(1.0);
-  EXPECT_EQ(h.overflow(), 1u);
-}
-
-TEST(Histogram, ToStringHasOneLinePerBin) {
-  Histogram h(0.0, 1.0, 3);
-  h.add(0.5);
-  const std::string s = h.to_string();
-  EXPECT_EQ(std::count(s.begin(), s.end(), '\n'), 3);
-}
-
-TEST(Histogram, DomainErrors) {
-  EXPECT_THROW(Histogram(1.0, 0.0, 4), util::InvalidArgument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), util::InvalidArgument);
-  Histogram h(0.0, 1.0, 2);
-  EXPECT_THROW(h.count_in_bin(2), util::InvalidArgument);
-  EXPECT_THROW(h.fraction_in_bin(0), util::InvalidArgument);  // empty
-}
-
-TEST(Histogram, CtorValidatesBeforeComputingWidth) {
-  // Regression: the constructor used to divide by `bins` and build state
-  // before validating, so bad arguments could reach arithmetic. All bad
-  // combinations must throw InvalidArgument -- including ones whose
-  // width computation would "work" (e.g. inf bounds give inf width).
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), util::InvalidArgument);
-  const double inf = std::numeric_limits<double>::infinity();
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(Histogram(-inf, 1.0, 4), util::InvalidArgument);
-  EXPECT_THROW(Histogram(0.0, inf, 4), util::InvalidArgument);
-  EXPECT_THROW(Histogram(nan, 1.0, 4), util::InvalidArgument);
-  EXPECT_THROW(Histogram(0.0, nan, 4), util::InvalidArgument);
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), util::InvalidArgument);
-}
-
-TEST(Histogram, NonFiniteValuesTalliedAsInvalidNotBinned) {
-  // Regression: add() used to cast (value - lo) / width to size_t, which
-  // is UB for NaN and landed inf in overflow. Non-finite observations now
-  // count toward total() via invalid() and touch no bin.
-  Histogram h(0.0, 1.0, 2);
-  h.add(std::numeric_limits<double>::quiet_NaN());
-  h.add(std::numeric_limits<double>::infinity());
-  h.add(-std::numeric_limits<double>::infinity());
-  h.add(0.25);
-  EXPECT_EQ(h.invalid(), 3u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.count_in_bin(0), 1u);
-  EXPECT_EQ(h.count_in_bin(1), 0u);
-  EXPECT_EQ(h.underflow(), 0u);
-  EXPECT_EQ(h.overflow(), 0u);
-  EXPECT_DOUBLE_EQ(h.fraction_in_bin(0), 0.25);
 }
 
 // ------------------------------------------------------------ Monte Carlo

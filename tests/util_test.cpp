@@ -1,11 +1,10 @@
-// Unit tests for the util module: strings, CSV, validation, logging, timer.
+// Unit tests for the util module: strings, CSV, validation, timer.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <sstream>
 
 #include "util/csv.hpp"
-#include "util/logging.hpp"
 #include "util/status.hpp"
 #include "util/strings.hpp"
 #include "util/timer.hpp"
@@ -248,17 +247,6 @@ TEST(Validation, MessagesNameTheParameter) {
   } catch (const InvalidArgument& e) {
     EXPECT_NE(std::string(e.what()).find("epsilon"), std::string::npos);
   }
-}
-
-// ---------------------------------------------------------------- logging
-
-TEST(Logging, ThresholdFiltersLowerLevels) {
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  // Emission itself is side-effect-only; just exercise the call paths.
-  log_debug("dropped");
-  log_error("emitted");
-  set_log_level(LogLevel::kInfo);
 }
 
 // ------------------------------------------------------------------ timer

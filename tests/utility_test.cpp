@@ -4,11 +4,8 @@
 #include <cmath>
 #include <numbers>
 
-#include "lppm/gaussian.hpp"
-#include "lppm/planar_laplace.hpp"
 #include "rng/engine.hpp"
 #include "utility/metrics.hpp"
-#include "utility/quality_loss.hpp"
 #include "util/validation.hpp"
 
 namespace privlocad::utility {
@@ -134,43 +131,6 @@ TEST(Efficacy, MonteCarloDomainErrors) {
   EXPECT_THROW(efficacy_monte_carlo(e, {0, 0}, {0, 0}, 0.0),
                util::InvalidArgument);
   EXPECT_THROW(efficacy_monte_carlo(e, {0, 0}, {0, 0}, kR, 0),
-               util::InvalidArgument);
-}
-
-// ------------------------------------------------------------ quality loss
-
-TEST(QualityLoss, LaplaceMeanMatchesTwoOverEps) {
-  const lppm::PlanarLaplaceMechanism mech({std::log(4.0), 200.0});
-  rng::Engine e(11);
-  const auto report =
-      evaluate_quality_loss(e, mech, {1000.0, -2000.0}, 5000);
-  const double expected = 2.0 / mech.epsilon();
-  EXPECT_NEAR(report.mean_m, expected, expected * 0.05);
-  EXPECT_LT(report.median_m, report.mean_m);  // right-skewed Gamma(2)
-  EXPECT_GT(report.p95_m, report.mean_m);
-  EXPECT_GE(report.worst_m, report.p95_m);
-  EXPECT_EQ(report.outputs, 5000u);
-}
-
-TEST(QualityLoss, MultiOutputMechanismCountsEveryPoint) {
-  lppm::BoundedGeoIndParams params;
-  params.radius_m = 500.0;
-  params.epsilon = 1.0;
-  params.delta = 0.01;
-  params.n = 10;
-  const lppm::NFoldGaussianMechanism mech(params);
-  rng::Engine e(12);
-  const auto report = evaluate_quality_loss(e, mech, {0, 0}, 100);
-  EXPECT_EQ(report.outputs, 1000u);
-  // Mean displacement of a 2-D Gaussian: sigma * sqrt(pi / 2).
-  const double expected = mech.sigma() * std::sqrt(std::numbers::pi / 2.0);
-  EXPECT_NEAR(report.mean_m, expected, expected * 0.10);
-}
-
-TEST(QualityLoss, ZeroTrialsRejected) {
-  const lppm::PlanarLaplaceMechanism mech({std::log(4.0), 200.0});
-  rng::Engine e(13);
-  EXPECT_THROW(evaluate_quality_loss(e, mech, {0, 0}, 0),
                util::InvalidArgument);
 }
 
