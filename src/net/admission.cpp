@@ -29,7 +29,8 @@ bool BoundedRequestQueue::try_push(PendingRequest request) {
 }
 
 std::size_t BoundedRequestQueue::try_push_batch(
-    std::span<PendingRequest> requests, std::vector<bool>& admitted) {
+    std::span<PendingRequest> requests, std::vector<bool>& admitted,
+    std::size_t* depth) {
   admitted.resize(requests.size());
   std::size_t count = 0;
   {
@@ -38,6 +39,7 @@ std::size_t BoundedRequestQueue::try_push_batch(
       admitted[i] = admit_locked(requests[i]);
       if (admitted[i]) ++count;
     }
+    if (depth != nullptr) *depth = depth_locked();
   }
   if (count > 0) ready_.notify_one();
   return count;
@@ -46,7 +48,9 @@ std::size_t BoundedRequestQueue::try_push_batch(
 bool BoundedRequestQueue::pop_batch(std::vector<PendingRequest>& out) {
   out.clear();
   std::unique_lock<std::mutex> lock(mutex_);
+  parked_ = true;
   ready_.wait(lock, [this] { return closed_ || !items_.empty(); });
+  parked_ = false;
   if (items_.empty()) return false;  // closed and drained
   const std::size_t n = std::min(items_.size(), kPopBatch);
   const auto last = items_.begin() + static_cast<std::ptrdiff_t>(n);
@@ -65,6 +69,11 @@ void BoundedRequestQueue::close() {
     closed_ = true;
   }
   ready_.notify_all();
+}
+
+bool BoundedRequestQueue::worker_parked() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return parked_ && !closed_ && items_.empty() && in_hand_.load() == 0;
 }
 
 std::size_t BoundedRequestQueue::size() const {

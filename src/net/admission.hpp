@@ -65,9 +65,11 @@ class BoundedRequestQueue {
   /// try_push in turn; admitted ones are moved into the queue.
   /// `admitted` is resized to requests.size() and admitted[i] is
   /// try_push's answer for requests[i]. Wakes the worker at most once.
-  /// Returns how many were admitted.
+  /// Returns how many were admitted. A non-null `depth` receives size()
+  /// as that same lock saw it after the batch.
   std::size_t try_push_batch(std::span<PendingRequest> requests,
-                             std::vector<bool>& admitted);
+                             std::vector<bool>& admitted,
+                             std::size_t* depth = nullptr);
 
   /// Blocks until an item or close, then replaces `out` with up to
   /// kPopBatch items, oldest first. The worker must call mark_started()
@@ -81,6 +83,12 @@ class BoundedRequestQueue {
 
   /// Wakes poppers; pop_batch drains the backlog then returns false.
   void close();
+
+  /// True iff the worker is blocked in pop_batch with nothing queued and
+  /// nothing in hand, and the queue is open. Decided under the queue
+  /// lock; with a single pusher, a parked worker stays parked until that
+  /// pusher pushes (or close() runs).
+  bool worker_parked() const;
 
   /// Requests waiting for service: queued plus popped-but-not-started.
   std::size_t size() const;
@@ -99,6 +107,8 @@ class BoundedRequestQueue {
   std::condition_variable ready_;
   std::deque<PendingRequest> items_;
   bool closed_ = false;
+  /// pop_batch is waiting on ready_; set and cleared under mutex_.
+  bool parked_ = false;
   /// Popped by pop_batch, not yet mark_started(). Raised under mutex_,
   /// lowered lock-free by the worker as each request starts.
   std::atomic<std::size_t> in_hand_{0};

@@ -7,6 +7,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <numeric>
 #include <string>
 #include <utility>
 
@@ -105,6 +106,7 @@ util::Result<std::unique_ptr<EdgeServer>> EdgeServer::create(
       &registry.counter(net_metrics::kBackpressurePauses);
   server->degraded_dropped_ =
       &registry.counter(core::edge_metrics::kDegradedDropped);
+  server->served_inline_ = &registry.counter(net_metrics::kServedInline);
   server->queue_delay_us_ =
       &registry.histogram(net_metrics::kQueueDelayUs);
   server->service_time_us_ =
@@ -157,6 +159,7 @@ util::Status EdgeServer::start() {
         std::make_unique<BoundedRequestQueue>(config_.queue_capacity));
   }
   admit_batches_.resize(config_.workers);
+  admit_depths_.assign(config_.workers, 0);
   for (std::size_t i = 0; i < config_.workers; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
   }
@@ -196,32 +199,7 @@ void EdgeServer::worker_loop(std::size_t worker_index) {
     auto now = std::chrono::steady_clock::now();
     for (const PendingRequest& pending : batch) {
       queue.mark_started();
-      const auto picked_up = now;
-      queue_delay_us_->record(us_between(pending.admitted, picked_up));
-
-      if (config_.service_delay_us > 0) {
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(config_.service_delay_us));
-      }
-      const core::ServeResult result =
-          edge_.serve(pending.request.user_id,
-                      {pending.request.x, pending.request.y},
-                      pending.request.time);
-      now = std::chrono::steady_clock::now();
-      service_time_us_->record(us_between(picked_up, now));
-
-      ServeResponseFrame frame;
-      frame.request_id = pending.request.request_id;
-      frame.outcome = static_cast<std::uint8_t>(result.outcome);
-      frame.kind = static_cast<std::uint8_t>(result.reported.kind);
-      frame.status_code = static_cast<std::uint8_t>(result.status.code());
-      frame.released = result.released() ? 1 : 0;
-      frame.retries = result.retries;
-      if (result.released()) {
-        frame.x = result.reported.location.x;
-        frame.y = result.reported.location.y;
-      }
-      done.push_back({pending.conn_id, frame});
+      done.push_back({pending.conn_id, serve_pending(pending, now)});
     }
     {
       const std::lock_guard<std::mutex> lock(completed_mutex_);
@@ -236,6 +214,37 @@ void EdgeServer::worker_loop(std::size_t worker_index) {
           ::write(wake_fd_.get(), &one, sizeof(one));
     }
   }
+}
+
+ServeResponseFrame EdgeServer::serve_pending(
+    const PendingRequest& pending,
+    std::chrono::steady_clock::time_point& now) {
+  const auto picked_up = now;
+  queue_delay_us_->record(us_between(pending.admitted, picked_up));
+
+  if (config_.service_delay_us > 0) {
+    std::this_thread::sleep_for(
+        std::chrono::microseconds(config_.service_delay_us));
+  }
+  const core::ServeResult result =
+      edge_.serve(pending.request.user_id,
+                  {pending.request.x, pending.request.y},
+                  pending.request.time);
+  now = std::chrono::steady_clock::now();
+  service_time_us_->record(us_between(picked_up, now));
+
+  ServeResponseFrame frame;
+  frame.request_id = pending.request.request_id;
+  frame.outcome = static_cast<std::uint8_t>(result.outcome);
+  frame.kind = static_cast<std::uint8_t>(result.reported.kind);
+  frame.status_code = static_cast<std::uint8_t>(result.status.code());
+  frame.released = result.released() ? 1 : 0;
+  frame.retries = result.retries;
+  if (result.released()) {
+    frame.x = result.reported.location.x;
+    frame.y = result.reported.location.y;
+  }
+  return frame;
 }
 
 void EdgeServer::queue_response(std::uint64_t conn_id,
@@ -357,14 +366,34 @@ void EdgeServer::admit_staged(ConnState& conn, std::uint64_t conn_id) {
   for (std::size_t w = 0; w < admit_batches_.size(); ++w) {
     AdmitBatch& batch = admit_batches_[w];
     batch.cursor = 0;
-    if (!batch.requests.empty()) {
-      conn.unanswered +=
-          queues_[w]->try_push_batch(batch.requests, batch.admitted);
+    batch.serve_inline = false;
+    if (batch.requests.empty()) continue;
+    // Waking a parked worker for one request, then being woken by its
+    // completion, costs more than the serve: the IO thread serves it
+    // below instead. The worker stays parked: only this thread pushes.
+    if (batch.requests.size() == 1 && queues_[w]->worker_parked()) {
+      batch.serve_inline = true;
+      admit_depths_[w] = 0;
+      continue;
     }
+    conn.unanswered += queues_[w]->try_push_batch(
+        batch.requests, batch.admitted, &admit_depths_[w]);
   }
+  queue_depth_->set(static_cast<double>(std::accumulate(
+      admit_depths_.begin(), admit_depths_.end(), std::size_t{0})));
   for (const std::size_t w : staged_workers_) {
     AdmitBatch& batch = admit_batches_[w];
     const std::size_t i = batch.cursor++;
+    if (batch.serve_inline) {
+      // The parked worker's last completions may still sit in
+      // completed_: they go out first, so the user's responses leave in
+      // request order.
+      if (wake_pending_.load()) move_completed();
+      auto now = std::chrono::steady_clock::now();
+      queue_response(conn_id, serve_pending(batch.requests[i], now));
+      served_inline_->add();
+      continue;
+    }
     if (batch.admitted[i]) continue;
     // Admission shed: immediate degraded_dropped, counted in both the
     // net layer and the box-level serve taxonomy.
@@ -374,7 +403,7 @@ void EdgeServer::admit_staged(ConnState& conn, std::uint64_t conn_id) {
   }
 }
 
-void EdgeServer::drain_completed() {
+void EdgeServer::move_completed() {
   // Clear the flag BEFORE the swap: a worker appending after the swap
   // then sees it clear and writes the eventfd, so its responses are
   // drained on the next wake instead of waiting for the poll tick.
@@ -383,14 +412,22 @@ void EdgeServer::drain_completed() {
     const std::lock_guard<std::mutex> lock(completed_mutex_);
     drain_scratch_.swap(completed_);
   }
-  if (drain_scratch_.empty()) return;
   for (const CompletedResponse& done : drain_scratch_) {
     const auto it = conn_states_.find(done.conn_id);
     if (it == conn_states_.end()) continue;  // peer left; drop it
     --it->second.unanswered;
     queue_response(done.conn_id, done.frame);
+    completions_unflushed_ = true;
   }
   drain_scratch_.clear();
+}
+
+void EdgeServer::drain_completed() {
+  move_completed();
+  // The flag, not this call's swap, decides: an inline serve inside
+  // on_data may already have moved completions that still need a flush.
+  if (!completions_unflushed_) return;
+  completions_unflushed_ = false;
   // Flush after the batch (not per response) so pipelined completions
   // coalesce into large sends. Ids are collected first: a flush that
   // discovers a dead peer erases from conn_states_ via on_closed.
@@ -411,11 +448,6 @@ void EdgeServer::io_loop() {
     const util::Status polled = backend_->poll(kPollWaitMs);
     if (!polled.ok()) return;  // the engine itself broke: give up
     drain_completed();
-    if (queue_depth_ != nullptr) {
-      std::size_t depth = 0;
-      for (const auto& queue : queues_) depth += queue->size();
-      queue_depth_->set(static_cast<double>(depth));
-    }
     if (stopping_.load(std::memory_order_acquire)) {
       // Workers are already joined, so completed_ is final: one more
       // drain + best-effort flush, then close everything.

@@ -22,14 +22,31 @@
 //     (BoundedRequestQueue::try_push_batch; same per-request decisions
 //     as sequential try_push). The worker pops up to kPopBatch requests
 //     per lock; popped-but-unstarted requests stay counted as queued.
+//   - Except a lone request to a parked worker: when a chunk's share for
+//     worker w is exactly one request and w is parked (blocked in
+//     pop_batch, nothing queued or in hand, queue open -- decided under
+//     the queue lock), the IO thread serves it itself through the same
+//     serve path the workers use (serve_pending) and queues the response
+//     straight onto the connection: no worker wakeup, no completion
+//     eventfd (net.served_inline). The IO thread is the only pusher, so
+//     w stays parked meanwhile. Responses w completed earlier may still
+//     sit in completed_; they are moved onto their connections first,
+//     so a user's responses still leave in request order. Shares of two
+//     or more, and any request for a busy worker, take the handoff.
+//     Trade-off: a lone request whose serve is slow -- a window close
+//     that rebuilds the user's profile (ms), a first-sight n-fold table
+//     -- stalls the IO thread, and so every connection, for that long.
+//     Steady traffic does neither; bursts and saturation go to the
+//     workers.
 //   - Worker -> IO: a worker appends its whole batch of responses to a
 //     mutex-swapped vector (completed_) under one lock, then writes the
 //     eventfd only if wake_pending_ was clear, so a burst of batches
-//     costs one wakeup. drain_completed clears wake_pending_ BEFORE it
+//     costs one wakeup. move_completed clears wake_pending_ BEFORE it
 //     swaps completed_: a response appended after the swap finds the
 //     flag clear and wakes the IO thread again, so none is stranded
 //     until the poll tick. The IO thread serializes responses onto the
-//     owning connection (or drops them if it has gone away).
+//     owning connection (or drops them if it has gone away) and flushes
+//     them after the poll batch.
 //
 // Overload behavior:
 //   - A request is shed AT ADMISSION -- immediate degraded_dropped
@@ -52,6 +69,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -83,8 +101,12 @@ inline constexpr const char* kBackpressurePauses = "net.backpressure_pauses";
 inline constexpr const char* kQueueDelayUs = "net.queue_delay_us";
 /// Time inside ConcurrentEdge::serve (microseconds).
 inline constexpr const char* kServiceTimeUs = "net.service_time_us";
-/// Instantaneous total backlog across worker queues (sampled on admit).
+/// Total backlog across worker queues, summing each queue's depth as
+/// its last admission saw it under the queue lock (sampled on admit).
 inline constexpr const char* kQueueDepth = "net.queue_depth";
+/// Requests the IO thread served itself: a recv's lone request for a
+/// parked worker (also counted in net.requests / net.responses).
+inline constexpr const char* kServedInline = "net.served_inline";
 /// The resolved IoBackendKind, as a gauge (1 = epoll, 2 = io_uring), so
 /// a metrics dump says which engine actually served.
 inline constexpr const char* kBackend = "net.backend";
@@ -210,6 +232,9 @@ class EdgeServer final : private IoSink {
     std::vector<PendingRequest> requests;
     std::vector<bool> admitted;
     std::size_t cursor = 0;
+    /// The share is one request for a parked worker: the IO thread
+    /// serves it instead of pushing it.
+    bool serve_inline = false;
   };
 
   EdgeServer(core::EdgeConfig edge_config, ServerConfig server_config,
@@ -239,8 +264,20 @@ class EdgeServer final : private IoSink {
   /// unanswered admitted request and no outbound byte left.
   void close_if_drained(std::uint64_t conn_id);
   /// Admits the frames staged in admit_batches_ (one lock per worker),
-  /// then answers the shed ones in arrival order.
+  /// then, in arrival order, serves the inline ones and answers the shed
+  /// ones.
   void admit_staged(ConnState& conn, std::uint64_t conn_id);
+  /// The one serve path (workers and inline): records queue delay from
+  /// admission to `now` and service time, honours service_delay_us, and
+  /// returns the response frame. On return `now` is the service's end,
+  /// so a batch reads the clock once per request.
+  ServeResponseFrame serve_pending(const PendingRequest& pending,
+                                   std::chrono::steady_clock::time_point& now);
+  /// Moves completed_ onto the owning connections (no flush, never
+  /// erases a ConnState): safe from inside on_data.
+  void move_completed();
+  /// move_completed, then flushes every connection with outbound bytes
+  /// if anything was moved since the last flush scan.
   void drain_completed();
 
   ServerConfig config_;
@@ -260,6 +297,11 @@ class EdgeServer final : private IoSink {
   /// frame in arrival order (to send shed responses in that order).
   std::vector<AdmitBatch> admit_batches_;
   std::vector<std::size_t> staged_workers_;
+  /// Each worker queue's depth as its last admission saw it (the
+  /// net.queue_depth sample).
+  std::vector<std::size_t> admit_depths_;
+  /// move_completed queued responses that no flush scan has pushed yet.
+  bool completions_unflushed_ = false;
 
   std::vector<std::unique_ptr<BoundedRequestQueue>> queues_;
   std::vector<std::thread> workers_;
@@ -283,6 +325,7 @@ class EdgeServer final : private IoSink {
   obs::Counter* parse_errors_ = nullptr;
   obs::Counter* backpressure_pauses_ = nullptr;
   obs::Counter* degraded_dropped_ = nullptr;
+  obs::Counter* served_inline_ = nullptr;
   obs::LatencyHistogram* queue_delay_us_ = nullptr;
   obs::LatencyHistogram* service_time_us_ = nullptr;
   obs::Gauge* queue_depth_ = nullptr;

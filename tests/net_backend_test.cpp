@@ -16,12 +16,14 @@
 #include <sys/time.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <cstdint>
 #include <limits>
 #include <map>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <utility>
@@ -104,6 +106,62 @@ net::ServeRequestFrame conformance_request(std::uint64_t i) {
   request.time = trace::kStudyStart + static_cast<std::int64_t>(i);
   return request;
 }
+
+/// A raw connection that decides how frames share a write(): each
+/// send() puts all of its frames into ONE write, so they reach the
+/// server as one recv and form one admission share per worker.
+class FramePeer {
+ public:
+  static util::Result<FramePeer> connect(std::uint16_t port) {
+    util::Result<net::UniqueFd> fd = net::connect_loopback(port);
+    if (!fd.ok()) return fd.status();
+    // A response that never comes fails the test instead of hanging it.
+    const timeval timeout{10, 0};
+    ::setsockopt(fd->get(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                 sizeof(timeout));
+    return FramePeer(std::move(fd.value()));
+  }
+
+  bool send(const std::vector<net::ServeRequestFrame>& requests) {
+    out_.clear();
+    for (const net::ServeRequestFrame& request : requests) {
+      net::append_request(out_, request);
+    }
+    return net::write_all(fd_.get(), out_.data(), out_.size()).ok();
+  }
+
+  /// Blocks (up to 10 s per recv) for the next response frame; false on
+  /// EOF, a socket error or timeout, or a frame that is not a response.
+  bool receive(net::ServeResponseFrame& response) {
+    while (true) {
+      net::Frame frame;
+      std::size_t consumed = 0;
+      if (!net::try_decode(in_.data() + head_, in_.size() - head_, frame,
+                           consumed)
+               .ok()) {
+        return false;
+      }
+      if (consumed > 0) {
+        head_ += consumed;
+        response = frame.response;
+        return frame.type == net::FrameType::kServeResponse;
+      }
+      std::uint8_t chunk[4096];
+      const ssize_t got = ::recv(fd_.get(), chunk, sizeof(chunk), 0);
+      if (got < 0 && errno == EINTR) continue;
+      if (got <= 0) return false;
+      in_.insert(in_.end(), chunk, chunk + got);
+    }
+  }
+
+ private:
+  explicit FramePeer(net::UniqueFd fd) : fd_(std::move(fd)) {}
+
+  net::UniqueFd fd_;
+  std::vector<std::uint8_t> out_;
+  std::vector<std::uint8_t> in_;
+  std::size_t head_ = 0;
+};
 
 /// Drives `n` sequential requests through one connection against a
 /// fresh server on `kind` and returns the full response stream.
@@ -188,8 +246,9 @@ TEST(BackendConformance, FaultScheduleYieldsIdenticalOutcomePartitions) {
 }
 
 TEST(BackendConformance, ShedPartitionIsDeterministicAcrossBackends) {
-  // workers=1, capacity=1, slow service: request 0 occupies the worker,
-  // request 1 the queue slot, and every later request MUST shed at push.
+  // workers=1, capacity=1, slow service: request 0 is served first,
+  // request 1 takes the queue slot, and every later request MUST shed
+  // at push.
   // The partition is then a pure function of the request order, so both
   // backends must produce it exactly -- and shed responses must carry
   // zeroed coordinates (fail private on the wire).
@@ -211,8 +270,10 @@ TEST(BackendConformance, ShedPartitionIsDeterministicAcrossBackends) {
     if (!client.ok()) return by_id;
 
     EXPECT_TRUE(client->send(conformance_request(0)).ok());
-    // Let the worker pop request 0 into its 200 ms service delay so the
-    // queue slot is empty when the burst below lands.
+    // Request 0 arrives alone at the parked worker, so the IO thread
+    // serves it inline; its 200 ms service delay holds the IO thread, and
+    // the burst below is read as one chunk once it ends. The worker's
+    // queue slot is empty when that chunk is admitted.
     std::this_thread::sleep_for(std::chrono::milliseconds(120));
     for (std::uint64_t i = 1; i <= 12; ++i) {
       EXPECT_TRUE(client->send(conformance_request(i)).ok());
@@ -557,6 +618,175 @@ TEST(BackendConformance, SequentialRoundTripsNeverWaitForThePollTick) {
     EXPECT_EQ(server->metrics().counter_value(net::net_metrics::kResponses),
               kConnections * kRoundTrips);
     server->stop();
+  }
+}
+
+TEST(BackendConformance, PairedRoundTripsNeverWaitForThePollTick) {
+  // Lone sequential round trips are mostly served inline on the IO
+  // thread. Here every round trip is ONE write carrying two frames for
+  // one user: a share of two always goes through the worker queue and
+  // comes back through completed_ and the eventfd, so a lost wakeup
+  // parks the pair until the 50 ms poll tick. Same bounds as above.
+  constexpr std::size_t kConnections = 4;
+  constexpr std::uint64_t kRoundTrips = 2000;
+  for (const net::IoBackendKind kind : conformance_kinds()) {
+    core::EdgeConfig edge_config;
+    edge_config.seed = 11;
+    edge_config.shards = 4;
+    std::unique_ptr<net::EdgeServer> server = boot(
+        edge_config, net::ServerConfig{}.with_workers(2).with_backend(kind));
+    ASSERT_NE(server, nullptr) << net::io_backend_kind_name(kind);
+
+    const auto started = std::chrono::steady_clock::now();
+    std::vector<std::uint64_t> answered(kConnections, 0);
+    std::vector<std::uint64_t> tick_slow(kConnections, 0);
+    std::vector<std::thread> clients;
+    for (std::size_t c = 0; c < kConnections; ++c) {
+      clients.emplace_back([&, c] {
+        util::Result<FramePeer> peer = FramePeer::connect(server->port());
+        if (!peer.ok()) return;
+        for (std::uint64_t i = 0; i < kRoundTrips; ++i) {
+          const std::uint64_t id = 2 * (c * kRoundTrips + i);
+          net::ServeRequestFrame first = conformance_request(id);
+          net::ServeRequestFrame second = conformance_request(id + 1);
+          second.user_id = first.user_id;  // one share, one worker
+          const auto sent = std::chrono::steady_clock::now();
+          if (!peer->send({first, second})) return;
+          net::ServeResponseFrame response;
+          if (!peer->receive(response) || response.request_id != id) return;
+          if (!peer->receive(response) || response.request_id != id + 1) {
+            return;
+          }
+          ++answered[c];
+          if (std::chrono::steady_clock::now() - sent >=
+              std::chrono::milliseconds(40)) {
+            ++tick_slow[c];
+          }
+        }
+      });
+    }
+    for (std::thread& client : clients) client.join();
+    const double wall_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - started)
+                              .count();
+    std::uint64_t slow = 0;
+    for (std::size_t c = 0; c < kConnections; ++c) {
+      EXPECT_EQ(answered[c], kRoundTrips)
+          << "connection " << c << " on " << net::io_backend_kind_name(kind);
+      slow += tick_slow[c];
+    }
+    EXPECT_LT(wall_s, 10.0) << net::io_backend_kind_name(kind);
+    EXPECT_LT(slow, kConnections * kRoundTrips / 100)
+        << net::io_backend_kind_name(kind);
+    obs::MetricsRegistry& metrics = server->metrics();
+    EXPECT_EQ(metrics.counter_value(net::net_metrics::kResponses),
+              2 * kConnections * kRoundTrips);
+    EXPECT_EQ(metrics.counter_value(net::net_metrics::kServedInline), 0u)
+        << "a two-frame share skipped the queue on "
+        << net::io_backend_kind_name(kind);
+    server->stop();
+  }
+}
+
+TEST(BackendConformance, OneUsersResponsesLeaveInRequestOrder) {
+  // One user's requests go out as a seeded random mix of one-frame and
+  // multi-frame writes, sometimes waiting for every answer before the
+  // next write and sometimes not. Lone frames that find the worker
+  // parked are served inline by the IO thread; the rest queue, and
+  // their completions can still sit in completed_ when the next lone
+  // frame lands. Whichever path each took, the user's responses must
+  // leave in request order. A second connection runs round trips for
+  // other users alongside, on both workers.
+  constexpr std::uint64_t kRequests = 2400;
+  constexpr std::uint64_t kUser = 3;
+  for (const net::IoBackendKind kind : conformance_kinds()) {
+    const char* name = net::io_backend_kind_name(kind);
+    core::EdgeConfig edge_config;
+    edge_config.seed = 11;
+    edge_config.shards = 4;
+    std::unique_ptr<net::EdgeServer> server = boot(
+        edge_config, net::ServerConfig{}.with_workers(2).with_backend(kind));
+    ASSERT_NE(server, nullptr) << name;
+    util::Result<FramePeer> peer = FramePeer::connect(server->port());
+    ASSERT_TRUE(peer.ok()) << peer.status().to_string();
+
+    std::atomic<bool> done{false};
+    std::uint64_t background_answered = 0;
+    std::thread background([&] {
+      util::Result<net::BlockingClient> client =
+          net::BlockingClient::connect(server->port());
+      if (!client.ok()) return;
+      for (std::uint64_t i = 0; !done.load(); ++i) {
+        net::ServeRequestFrame request = conformance_request(i);
+        request.request_id = kRequests + i;
+        request.user_id = 10 + (i % 6);
+        util::Result<net::ServeResponseFrame> response =
+            client->call(request);
+        if (!response.ok() || response->request_id != request.request_id) {
+          return;
+        }
+        ++background_answered;
+      }
+    });
+
+    std::mt19937_64 rng(20240611);
+    std::vector<std::uint64_t> ids;
+    ids.reserve(kRequests);
+    std::uint64_t next = 0;
+    bool in_order = true;
+    auto receive_until = [&](std::uint64_t count) {
+      net::ServeResponseFrame response;
+      while (in_order && ids.size() < count) {
+        if (!peer->receive(response)) {
+          in_order = false;
+          break;
+        }
+        if (!ids.empty() && response.request_id <= ids.back()) {
+          in_order = false;
+        }
+        ids.push_back(response.request_id);
+      }
+    };
+    while (next < kRequests && in_order) {
+      // Half the writes carry one frame, the rest two to four.
+      const std::uint64_t frames = std::min<std::uint64_t>(
+          kRequests - next, rng() % 2 == 0 ? 1 : 2 + rng() % 3);
+      std::vector<net::ServeRequestFrame> write;
+      for (std::uint64_t f = 0; f < frames; ++f, ++next) {
+        net::ServeRequestFrame request = conformance_request(next);
+        request.user_id = kUser;
+        write.push_back(request);
+      }
+      if (!peer->send(write)) {
+        ADD_FAILURE() << name << ": write failed";
+        break;
+      }
+      // Half the time, wait for every answer so the worker parks again;
+      // otherwise pipeline (bounded, so the outbound budget never bites).
+      if (rng() % 2 == 0 || next - ids.size() > 64) receive_until(next);
+    }
+    receive_until(kRequests);
+    done.store(true);
+    background.join();
+
+    EXPECT_TRUE(in_order) << name << ": response " << ids.size()
+                          << " broke request order";
+    ASSERT_EQ(ids.size(), kRequests) << name;
+    for (std::uint64_t i = 0; i < kRequests; ++i) {
+      ASSERT_EQ(ids[i], i) << name;
+    }
+    EXPECT_GT(background_answered, 0u) << name;
+    server->stop();
+    obs::MetricsRegistry& metrics = server->metrics();
+    const std::uint64_t served_inline =
+        metrics.counter_value(net::net_metrics::kServedInline);
+    EXPECT_GT(served_inline, 0u) << name << ": no lone frame went inline";
+    EXPECT_EQ(metrics.counter_value(net::net_metrics::kRequests),
+              kRequests + background_answered)
+        << name;
+    EXPECT_EQ(metrics.counter_value(net::net_metrics::kResponses),
+              metrics.counter_value(net::net_metrics::kRequests))
+        << name;
   }
 }
 

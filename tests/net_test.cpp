@@ -630,6 +630,77 @@ TEST(EdgeServer, PipelinedRequestsAllComeBackMatched) {
   server->stop();
 }
 
+TEST(EdgeServer, LoneRequestToAParkedWorkerIsServedInline) {
+  // One worker. A round trip's lone request finds the worker parked, so
+  // the IO thread serves it itself; two frames in one write are a share
+  // of two and go through the queue. Either way every request is
+  // answered and counted once.
+  net::ServerConfig server_config;
+  server_config.workers = 1;
+  const std::unique_ptr<net::EdgeServer> server =
+      make_server(small_edge_config(), server_config);
+  ASSERT_NE(server, nullptr);
+  ASSERT_TRUE(server->start().ok());
+  obs::MetricsRegistry& metrics = server->metrics();
+  auto inline_count = [&] {
+    return metrics.counter_value(net::net_metrics::kServedInline);
+  };
+
+  util::Result<net::BlockingClient> client =
+      net::BlockingClient::connect(server->port());
+  ASSERT_TRUE(client.ok());
+  // The worker thread may not have parked yet when the first request
+  // lands; once one request is served inline it never wakes again while
+  // round trips stay sequential.
+  std::uint64_t id = 0;
+  for (; inline_count() == 0 && id < 1000; ++id) {
+    ASSERT_TRUE(client->call(request_frame(id, 1, 500.0, 500.0)).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(inline_count(), 1u) << "the worker never parked";
+  for (std::uint64_t i = 0; i < 32; ++i, ++id) {
+    util::Result<net::ServeResponseFrame> response =
+        client->call(request_frame(id, 1 + (i % 4), 500.0, 500.0));
+    ASSERT_TRUE(response.ok());
+    EXPECT_EQ(response->request_id, id);
+    EXPECT_EQ(inline_count(), i + 2) << "round trip " << i;
+  }
+
+  util::Result<net::UniqueFd> fd = net::connect_loopback(server->port());
+  ASSERT_TRUE(fd.ok()) << fd.status().to_string();
+  std::vector<std::uint8_t> bytes;
+  net::append_request(bytes, request_frame(id, 5, 500.0, 500.0));
+  net::append_request(bytes, request_frame(id + 1, 6, 500.0, 500.0));
+  ASSERT_TRUE(net::write_all(fd->get(), bytes.data(), bytes.size()).ok());
+  std::vector<std::uint8_t> in;
+  std::size_t head = 0;
+  for (std::uint64_t expected = id; expected < id + 2;) {
+    net::Frame frame;
+    std::size_t consumed = 0;
+    ASSERT_TRUE(
+        net::try_decode(in.data() + head, in.size() - head, frame, consumed)
+            .ok());
+    if (consumed == 0) {
+      std::uint8_t chunk[256];
+      const ssize_t got = ::recv(fd->get(), chunk, sizeof(chunk), 0);
+      ASSERT_GT(got, 0);
+      in.insert(in.end(), chunk, chunk + got);
+      continue;
+    }
+    head += consumed;
+    ASSERT_EQ(frame.type, net::FrameType::kServeResponse);
+    EXPECT_EQ(frame.response.request_id, expected++);
+  }
+  EXPECT_EQ(inline_count(), 33u) << "a share of two was served inline";
+
+  server->stop();
+  EXPECT_EQ(metrics.counter_value(net::net_metrics::kRequests), id + 2);
+  EXPECT_EQ(metrics.counter_value(net::net_metrics::kResponses),
+            metrics.counter_value(net::net_metrics::kRequests));
+  EXPECT_EQ(metrics.histogram(net::net_metrics::kServiceTimeUs).count(),
+            id + 2);
+}
+
 TEST(EdgeServer, PoisonedStreamStillServesTheFramesBeforeIt) {
   // One send carries k valid requests and then a bad header. The k
   // requests were decoded before the poison, so they are admitted and
