@@ -143,14 +143,6 @@ std::vector<Ad> AdNetwork::match(geo::Point reported_location,
   return matched;
 }
 
-std::size_t AdNetwork::impressions(std::uint64_t user_id,
-                                   std::uint64_t advertiser_id,
-                                   std::int64_t time) const {
-  const auto it = impressions_.find(
-      {user_id, advertiser_id, time / kSecondsPerDay});
-  return it == impressions_.end() ? 0 : it->second;
-}
-
 std::vector<Ad> AdNetwork::handle_request(const AdRequest& request) {
   bid_log_.record(request.user_id, request.reported_location, request.time);
   std::vector<Ad> matched = match(request.reported_location,

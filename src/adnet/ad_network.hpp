@@ -70,11 +70,6 @@ class AdNetwork {
   /// The longitudinal attacker's observation channel.
   const BidLog& bid_log() const { return bid_log_; }
 
-  /// Impressions served to `user_id` from `advertiser_id` on the UTC day
-  /// containing `time`.
-  std::size_t impressions(std::uint64_t user_id, std::uint64_t advertiser_id,
-                          std::int64_t time) const;
-
   std::size_t advertiser_count() const { return advertisers_.size(); }
 
  private:

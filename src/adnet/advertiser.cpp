@@ -18,11 +18,6 @@ const std::vector<PlatformPreset>& table1_presets() {
   return kPresets;
 }
 
-double clamp_radius(const PlatformPreset& preset, double requested_m) {
-  util::require_positive(requested_m, "requested targeting radius");
-  return std::clamp(requested_m, preset.min_radius_m, preset.max_radius_m);
-}
-
 std::vector<Advertiser> generate_campaigns(rng::Engine& engine,
                                            const PlatformPreset& preset,
                                            std::size_t count,

@@ -51,9 +51,6 @@ struct PlatformPreset {
 /// Microsoft (1-800 km), Facebook (1.6-80 km), Tencent (0.5-25 km).
 const std::vector<PlatformPreset>& table1_presets();
 
-/// Clamps a requested radius into what `preset` allows.
-double clamp_radius(const PlatformPreset& preset, double requested_m);
-
 /// Generates `count` synthetic campaigns with businesses uniform in a
 /// square of half-extent `area_half_extent_m` and radii log-uniform within
 /// the preset's range (clamped to `max_radius_cap_m` when positive --

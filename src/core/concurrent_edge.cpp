@@ -31,12 +31,6 @@ ConcurrentEdge::Shard& ConcurrentEdge::shard_for(std::uint64_t user_id) {
   return *shards_[mixed % shards_.size()];
 }
 
-const ConcurrentEdge::Shard& ConcurrentEdge::shard_for(
-    std::uint64_t user_id) const {
-  const std::uint64_t mixed = user_id * 0x9E3779B97F4A7C15ULL;
-  return *shards_[mixed % shards_.size()];
-}
-
 ServeResult ConcurrentEdge::serve(std::uint64_t user_id,
                                   geo::Point true_location,
                                   trace::Timestamp time) {
@@ -111,11 +105,6 @@ BatchServeStats ConcurrentEdge::serve_trace_batch(
   return stats;
 }
 
-BatchServeStats ConcurrentEdge::serve_trace_batch(
-    const std::vector<trace::UserTrace>& traces) {
-  return serve_trace_batch(traces, par::ThreadPool::global());
-}
-
 util::Status ConcurrentEdge::save_snapshot(const std::string& path) {
   snapshot::Writer writer(path,
                           static_cast<std::uint32_t>(shards_.size()));
@@ -166,15 +155,6 @@ EdgeTelemetry ConcurrentEdge::telemetry() const {
   // the shard lock tallies need a lock sweep to publish.
   publish_shard_counters();
   return EdgeTelemetry::from_registry(*metrics_);
-}
-
-std::size_t ConcurrentEdge::user_count() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->device->user_count();
-  }
-  return total;
 }
 
 }  // namespace privlocad::core

@@ -77,10 +77,6 @@ class ConcurrentEdge {
   BatchServeStats serve_trace_batch(
       const std::vector<trace::UserTrace>& traces, par::ThreadPool& pool);
 
-  /// Global-pool convenience (sized by PRIVLOCAD_THREADS / hardware).
-  BatchServeStats serve_trace_batch(
-      const std::vector<trace::UserTrace>& traces);
-
   /// Persists every shard's data plane into one snapshot file (one arena
   /// section per shard, taken under each shard's mutex in turn -- callers
   /// wanting a globally consistent point-in-time image should quiesce
@@ -106,9 +102,6 @@ class ConcurrentEdge {
   obs::MetricsRegistry& metrics() { return *metrics_; }
   const obs::MetricsRegistry& metrics() const { return *metrics_; }
 
-  /// Total users across all shards.
-  std::size_t user_count() const;
-
   std::size_t shard_count() const { return shards_.size(); }
 
  private:
@@ -127,7 +120,6 @@ class ConcurrentEdge {
   };
 
   Shard& shard_for(std::uint64_t user_id);
-  const Shard& shard_for(std::uint64_t user_id) const;
 
   /// Flushes each shard's lock tally into its registry counter. Called
   /// off the hot path: end of serve_trace_batch and telemetry().

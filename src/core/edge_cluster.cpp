@@ -38,13 +38,6 @@ EdgeDevice& EdgeCluster::device_at(CellKey key) {
   return *it->second;
 }
 
-EdgeDevice& EdgeCluster::device_for(geo::Point location) {
-  if (util::Status bad = check_plane_location(location); !bad.ok()) {
-    throw util::StatusError(std::move(bad));
-  }
-  return device_at(key_for(location));
-}
-
 ServeResult EdgeCluster::serve(std::uint64_t user_id,
                                geo::Point true_location,
                                trace::Timestamp time) {
@@ -79,15 +72,6 @@ std::vector<EdgeCluster::CellLoad> EdgeCluster::cell_loads() const {
               return a.cy < b.cy;
             });
   return loads;
-}
-
-std::size_t EdgeCluster::requests_served(std::int32_t cx,
-                                         std::int32_t cy) const {
-  const CellKey key =
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cx)) << 32) |
-      static_cast<std::uint64_t>(static_cast<std::uint32_t>(cy));
-  const auto it = served_.find(key);
-  return it == served_.end() ? 0 : it->second;
 }
 
 }  // namespace privlocad::core

@@ -49,9 +49,6 @@ class EdgeCluster {
   /// Number of devices that have served at least one request.
   std::size_t active_devices() const { return devices_.size(); }
 
-  /// Requests served by the device at cell (cx, cy); 0 if none.
-  std::size_t requests_served(std::int32_t cx, std::int32_t cy) const;
-
   /// One active cell and its request count.
   struct CellLoad {
     std::int32_t cx = 0;
@@ -63,11 +60,6 @@ class EdgeCluster {
   /// the complete load map, however far the population wandered (load
   /// stats must not silently miss devices outside a fixed scan window).
   std::vector<CellLoad> cell_loads() const;
-
-  /// The device owning `location`'s cell, created on first use. Throws
-  /// util::StatusError (kInvalidArgument) for a location failing
-  /// check_plane_location.
-  EdgeDevice& device_for(geo::Point location);
 
  private:
   using CellKey = std::uint64_t;

@@ -39,17 +39,6 @@ util::Status check_plane_location(geo::Point location) {
       "(|x|, |y| <= 2.1e7 m)");
 }
 
-const char* serve_outcome_name(ServeOutcome outcome) {
-  switch (outcome) {
-    case ServeOutcome::kServed: return "served";
-    case ServeOutcome::kServedAfterRetry: return "served_after_retry";
-    case ServeOutcome::kDegradedCached: return "degraded_cached";
-    case ServeOutcome::kDegradedDropped: return "degraded_dropped";
-    case ServeOutcome::kFailed: return "failed";
-  }
-  return "unknown";
-}
-
 EdgeDevice::EdgeDevice(EdgeConfig config)
     : EdgeDevice(config, std::make_shared<obs::MetricsRegistry>()) {}
 
@@ -227,23 +216,6 @@ void EdgeDevice::import_history(std::uint64_t user_id,
   arena_.rebuild_now(row, config_.management);
 }
 
-void EdgeDevice::prepare_obfuscation(std::uint64_t user_id) {
-  const UserArena::Row row = arena_.find_or_create(user_id);
-  const lppm::NFoldGaussianMechanism& mechanism = mechanism_for(row);
-  const std::size_t tops = arena_.top_size(row);
-  for (std::size_t i = 0; i < tops; ++i) {
-    const geo::Point top_location = arena_.top_entry(row, i).location;
-    if (arena_.find_entry(row, top_location, config_.table_match_radius_m) >=
-        0) {
-      continue;
-    }
-    arena_.add_entry(row, top_location, mechanism, arena_.engine(row));
-    accountant_.record(user_id, {mechanism.params().epsilon,
-                                 mechanism.params().delta});
-    tables_generated_total_->add();
-  }
-}
-
 const lppm::NFoldGaussianMechanism& EdgeDevice::mechanism_for(
     UserArena::Row row) const {
   const auto it = custom_mechanisms_.find(row);
@@ -301,18 +273,6 @@ util::Status EdgeDevice::read_snapshot_section(snapshot::Reader& reader) {
     custom_mechanisms_.emplace(row, lppm::NFoldGaussianMechanism(params));
   }
   return util::Status();
-}
-
-const std::vector<attack::ProfileEntry>& EdgeDevice::top_locations(
-    std::uint64_t user_id) {
-  const UserArena::Row row = arena_.find_or_create(user_id);
-  const std::size_t tops = arena_.top_size(row);
-  top_scratch_.clear();
-  top_scratch_.reserve(tops);
-  for (std::size_t i = 0; i < tops; ++i) {
-    top_scratch_.push_back(arena_.top_entry(row, i));
-  }
-  return top_scratch_;
 }
 
 RiskAssessment EdgeDevice::assess_user_risk(std::uint64_t user_id,

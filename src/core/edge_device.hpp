@@ -128,9 +128,6 @@ enum class ServeOutcome {
   kFailed,           ///< non-transient internal failure; nothing released
 };
 
-/// Human-readable outcome name ("served_after_retry", ...).
-const char* serve_outcome_name(ServeOutcome outcome);
-
 /// One in this many serve calls is latency-timed (per device,
 /// starting with the first). Reading the clock twice per request costs
 /// more than the entire metrics write path, so serve-latency percentiles
@@ -218,13 +215,6 @@ class EdgeDevice {
   /// The parameters governing `user_id`'s future top-location releases.
   const lppm::BoundedGeoIndParams& user_privacy(std::uint64_t user_id);
 
-  /// Pre-generates the permanent candidate sets for every current top
-  /// location of `user_id` (Table II measures exactly this step).
-  void prepare_obfuscation(std::uint64_t user_id);
-
-  const std::vector<attack::ProfileEntry>& top_locations(
-      std::uint64_t user_id);
-
   // ------------------------------------------------------------ snapshots
   /// Persists the entire data plane (every user's profile, top set,
   /// frozen candidate sets, pending window, RNG stream, and personalized
@@ -260,7 +250,7 @@ class EdgeDevice {
   }
 
   /// The registry this device records into: the edge_metrics counters
-  /// plus the serve-latency histogram. Export with to_json()/to_string().
+  /// plus the serve-latency histogram. Export with append_json()/to_string().
   obs::MetricsRegistry& metrics() { return *metrics_; }
   const obs::MetricsRegistry& metrics() const { return *metrics_; }
 
@@ -274,13 +264,6 @@ class EdgeDevice {
   const EdgeConfig& config() const { return config_; }
   const lppm::NFoldGaussianMechanism& top_mechanism() const {
     return top_mechanism_;
-  }
-
-  /// Heap bytes owned by the data plane / bytes still served straight
-  /// from a mapped snapshot (memory-footprint reporting).
-  std::uint64_t data_plane_owned_bytes() const { return arena_.owned_bytes(); }
-  std::uint64_t data_plane_mapped_bytes() const {
-    return arena_.mapped_bytes();
   }
 
  private:
@@ -322,8 +305,6 @@ class EdgeDevice {
   /// parameters themselves live in the arena and persist with it).
   std::unordered_map<UserArena::Row, lppm::NFoldGaussianMechanism>
       custom_mechanisms_;
-  /// Scratch backing top_locations()'s by-reference return.
-  std::vector<attack::ProfileEntry> top_scratch_;
 };
 
 }  // namespace privlocad::core

@@ -87,10 +87,4 @@ std::size_t select_candidate(rng::Engine& engine,
   return select_candidate(engine, soa.span(), sigma);
 }
 
-std::size_t select_uniform(rng::Engine& engine,
-                           const std::vector<geo::Point>& candidates) {
-  util::require(!candidates.empty(), "selection over empty candidate set");
-  return engine.uniform_index(candidates.size());
-}
-
 }  // namespace privlocad::core

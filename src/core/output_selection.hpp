@@ -54,9 +54,4 @@ std::size_t select_candidate(rng::Engine& engine,
                              const std::vector<geo::Point>& candidates,
                              double sigma);
 
-/// Uniform baseline for the ablation bench: each candidate with
-/// probability 1/n.
-std::size_t select_uniform(rng::Engine& engine,
-                           const std::vector<geo::Point>& candidates);
-
 }  // namespace privlocad::core

@@ -426,35 +426,6 @@ void UserArena::compact() {
   compact_window();
 }
 
-std::uint64_t UserArena::owned_bytes() const {
-  const auto vec_bytes = [](const auto& v) {
-    return v.capacity() * sizeof(v[0]);
-  };
-  std::uint64_t total = vec_bytes(user_ids_) + vec_bytes(engines_) +
-                        vec_bytes(window_start_) + vec_bytes(total_check_ins_) +
-                        vec_bytes(win_head_) + vec_bytes(win_count_) +
-                        vec_bytes(has_profile_) + vec_bytes(prof_begin_) +
-                        vec_bytes(prof_count_) + vec_bytes(top_begin_) +
-                        vec_bytes(top_count_) + vec_bytes(ent_begin_) +
-                        vec_bytes(ent_count_) + vec_bytes(directory_) +
-                        vec_bytes(win_xs_) + vec_bytes(win_ys_) +
-                        vec_bytes(win_ts_) + vec_bytes(win_prev_);
-  total += prof_xs_.owned_bytes() + prof_ys_.owned_bytes() +
-           prof_freq_.owned_bytes() + top_idx_.owned_bytes() +
-           ent_xs_.owned_bytes() + ent_ys_.owned_bytes() +
-           ent_cand_begin_.owned_bytes() + ent_cand_count_.owned_bytes() +
-           cand_xs_.owned_bytes() + cand_ys_.owned_bytes();
-  return total;
-}
-
-std::uint64_t UserArena::mapped_bytes() const {
-  return prof_xs_.mapped_bytes() + prof_ys_.mapped_bytes() +
-         prof_freq_.mapped_bytes() + top_idx_.mapped_bytes() +
-         ent_xs_.mapped_bytes() + ent_ys_.mapped_bytes() +
-         ent_cand_begin_.mapped_bytes() + ent_cand_count_.mapped_bytes() +
-         cand_xs_.mapped_bytes() + cand_ys_.mapped_bytes();
-}
-
 // --------------------------------------------------------------- snapshots
 
 void UserArena::save(snapshot::Writer& writer) {

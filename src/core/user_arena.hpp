@@ -132,9 +132,6 @@ class ArenaColumn {
     return tail_;
   }
 
-  std::uint64_t owned_bytes() const { return tail_.capacity() * sizeof(T); }
-  std::uint64_t mapped_bytes() const { return base_size_ * sizeof(T); }
-
  private:
   const T* base_ = nullptr;
   std::size_t base_size_ = 0;
@@ -232,9 +229,6 @@ class UserArena {
   /// snapshot mapping). Called automatically once garbage exceeds live
   /// data, and by save() so snapshots serialize dense.
   void compact();
-
-  std::uint64_t owned_bytes() const;
-  std::uint64_t mapped_bytes() const;
 
   // ------------------------------------------------------------ snapshots
   /// Writes this arena as one snapshot section (compacts first).

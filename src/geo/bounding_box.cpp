@@ -16,17 +16,9 @@ bool BoundingBox::contains(Point p) const {
   return p.x >= min_.x && p.x <= max_.x && p.y >= min_.y && p.y <= max_.y;
 }
 
-Point BoundingBox::clamp(Point p) const {
-  return {std::clamp(p.x, min_.x, max_.x), std::clamp(p.y, min_.y, max_.y)};
-}
-
 BoundingBox BoundingBox::expanded_to(Point p) const {
   return BoundingBox({std::min(min_.x, p.x), std::min(min_.y, p.y)},
                      {std::max(max_.x, p.x), std::max(max_.y, p.y)});
-}
-
-GeoBox shanghai_geo_box() {
-  return GeoBox{LatLon{30.7, 121.0}, LatLon{31.4, 122.0}};
 }
 
 }  // namespace privlocad::geo

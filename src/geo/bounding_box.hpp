@@ -1,9 +1,8 @@
-// Axis-aligned bounding boxes, in both geographic and local coordinates.
+// Axis-aligned bounding boxes in local metric coordinates.
 // Used by the trace generator to confine synthetic users to the study area
 // and by the grid index to size its buckets.
 #pragma once
 
-#include "geo/latlon.hpp"
 #include "geo/point.hpp"
 
 namespace privlocad::geo {
@@ -21,9 +20,6 @@ class BoundingBox {
 
   bool contains(Point p) const;
 
-  /// Clamps `p` to the box.
-  Point clamp(Point p) const;
-
   /// Smallest box containing both this box and `p`.
   BoundingBox expanded_to(Point p) const;
 
@@ -31,20 +27,5 @@ class BoundingBox {
   Point min_;
   Point max_;
 };
-
-/// Geographic box of the paper's Shanghai dataset:
-/// lat in [30.7, 31.4], lon in [121, 122].
-struct GeoBox {
-  LatLon south_west;
-  LatLon north_east;
-
-  bool contains(LatLon p) const {
-    return p.lat_deg >= south_west.lat_deg && p.lat_deg <= north_east.lat_deg &&
-           p.lon_deg >= south_west.lon_deg && p.lon_deg <= north_east.lon_deg;
-  }
-};
-
-/// The study-area box used throughout the paper's evaluation.
-GeoBox shanghai_geo_box();
 
 }  // namespace privlocad::geo

@@ -15,10 +15,6 @@ Circle::Circle(Point center, double radius_m)
 
 double Circle::area() const { return std::numbers::pi * radius_ * radius_; }
 
-bool Circle::contains(Point p) const {
-  return distance_squared(center_, p) <= radius_ * radius_;
-}
-
 double intersection_area(const Circle& a, const Circle& b) {
   const double d = distance(a.center(), b.center());
   const double r1 = a.radius();

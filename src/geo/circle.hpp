@@ -23,9 +23,6 @@ class Circle {
   /// Area in square meters.
   double area() const;
 
-  /// True if `p` lies inside or on the circle.
-  bool contains(Point p) const;
-
  private:
   Point center_;
   double radius_;

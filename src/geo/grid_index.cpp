@@ -81,12 +81,4 @@ std::size_t GridIndex::find_cell(CellKey key) const {
   return static_cast<std::size_t>(it - keys_.begin());
 }
 
-std::vector<std::size_t> GridIndex::within(Point query,
-                                           double radius_m) const {
-  std::vector<std::size_t> result;
-  for_each_within(query, radius_m,
-                  [&result](std::size_t idx, double) { result.push_back(idx); });
-  return result;
-}
-
 }  // namespace privlocad::geo

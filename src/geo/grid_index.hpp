@@ -56,14 +56,11 @@ class GridIndex {
   /// reusing the internal buffers' capacity. All points come back alive.
   void rebuild(const std::vector<Point>& points, double cell_size_m);
 
-  /// Indices of all live points p with distance(p, query) <= radius_m.
-  /// `radius_m` may exceed the cell size (more cells are scanned).
-  std::vector<std::size_t> within(Point query, double radius_m) const;
-
-  /// Calls `fn(index, distance_squared)` for each live point within
-  /// `radius_m` of `query`, avoiding the result-vector allocation on hot
-  /// paths. The already-computed squared distance is handed to the
-  /// callback so strict (< threshold) filters do not recompute it.
+  /// Calls `fn(index, distance_squared)` for each live point p with
+  /// distance(p, query) <= radius_m, allocating nothing. `radius_m` may
+  /// exceed the cell size (more cells are scanned). The already-computed
+  /// squared distance is handed to the callback so strict (< threshold)
+  /// filters do not recompute it.
   template <typename Fn>
   void for_each_within(Point query, double radius_m, Fn&& fn) const;
 

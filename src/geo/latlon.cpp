@@ -1,29 +1,11 @@
 #include "geo/latlon.hpp"
 
-#include <cmath>
 #include <numbers>
 
 namespace privlocad::geo {
 
 double deg_to_rad(double degrees) {
   return degrees * std::numbers::pi / 180.0;
-}
-
-double rad_to_deg(double radians) {
-  return radians * 180.0 / std::numbers::pi;
-}
-
-double haversine_distance(LatLon a, LatLon b) {
-  const double phi1 = deg_to_rad(a.lat_deg);
-  const double phi2 = deg_to_rad(b.lat_deg);
-  const double dphi = phi2 - phi1;
-  const double dlambda = deg_to_rad(b.lon_deg - a.lon_deg);
-
-  const double sin_dphi = std::sin(dphi / 2.0);
-  const double sin_dlambda = std::sin(dlambda / 2.0);
-  const double h = sin_dphi * sin_dphi +
-                   std::cos(phi1) * std::cos(phi2) * sin_dlambda * sin_dlambda;
-  return 2.0 * kEarthRadiusMeters * std::asin(std::min(1.0, std::sqrt(h)));
 }
 
 }  // namespace privlocad::geo

@@ -1,15 +1,14 @@
-// Geographic coordinates and great-circle distance.
+// Geographic coordinates.
 //
 // The paper's dataset lives in a Shanghai bounding box (lat in [30.7, 31.4],
 // lon in [121, 122]); at that span an equirectangular local projection
-// (projection.hpp) is accurate to well under the 50 m clustering threshold,
-// but the haversine distance here is exact and used to validate the
-// projection in tests.
+// (projection.hpp) is accurate to well under the 50 m clustering threshold.
+// The tests validate the projection against the exact haversine distance.
 #pragma once
 
 namespace privlocad::geo {
 
-/// Mean Earth radius in meters (IUGG value), used by haversine.
+/// Mean Earth radius in meters (IUGG value).
 inline constexpr double kEarthRadiusMeters = 6371008.8;
 
 /// A WGS-84 geographic coordinate in decimal degrees.
@@ -22,13 +21,7 @@ struct LatLon {
   }
 };
 
-/// Great-circle (haversine) distance between two coordinates, in meters.
-double haversine_distance(LatLon a, LatLon b);
-
 /// Degrees-to-radians conversion.
 double deg_to_rad(double degrees);
-
-/// Radians-to-degrees conversion.
-double rad_to_deg(double radians);
 
 }  // namespace privlocad::geo

@@ -15,11 +15,6 @@ LocalProjection::LocalProjection(LatLon origin)
                 "projection origin latitude must avoid the poles");
 }
 
-Point LocalProjection::to_local(LatLon geo) const {
-  return {(geo.lon_deg - origin_.lon_deg) * meters_per_deg_ * cos_lat_,
-          (geo.lat_deg - origin_.lat_deg) * meters_per_deg_};
-}
-
 LatLon LocalProjection::to_geo(Point local) const {
   return {origin_.lat_deg + local.y / meters_per_deg_,
           origin_.lon_deg + local.x / (meters_per_deg_ * cos_lat_)};

@@ -22,9 +22,6 @@ class LocalProjection {
   /// cos(lat) scale used for the east-west axis.
   explicit LocalProjection(LatLon origin);
 
-  /// Maps a geographic coordinate into the local plane.
-  Point to_local(LatLon geo) const;
-
   /// Maps a local point back to geographic coordinates.
   LatLon to_geo(Point local) const;
 

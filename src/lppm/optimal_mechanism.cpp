@@ -564,30 +564,4 @@ double OptimalGeoIndMechanism::tail_radius(double alpha) const {
   return by_distance.back().first;
 }
 
-const std::vector<double>& OptimalGeoIndMechanism::channel_row(
-    std::size_t i) const {
-  util::require(i < channel_.size(), "channel row out of range");
-  return channel_[i];
-}
-
-geo::Point OptimalGeoIndMechanism::cell_center(std::size_t i) const {
-  util::require(i < centers_.size(), "cell index out of range");
-  return centers_[i];
-}
-
-double OptimalGeoIndMechanism::max_constraint_violation() const {
-  double worst = -1e300;
-  for (std::size_t i = 0; i < channel_.size(); ++i) {
-    for (std::size_t i2 = 0; i2 < channel_.size(); ++i2) {
-      if (i == i2) continue;
-      const double bound = std::exp(
-          config_.epsilon * geo::distance(centers_[i], centers_[i2]));
-      for (std::size_t j = 0; j < channel_.size(); ++j) {
-        worst = std::max(worst, channel_[i][j] - bound * channel_[i2][j]);
-      }
-    }
-  }
-  return worst;
-}
-
 }  // namespace privlocad::lppm

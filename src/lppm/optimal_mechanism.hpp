@@ -152,25 +152,16 @@ class OptimalGeoIndMechanism final : public Mechanism {
   /// The LP objective: prior-weighted expected distance truth -> output.
   double expected_quality_loss() const { return quality_loss_; }
 
-  /// Channel row for cell `i` (selection probabilities over cells).
-  const std::vector<double>& channel_row(std::size_t i) const;
-
-  /// Center coordinates of cell `i`.
-  geo::Point cell_center(std::size_t i) const;
-
   std::size_t cell_count() const { return centers_.size(); }
 
   /// True for channels produced by build_approximate().
   bool approximate() const { return approximate_; }
 
-  /// max over ALL cell pairs (i, i') and outputs j of
-  /// X_ij - e^{eps d(i,i')} X_i'j; <= tolerance when the spanner trick
-  /// worked (verified in tests). For decomposed approximate builds this
-  /// can be positive across seams -- the build report's boundary_epsilon
-  /// is the honest cross-seam guarantee.
-  double max_constraint_violation() const;
-
  private:
+  /// Read access to the solved channel for the test suite's oracles
+  /// (tests/oracles.cpp), which check it against the geo-IND constraints.
+  friend struct ChannelAccess;
+
   OptimalGeoIndMechanism() = default;  // build_approximate assembles
 
   std::size_t nearest_cell(geo::Point p) const;

@@ -50,15 +50,6 @@ geo::Point BayesianRemapper::remap_laplace(geo::Point reported,
   });
 }
 
-geo::Point BayesianRemapper::remap_gaussian(geo::Point reported,
-                                            double sigma) const {
-  util::require_positive(sigma, "remap sigma");
-  const double inv_two_sigma2 = 1.0 / (2.0 * sigma * sigma);
-  return remap([&](geo::Point p) {
-    return -geo::distance_squared(reported, p) * inv_two_sigma2;
-  });
-}
-
 std::vector<PriorPoint> uniform_grid_prior(const geo::BoundingBox& box,
                                            std::size_t per_side) {
   util::require(per_side >= 1, "grid prior needs at least one cell");

@@ -33,10 +33,6 @@ class BayesianRemapper {
   /// `epsilon` (density proportional to exp(-eps * |z - p|)).
   geo::Point remap_laplace(geo::Point reported, double epsilon) const;
 
-  /// Posterior-mean remap assuming polar-Gaussian noise with per-axis
-  /// standard deviation `sigma`.
-  geo::Point remap_gaussian(geo::Point reported, double sigma) const;
-
   std::size_t support_size() const { return prior_.size(); }
 
  private:

@@ -18,16 +18,6 @@ bool BoundedRequestQueue::admit_locked(PendingRequest& request) {
   return true;
 }
 
-bool BoundedRequestQueue::try_push(PendingRequest request) {
-  bool admitted = false;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    admitted = admit_locked(request);
-  }
-  if (admitted) ready_.notify_one();
-  return admitted;
-}
-
 std::size_t BoundedRequestQueue::try_push_batch(
     std::span<PendingRequest> requests, std::vector<bool>& admitted,
     std::size_t* depth) {
@@ -74,11 +64,6 @@ void BoundedRequestQueue::close() {
 bool BoundedRequestQueue::worker_parked() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return parked_ && !closed_ && items_.empty() && in_hand_.load() == 0;
-}
-
-std::size_t BoundedRequestQueue::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return depth_locked();
 }
 
 }  // namespace privlocad::net

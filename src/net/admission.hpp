@@ -40,11 +40,10 @@ struct PendingRequest {
 /// request:
 ///   - try_push_batch admits every request one recv carried for this
 ///     worker under ONE lock and ONE notify_one, giving each request the
-///     exact decision a sequential try_push would. try_push admits one
-///     request through the same locked rule.
+///     exact decision it would get if it were pushed alone.
 ///   - pop_batch moves up to kPopBatch requests out under one lock. A
 ///     popped request the worker has not started yet is still QUEUED:
-///     it stays "in hand" and counts toward capacity and size() until
+///     it stays "in hand" and counts toward capacity and depth until
 ///     the worker calls mark_started() for it. So queue_capacity still
 ///     bounds the requests waiting per worker, wherever they wait.
 /// Admission never blocks -- a false decision is the shed, made at push
@@ -57,16 +56,14 @@ class BoundedRequestQueue {
 
   explicit BoundedRequestQueue(std::size_t capacity);
 
-  /// False iff the queue (in-hand requests included) is at capacity or
-  /// the queue is closed.
-  bool try_push(PendingRequest request);
-
-  /// Admits `requests` in order under one lock, as if each went through
-  /// try_push in turn; admitted ones are moved into the queue.
-  /// `admitted` is resized to requests.size() and admitted[i] is
-  /// try_push's answer for requests[i]. Wakes the worker at most once.
-  /// Returns how many were admitted. A non-null `depth` receives size()
-  /// as that same lock saw it after the batch.
+  /// Admits `requests` in order under one lock; admitted ones are moved
+  /// into the queue. `admitted` is resized to requests.size(), and
+  /// admitted[i] is false iff the queue (in-hand requests included) was
+  /// at capacity when requests[i]'s turn came, or the queue is closed.
+  /// Wakes the worker at most once. Returns how many were admitted. A
+  /// non-null `depth` receives the requests waiting for service (queued
+  /// plus popped-but-not-started) as that same lock saw them after the
+  /// batch.
   std::size_t try_push_batch(std::span<PendingRequest> requests,
                              std::vector<bool>& admitted,
                              std::size_t* depth = nullptr);
@@ -90,8 +87,6 @@ class BoundedRequestQueue {
   /// pusher pushes (or close() runs).
   bool worker_parked() const;
 
-  /// Requests waiting for service: queued plus popped-but-not-started.
-  std::size_t size() const;
   /// Popped-but-not-started requests alone (0 whenever the worker is
   /// idle or between batches).
   std::size_t in_hand() const { return in_hand_.load(); }

@@ -1,21 +1,10 @@
 #include "net/client.hpp"
 
 #include <errno.h>
-#include <poll.h>
-#include <string.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
-#include <algorithm>
-#include <bit>
-#include <chrono>
 #include <cstring>
-#include <thread>
-#include <unordered_map>
-
-#include "core/edge_device.hpp"
-#include "stats/quantiles.hpp"
-#include "util/validation.hpp"
+#include <string>
 
 namespace privlocad::net {
 
@@ -74,240 +63,6 @@ util::Result<ServeResponseFrame> BlockingClient::call(
     const ServeRequestFrame& request) {
   if (util::Status s = send(request); !s.ok()) return s;
   return receive();
-}
-
-void OpenLoopConfig::validate() const {
-  util::require(connections >= 1, "need at least one connection");
-  util::require(drain_timeout_s >= 0.0, "drain timeout must be >= 0");
-}
-
-namespace {
-
-/// Per-connection nonblocking state for the open-loop runner.
-struct LoopConn {
-  UniqueFd fd;
-  std::vector<std::uint8_t> in;
-  std::size_t in_head = 0;
-  std::vector<std::uint8_t> out;
-  std::size_t out_head = 0;
-  bool dead = false;
-
-  std::size_t out_backlog() const { return out.size() - out_head; }
-};
-
-/// What the runner remembers about one in-flight request: when it was
-/// SCHEDULED (latency baseline) and the raw coordinates it sent (leak
-/// check baseline).
-struct SentRecord {
-  double scheduled_s = 0.0;
-  std::uint64_t raw_x_bits = 0;
-  std::uint64_t raw_y_bits = 0;
-};
-
-void pump_writes(LoopConn& conn) {
-  while (!conn.dead && conn.out_backlog() > 0) {
-    const ssize_t wrote =
-        ::send(conn.fd.get(), conn.out.data() + conn.out_head,
-               conn.out_backlog(), MSG_NOSIGNAL);
-    if (wrote > 0) {
-      conn.out_head += static_cast<std::size_t>(wrote);
-      continue;
-    }
-    if (wrote < 0 && errno == EINTR) continue;
-    if (wrote < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    conn.dead = true;
-  }
-  if (conn.out_head > 0 && conn.out_head * 2 >= conn.out.size()) {
-    conn.out.erase(conn.out.begin(),
-                   conn.out.begin() +
-                       static_cast<std::ptrdiff_t>(conn.out_head));
-    conn.out_head = 0;
-  }
-}
-
-bool pump_reads(LoopConn& conn) {
-  bool got_bytes = false;
-  while (!conn.dead) {
-    std::uint8_t chunk[16 * 1024];
-    const ssize_t got = ::recv(conn.fd.get(), chunk, sizeof(chunk), 0);
-    if (got > 0) {
-      conn.in.insert(conn.in.end(), chunk, chunk + got);
-      got_bytes = true;
-      if (static_cast<std::size_t>(got) < sizeof(chunk)) break;
-      continue;
-    }
-    if (got < 0 && errno == EINTR) continue;
-    if (got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    conn.dead = true;  // EOF or hard error
-  }
-  return got_bytes;
-}
-
-}  // namespace
-
-util::Result<OpenLoopStats> run_open_loop(
-    const OpenLoopConfig& config, const std::vector<TimedRequest>& plan) {
-  config.validate();
-  using Clock = std::chrono::steady_clock;
-
-  std::vector<LoopConn> conns(config.connections);
-  for (LoopConn& conn : conns) {
-    util::Result<UniqueFd> fd = connect_loopback(config.port);
-    if (!fd.ok()) return fd.status();
-    conn.fd = std::move(fd.value());
-    if (util::Status s = set_nonblocking(conn.fd.get()); !s.ok()) return s;
-  }
-
-  OpenLoopStats stats;
-  stats.offered = plan.size();
-  std::unordered_map<std::uint64_t, SentRecord> in_flight;
-  in_flight.reserve(plan.size());
-  std::vector<double> latencies_us;
-  latencies_us.reserve(plan.size());
-
-  const auto t0 = Clock::now();
-  const auto elapsed_s = [&] {
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-  };
-
-  std::size_t next = 0;  // next plan entry to send
-  const auto handle_frames = [&](LoopConn& conn) {
-    while (true) {
-      Frame frame;
-      std::size_t consumed = 0;
-      const util::Status parsed =
-          try_decode(conn.in.data() + conn.in_head,
-                     conn.in.size() - conn.in_head, frame, consumed);
-      if (!parsed.ok()) {
-        ++stats.wire_errors;
-        conn.dead = true;
-        return;
-      }
-      if (consumed == 0) break;
-      conn.in_head += consumed;
-      if (frame.type != FrameType::kServeResponse) {
-        ++stats.wire_errors;
-        conn.dead = true;
-        return;
-      }
-      const ServeResponseFrame& r = frame.response;
-      const auto it = in_flight.find(r.request_id);
-      if (it == in_flight.end()) {
-        ++stats.wire_errors;  // duplicate or unknown id
-        continue;
-      }
-      ++stats.responses;
-      latencies_us.push_back((elapsed_s() - it->second.scheduled_s) * 1e6);
-      switch (static_cast<core::ServeOutcome>(r.outcome)) {
-        case core::ServeOutcome::kServed:
-          ++stats.served;
-          break;
-        case core::ServeOutcome::kServedAfterRetry:
-          ++stats.served_after_retry;
-          break;
-        case core::ServeOutcome::kDegradedCached:
-          ++stats.degraded_cached;
-          break;
-        case core::ServeOutcome::kDegradedDropped:
-          ++stats.degraded_dropped;
-          break;
-        case core::ServeOutcome::kFailed:
-          ++stats.failed;
-          break;
-      }
-      // Wire-level fail-private audit: a released location must never
-      // bit-equal the raw coordinates we sent; a non-released response
-      // must carry zeroed coordinates.
-      const std::uint64_t rx = std::bit_cast<std::uint64_t>(r.x);
-      const std::uint64_t ry = std::bit_cast<std::uint64_t>(r.y);
-      if (r.released != 0) {
-        if (rx == it->second.raw_x_bits && ry == it->second.raw_y_bits) {
-          ++stats.raw_leaks;
-        }
-      } else if (r.x != 0.0 || r.y != 0.0) {
-        ++stats.raw_leaks;
-      }
-      in_flight.erase(it);
-    }
-    if (conn.in_head > 0 && conn.in_head * 2 >= conn.in.size()) {
-      conn.in.erase(conn.in.begin(),
-                    conn.in.begin() +
-                        static_cast<std::ptrdiff_t>(conn.in_head));
-      conn.in_head = 0;
-    }
-  };
-
-  // Phase 1: the scheduled send loop. Requests go out at their plan
-  // instants regardless of outstanding responses (open loop); responses
-  // are drained opportunistically so the in-buffers stay small.
-  while (next < plan.size()) {
-    const double now_s = elapsed_s();
-    bool progressed = false;
-    while (next < plan.size() && plan[next].at_s <= now_s) {
-      const TimedRequest& timed = plan[next];
-      LoopConn& conn = conns[next % conns.size()];
-      if (!conn.dead) {
-        append_request(conn.out, timed.request);
-        in_flight.emplace(
-            timed.request.request_id,
-            SentRecord{timed.at_s,
-                       std::bit_cast<std::uint64_t>(timed.request.x),
-                       std::bit_cast<std::uint64_t>(timed.request.y)});
-        ++stats.sent;
-        pump_writes(conn);
-      }
-      ++next;
-      progressed = true;
-    }
-    for (LoopConn& conn : conns) {
-      if (conn.dead) continue;
-      pump_writes(conn);
-      if (pump_reads(conn)) {
-        handle_frames(conn);
-        progressed = true;
-      }
-    }
-    if (!progressed && next < plan.size()) {
-      const double sleep_s =
-          std::min(plan[next].at_s - elapsed_s(), 0.001);
-      if (sleep_s > 0.0) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(sleep_s));
-      }
-    }
-  }
-
-  // Phase 2: drain. Finish flushing queued sends, then wait for the
-  // stragglers up to the timeout.
-  const double drain_deadline = elapsed_s() + config.drain_timeout_s;
-  while (!in_flight.empty() && elapsed_s() < drain_deadline) {
-    bool any_alive = false;
-    for (LoopConn& conn : conns) {
-      if (conn.dead) continue;
-      any_alive = true;
-      pump_writes(conn);
-      if (pump_reads(conn)) handle_frames(conn);
-    }
-    if (!any_alive) break;
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-
-  stats.missing = in_flight.size();
-  stats.wall_seconds = elapsed_s();
-  stats.offered_rps =
-      plan.empty() ? 0.0
-                   : static_cast<double>(plan.size()) / stats.wall_seconds;
-  stats.achieved_rps =
-      static_cast<double>(stats.responses) / stats.wall_seconds;
-  if (!latencies_us.empty()) {
-    double sum = 0.0;
-    for (const double v : latencies_us) sum += v;
-    stats.latency_mean_us = sum / static_cast<double>(latencies_us.size());
-    stats.latency_p50_us = stats::quantile(latencies_us, 0.50);
-    stats.latency_p95_us = stats::quantile(latencies_us, 0.95);
-    stats.latency_p99_us = stats::quantile(latencies_us, 0.99);
-  }
-  return stats;
 }
 
 }  // namespace privlocad::net

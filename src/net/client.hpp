@@ -1,21 +1,11 @@
 // Client side of the wire format: a small blocking client for tests and
-// tooling, plus the OPEN-LOOP runner that drives a load plan against a
-// live server.
-//
-// Open loop means arrivals follow the schedule, not the server: a
-// request is sent at its scheduled instant whether or not earlier
-// responses have come back, so offered load stays fixed while the server
-// saturates -- the regime where admission control earns its keep.
-// Latency is measured from the SCHEDULED send time, not the actual one,
-// so queueing in the client cannot hide server-side delay (no
-// coordinated omission).
+// tooling (`edge_serverd --selftest` drives the daemon through it).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "net/load_model.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
 
@@ -40,60 +30,5 @@ class BlockingClient {
   std::vector<std::uint8_t> in_;
   std::size_t in_head_ = 0;
 };
-
-struct OpenLoopConfig {
-  std::uint16_t port = 0;
-  /// Client connections the plan round-robins across (per-connection
-  /// ordering would otherwise serialize the whole plan behind one TCP
-  /// stream's backpressure).
-  std::size_t connections = 4;
-  /// Seconds to wait for stragglers after the last send.
-  double drain_timeout_s = 3.0;
-
-  void validate() const;
-};
-
-/// Everything one open-loop run observed. `offered` counts scheduled
-/// requests, `sent` those actually written (equal unless a connection
-/// died); per-outcome tallies partition `responses`; `missing` =
-/// sent - responses after the drain window (0 in a healthy run: every
-/// admitted request is answered, sheds immediately).
-struct OpenLoopStats {
-  std::uint64_t offered = 0;
-  std::uint64_t sent = 0;
-  std::uint64_t responses = 0;
-  std::uint64_t served = 0;
-  std::uint64_t served_after_retry = 0;
-  std::uint64_t degraded_cached = 0;
-  std::uint64_t degraded_dropped = 0;
-  std::uint64_t failed = 0;
-  /// Released responses whose coordinates bit-equal the raw request
-  /// coordinates: the wire-level fail-private check. Must be 0.
-  std::uint64_t raw_leaks = 0;
-  std::uint64_t wire_errors = 0;
-  std::uint64_t missing = 0;
-  double wall_seconds = 0.0;
-  double offered_rps = 0.0;
-  double achieved_rps = 0.0;  ///< responses / wall
-  /// Client-observed latency (microseconds) from SCHEDULED arrival to
-  /// response -- includes any send-side slip, so no coordinated omission.
-  double latency_mean_us = 0.0;
-  double latency_p50_us = 0.0;
-  double latency_p95_us = 0.0;
-  double latency_p99_us = 0.0;
-
-  double shed_fraction() const {
-    return responses > 0
-               ? static_cast<double>(degraded_dropped) /
-                     static_cast<double>(responses)
-               : 0.0;
-  }
-};
-
-/// Runs `plan` against 127.0.0.1:config.port open-loop. Single-threaded:
-/// one poll loop interleaves schedule-driven sends with response reads
-/// across all connections.
-util::Result<OpenLoopStats> run_open_loop(
-    const OpenLoopConfig& config, const std::vector<TimedRequest>& plan);
 
 }  // namespace privlocad::net

@@ -19,14 +19,6 @@ void LoadPlanConfig::validate() const {
                   "burst_fraction must lie in (0, 1)");
     util::require(burst_period_s > 0.0, "burst_period_s must be positive");
   }
-  if (process == ArrivalProcess::kDiurnal) {
-    util::require(diurnal_amplitude >= 0.0 && diurnal_amplitude < 1.0,
-                  "diurnal_amplitude must lie in [0, 1)");
-    util::require(diurnal_period_s > 0.0,
-                  "diurnal_period_s must be positive");
-    util::require(diurnal_phase >= 0.0 && diurnal_phase < 1.0,
-                  "diurnal_phase must lie in [0, 1)");
-  }
 }
 
 ZipfSampler::ZipfSampler(std::size_t n, double exponent) {
@@ -59,34 +51,7 @@ geo::Point home_of(std::uint64_t seed, std::uint64_t user) {
           static_cast<double>(hy % 10000)};
 }
 
-constexpr double kTwoPi = 6.283185307179586476925286766559;
-
-/// The base rate `b` such that the integral of
-///   b * (1 + A * sin(2*pi*(t/P + phi)))
-/// over [0, D] equals target_rps * D. The envelope integral is
-///   D + (A*P / 2*pi) * (cos(2*pi*phi) - cos(2*pi*(D/P + phi))),
-/// so partial cycles are compensated exactly, not just in the
-/// full-cycle limit.
-double diurnal_base_rate(const LoadPlanConfig& config) {
-  const double d = config.duration_s;
-  const double p = config.diurnal_period_s;
-  const double a = config.diurnal_amplitude;
-  const double phi = config.diurnal_phase;
-  const double envelope_integral =
-      d + a * p / kTwoPi *
-              (std::cos(kTwoPi * phi) - std::cos(kTwoPi * (d / p + phi)));
-  return config.target_rps * d / envelope_integral;
-}
-
 }  // namespace
-
-double diurnal_rate_rps(const LoadPlanConfig& config, double t_s) {
-  const double base = diurnal_base_rate(config);
-  return base *
-         (1.0 + config.diurnal_amplitude *
-                    std::sin(kTwoPi * (t_s / config.diurnal_period_s +
-                                       config.diurnal_phase)));
-}
 
 std::vector<TimedRequest> build_open_loop_plan(
     const LoadPlanConfig& config) {
@@ -110,37 +75,19 @@ std::vector<TimedRequest> build_open_loop_plan(
   plan.reserve(static_cast<std::size_t>(config.target_rps *
                                         config.duration_s * 1.25) +
                16);
-  // Diurnal: thin a homogeneous Poisson process at the envelope's peak
-  // rate; a candidate at time t survives with probability rate(t)/peak.
-  // Exact for an inhomogeneous Poisson process, and the normalized base
-  // rate keeps the expected count at target_rps * duration_s.
-  const double diurnal_base = config.process == ArrivalProcess::kDiurnal
-                                  ? diurnal_base_rate(config)
-                                  : 0.0;
-  const double diurnal_peak =
-      diurnal_base * (1.0 + config.diurnal_amplitude);
 
   double now = 0.0;
   std::uint64_t index = 0;
   while (true) {
-    if (config.process == ArrivalProcess::kDiurnal) {
-      now += -std::log(arrivals.uniform_positive()) / diurnal_peak;
-      if (now >= config.duration_s) break;
-      if (arrivals.uniform() * diurnal_peak >
-          diurnal_rate_rps(config, now)) {
-        continue;  // thinned candidate: not an arrival
-      }
-    } else {
-      double rate = off_rate;
-      if (config.process == ArrivalProcess::kBursty) {
-        const double phase = std::fmod(now, config.burst_period_s);
-        rate = phase < config.burst_fraction * config.burst_period_s
-                   ? on_rate
-                   : off_rate;
-      }
-      now += -std::log(arrivals.uniform_positive()) / rate;
-      if (now >= config.duration_s) break;
+    double rate = off_rate;
+    if (config.process == ArrivalProcess::kBursty) {
+      const double phase = std::fmod(now, config.burst_period_s);
+      rate = phase < config.burst_fraction * config.burst_period_s
+                 ? on_rate
+                 : off_rate;
     }
+    now += -std::log(arrivals.uniform_positive()) / rate;
+    if (now >= config.duration_s) break;
 
     const std::uint64_t user =
         static_cast<std::uint64_t>(zipf.sample(popularity)) + 1;

@@ -21,7 +21,6 @@ namespace privlocad::net {
 enum class ArrivalProcess {
   kPoisson,  ///< exponential gaps at the target rate
   kBursty,   ///< on/off modulated Poisson (same mean rate, bursty peaks)
-  kDiurnal,  ///< sinusoidal time-of-day envelope (same mean rate)
 };
 
 struct LoadPlanConfig {
@@ -35,18 +34,6 @@ struct LoadPlanConfig {
   double burst_factor = 8.0;
   double burst_fraction = 0.125;
   double burst_period_s = 0.25;
-
-  /// Diurnal shape: the instantaneous rate follows
-  ///   base * (1 + amplitude * sin(2*pi*(t/period + phase)))
-  /// where `base` is solved ANALYTICALLY so the expected request count
-  /// over [0, duration_s] equals target_rps * duration_s for ANY
-  /// duration (partial cycles included) -- the mean rate is preserved,
-  /// only its time-of-day distribution changes. Arrivals are drawn by
-  /// thinning a homogeneous Poisson process at the peak rate, which is
-  /// exact for an inhomogeneous Poisson process.
-  double diurnal_amplitude = 0.6;   ///< peak/trough swing, in [0, 1)
-  double diurnal_period_s = 1.0;    ///< one synthetic "day"
-  double diurnal_phase = 0.0;       ///< cycle offset, fraction in [0, 1)
 
   /// User population and Zipf skew (exponent ~1 = classic web skew).
   std::size_t users = 1000;
@@ -76,14 +63,6 @@ class ZipfSampler {
  private:
   std::vector<double> cdf_;
 };
-
-/// The instantaneous diurnal arrival rate (requests/second) at `t_s`
-/// seconds into the run, for a kDiurnal config: the normalized envelope
-/// whose integral over [0, duration_s] is exactly
-/// target_rps * duration_s. Exposed so tests can check the mean-rate
-/// preservation property analytically and benches can report the
-/// peak/trough rates they actually drove.
-double diurnal_rate_rps(const LoadPlanConfig& config, double t_s);
 
 /// Builds the full request plan: arrival instants from the configured
 /// process, users from Zipf rank, per-user home coordinates derived from

@@ -207,12 +207,6 @@ void MetricsRegistry::append_json(JsonWriter& json,
   }
 }
 
-std::string MetricsRegistry::to_json() const {
-  JsonWriter json;
-  append_json(json);
-  return json.to_string();
-}
-
 std::string MetricsRegistry::to_string() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   std::string out;

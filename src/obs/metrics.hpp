@@ -197,13 +197,11 @@ class MetricsRegistry {
   /// BENCH_*.json perf records use).
   void append_json(JsonWriter& json, const std::string& prefix = "") const;
 
-  /// The whole registry as one flat JSON object.
-  std::string to_json() const;
-
   /// Human-readable "name: value" dump, one metric per line.
   std::string to_string() const;
 
-  /// Writes to_json() to `path`; false (with a stderr warning) on failure.
+  /// Writes the registry to `path` as one flat JSON object; false (with a
+  /// stderr warning) on failure.
   bool write_json_file(const std::string& path) const;
 
   /// Process-wide registry (attack latency, pool stats, anything not tied

@@ -370,12 +370,4 @@ LpSolution RevisedSimplex::resolve(const std::vector<double>& objective) {
   return solution;
 }
 
-LpSolution solve_sparse(const SparseLpProblem& problem,
-                        const SimplexOptions& options, SolveStats* stats) {
-  RevisedSimplex solver(problem, options);
-  LpSolution solution = solver.solve();
-  if (stats != nullptr) *stats = solution.stats;
-  return solution;
-}
-
 }  // namespace privlocad::opt

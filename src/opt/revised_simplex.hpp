@@ -9,16 +9,15 @@
 // costs O(m^2) for the inverse update plus O(nnz) for pricing -- orders
 // of magnitude less than the dense sweep once n >> m nonzero density.
 //
-// Two entry points:
-//  - solve_sparse(): one-shot, mirrors opt::solve() semantics (statuses,
-//    rhs normalization, degeneracy perturbation, Dantzig pricing with a
-//    Bland anti-cycling fallback).
-//  - RevisedSimplex: a resident solver that keeps the factorized basis
-//    between calls, so resolve(new_objective) warm-starts phase 2 from
-//    the previous optimal basis. The approximate optimal mechanism leans
-//    on this: decomposition windows of the same shape share constraints
-//    and differ only in the prior-weighted objective, so every window
-//    after the first costs a handful of pivots instead of a cold solve.
+// RevisedSimplex mirrors opt::solve() semantics (statuses, rhs
+// normalization, degeneracy perturbation, Dantzig pricing with a Bland
+// anti-cycling fallback). It is a resident solver that keeps the
+// factorized basis between calls, so resolve(new_objective) warm-starts
+// phase 2 from the previous optimal basis. The approximate optimal
+// mechanism leans on this: decomposition windows of the same shape share
+// constraints and differ only in the prior-weighted objective, so every
+// window after the first costs a handful of pivots instead of a cold
+// solve.
 #pragma once
 
 #include <cstddef>
@@ -105,11 +104,5 @@ class RevisedSimplex {
   std::size_t drive_out_pivots_ = 0;
   SolveStats stats_;
 };
-
-/// One-shot convenience wrapper; `stats` (optional) receives the
-/// iteration counts of this solve.
-LpSolution solve_sparse(const SparseLpProblem& problem,
-                        const SimplexOptions& options = {},
-                        SolveStats* stats = nullptr);
 
 }  // namespace privlocad::opt

@@ -8,18 +8,6 @@
 
 namespace privlocad::opt {
 
-CsrMatrix CsrMatrix::from_dense(const Matrix& dense, double zero_tolerance) {
-  CsrMatrix csr(dense.cols());
-  for (std::size_t r = 0; r < dense.rows(); ++r) {
-    for (std::size_t c = 0; c < dense.cols(); ++c) {
-      const double v = dense.at(r, c);
-      if (std::abs(v) > zero_tolerance) csr.append(c, v);
-    }
-    csr.finish_row();
-  }
-  return csr;
-}
-
 namespace {
 
 void validate_block(const CsrMatrix& lhs, const std::vector<double>& rhs,

@@ -66,10 +66,6 @@ class CsrMatrix {
     return value_[nz];
   }
 
-  /// Dense -> CSR: keeps entries with |a_ij| > zero_tolerance.
-  static CsrMatrix from_dense(const Matrix& dense,
-                              double zero_tolerance = 0.0);
-
  private:
   std::size_t cols_ = 0;
   std::vector<std::size_t> row_start_{0};

@@ -32,28 +32,6 @@ double refine(double w, double x) {
 
 }  // namespace
 
-double lambert_w0(double x) {
-  util::require(x >= -kInvE, "lambert_w0 domain is x >= -1/e");
-  if (x == 0.0) return 0.0;
-
-  double w;
-  if (x < -kInvE + 1e-4) {
-    // Series around the branch point x = -1/e: W = -1 + p - p^2/3 + ...
-    const double p = std::sqrt(2.0 * (1.0 + std::exp(1.0) * x));
-    w = -1.0 + p - p * p / 3.0;
-  } else if (x < 3.0) {
-    // log1p is a well-known coarse approximation to W0 near the origin;
-    // Halley contracts from it everywhere on (-1/e, 3).
-    w = std::log1p(x);
-  } else {
-    // Asymptotic guess: W ~ ln x - ln ln x.
-    const double l1 = std::log(x);
-    const double l2 = std::log(l1);
-    w = l1 - l2 + l2 / l1;
-  }
-  return refine(w, x);
-}
-
 double lambert_wm1(double x) {
   util::require(x >= -kInvE && x < 0.0,
                 "lambert_wm1 domain is -1/e <= x < 0");

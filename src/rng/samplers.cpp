@@ -13,10 +13,6 @@
 
 namespace privlocad::rng {
 
-double standard_normal(Engine& engine) {
-  return standard_normal_ziggurat(engine);
-}
-
 void fill_standard_normal(Engine& engine, std::span<double> out) {
   fill_standard_normal_ziggurat(engine, out);
 }
@@ -56,12 +52,6 @@ double planar_laplace_radius_quantile(double p, double epsilon) {
   if (p == 0.0) return 0.0;
   const double x = (p - 1.0) / std::numbers::e;
   return -(lambert_wm1(x) + 1.0) / epsilon;
-}
-
-double planar_laplace_radius_cdf(double r, double epsilon) {
-  util::require_non_negative(r, "planar Laplace radius");
-  util::require_positive(epsilon, "planar Laplace epsilon");
-  return 1.0 - (1.0 + epsilon * r) * std::exp(-epsilon * r);
 }
 
 geo::Point planar_laplace_noise(Engine& engine, double epsilon) {

@@ -26,14 +26,11 @@
 
 namespace privlocad::rng {
 
-/// One standard-normal variate (the ziggurat draw).
-double standard_normal(Engine& engine);
-
 /// Fills `out` with i.i.d. standard normal variates. This is the batched
 /// API the hot loops use: the ziggurat body is inlined once per span
 /// instead of once per call site, and callers can reuse one buffer
 /// across batches. Consumes the engine exactly like repeated
-/// standard_normal calls.
+/// standard_normal_ziggurat draws.
 void fill_standard_normal(Engine& engine, std::span<double> out);
 
 /// 2-D Gaussian noise vector with per-axis standard deviation `sigma`:
@@ -58,10 +55,6 @@ geo::Point planar_laplace_noise(Engine& engine, double epsilon);
 /// Radial inverse CDF of the planar Laplace distribution:
 /// C^{-1}(p) = -(1/eps) * (W_{-1}((p - 1)/e) + 1), p in [0, 1).
 double planar_laplace_radius_quantile(double p, double epsilon);
-
-/// Radial CDF of the planar Laplace distribution (used by the attack to
-/// compute the trimming radius r_alpha): C(r) = 1 - (1 + eps r) e^{-eps r}.
-double planar_laplace_radius_cdf(double r, double epsilon);
 
 /// Uniform point in the disk of radius `radius` centered at the origin
 /// (area-uniform: radius sampled as R * sqrt(u)). Used by the paper's

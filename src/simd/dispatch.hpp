@@ -69,7 +69,8 @@ std::string cpu_features_string();
 
 /// Publishes the active level as the `simd.dispatch_avx2` gauge (1 when
 /// AVX2, 0 when scalar). active_dispatch_level() publishes to the global
-/// registry on first use and on every set_dispatch_level().
+/// registry on first use and on every set_dispatch_level();
+/// net::EdgeServer::create publishes to the server's own registry.
 void publish_dispatch_gauge(obs::MetricsRegistry& registry);
 
 }  // namespace privlocad::simd

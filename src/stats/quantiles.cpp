@@ -25,16 +25,4 @@ double lower_bound_at_confidence(std::vector<double> samples, double alpha) {
   return quantile(std::move(samples), 1.0 - alpha);
 }
 
-EmpiricalCdf::EmpiricalCdf(std::vector<double> samples)
-    : sorted_(std::move(samples)) {
-  util::require(!sorted_.empty(), "EmpiricalCdf needs at least one sample");
-  std::sort(sorted_.begin(), sorted_.end());
-}
-
-double EmpiricalCdf::operator()(double x) const {
-  const auto it = std::upper_bound(sorted_.begin(), sorted_.end(), x);
-  return static_cast<double>(it - sorted_.begin()) /
-         static_cast<double>(sorted_.size());
-}
-
 }  // namespace privlocad::stats

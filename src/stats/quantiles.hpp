@@ -1,12 +1,10 @@
-// Empirical quantiles and CDFs over stored samples.
+// Empirical quantiles over stored samples.
 //
 // The paper reports the "minimal utilization rate" as the lower bound v
 // with Pr(UR >= v) = alpha (Eq. 24), i.e. the (1 - alpha) empirical
-// quantile of the UR trials. This header provides that plus the empirical
-// CDF used by distribution tests.
+// quantile of the UR trials.
 #pragma once
 
-#include <algorithm>
 #include <vector>
 
 namespace privlocad::stats {
@@ -18,35 +16,5 @@ double quantile(std::vector<double> samples, double q);
 /// Lower bound v such that a fraction `alpha` of samples is >= v, i.e. the
 /// (1 - alpha) quantile. Matches the paper's Pr(UR >= v) = alpha.
 double lower_bound_at_confidence(std::vector<double> samples, double alpha);
-
-/// Empirical CDF: fraction of samples <= x. O(log n) per query after an
-/// O(n log n) build.
-class EmpiricalCdf {
- public:
-  /// `samples` must be non-empty.
-  explicit EmpiricalCdf(std::vector<double> samples);
-
-  /// Fraction of samples <= x.
-  double operator()(double x) const;
-
-  /// Kolmogorov-Smirnov statistic against a reference CDF callable.
-  template <typename Cdf>
-  double ks_statistic(Cdf&& reference) const {
-    double worst = 0.0;
-    const double n = static_cast<double>(sorted_.size());
-    for (std::size_t i = 0; i < sorted_.size(); ++i) {
-      const double ref = reference(sorted_[i]);
-      const double hi = (static_cast<double>(i) + 1.0) / n - ref;
-      const double lo = ref - static_cast<double>(i) / n;
-      worst = std::max({worst, hi, lo});
-    }
-    return worst;
-  }
-
-  const std::vector<double>& sorted_samples() const { return sorted_; }
-
- private:
-  std::vector<double> sorted_;
-};
 
 }  // namespace privlocad::stats

@@ -42,17 +42,8 @@ Status Status::parse_error(std::string message) {
 Status Status::io_error(std::string message) {
   return Status(ErrorCode::kIoError, std::move(message));
 }
-Status Status::not_found(std::string message) {
-  return Status(ErrorCode::kNotFound, std::move(message));
-}
 Status Status::unavailable(std::string message) {
   return Status(ErrorCode::kUnavailable, std::move(message));
-}
-Status Status::timeout(std::string message) {
-  return Status(ErrorCode::kTimeout, std::move(message));
-}
-Status Status::resource_exhausted(std::string message) {
-  return Status(ErrorCode::kResourceExhausted, std::move(message));
 }
 Status Status::internal(std::string message) {
   return Status(ErrorCode::kInternal, std::move(message));

@@ -64,10 +64,7 @@ class [[nodiscard]] Status {
   static Status failed_precondition(std::string message);
   static Status parse_error(std::string message);
   static Status io_error(std::string message);
-  static Status not_found(std::string message);
   static Status unavailable(std::string message);
-  static Status timeout(std::string message);
-  static Status resource_exhausted(std::string message);
   static Status internal(std::string message);
 
   bool ok() const { return code_ == ErrorCode::kOk; }
@@ -86,9 +83,8 @@ class [[nodiscard]] Status {
 };
 
 /// Exception carrying a full Status: thrown where a Status has to cross a
-/// throwing boundary (environment-variable parsing, EdgeCluster::
-/// device_for), so `catch` sites keep the code + cause instead of a bare
-/// string.
+/// throwing boundary (environment-variable parsing), so `catch` sites keep
+/// the code + cause instead of a bare string.
 class StatusError : public std::runtime_error {
  public:
   explicit StatusError(Status status)

@@ -74,19 +74,4 @@ double efficacy_weighted(geo::Point true_location,
   return efficacy;
 }
 
-double efficacy_monte_carlo(rng::Engine& engine, geo::Point true_location,
-                            geo::Point selected_candidate,
-                            double targeting_radius_m, std::size_t samples) {
-  util::require_positive(targeting_radius_m, "targeting radius");
-  util::require(samples > 0, "efficacy needs samples");
-  const double r2 = targeting_radius_m * targeting_radius_m;
-  std::size_t relevant = 0;
-  for (std::size_t s = 0; s < samples; ++s) {
-    const geo::Point ad =
-        selected_candidate + rng::uniform_in_disk(engine, targeting_radius_m);
-    if (geo::distance_squared(ad, true_location) <= r2) ++relevant;
-  }
-  return static_cast<double>(relevant) / static_cast<double>(samples);
-}
-
 }  // namespace privlocad::utility

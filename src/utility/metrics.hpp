@@ -49,13 +49,4 @@ double efficacy_weighted(geo::Point true_location,
                          const std::vector<double>& selection_probabilities,
                          double targeting_radius_m);
 
-/// Monte-Carlo efficacy: draw an ad uniformly inside the selected
-/// candidate's AOR and test membership in the AOI. Used by the benches to
-/// mirror the paper's trial-based estimation; agrees with
-/// efficacy_single in expectation.
-double efficacy_monte_carlo(rng::Engine& engine, geo::Point true_location,
-                            geo::Point selected_candidate,
-                            double targeting_radius_m,
-                            std::size_t samples = 512);
-
 }  // namespace privlocad::utility

@@ -5,6 +5,9 @@
 // exception.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <string>
@@ -15,6 +18,7 @@
 #include "core/system.hpp"
 #include "fault/fault.hpp"
 #include "fault/retry.hpp"
+#include "par/thread_pool.hpp"
 #include "trace/synthetic.hpp"
 #include "util/status.hpp"
 #include "util/validation.hpp"
@@ -49,6 +53,28 @@ void anchor_home(core::EdgeDevice& device, geo::Point home) {
   history.user_id = 1;
   for (int i = 0; i < 50; ++i) history.check_ins.push_back({home, i});
   device.import_history(1, history);
+}
+
+/// Gives `device` (which must hold no users yet) user 1 anchored at
+/// `home` with its permanent candidate set already frozen. The set is
+/// frozen by one top-location request on a fault-free device and moved
+/// over through a snapshot, so `device`'s fault seam never sees it.
+void anchor_frozen_home(core::EdgeDevice& device, geo::Point home) {
+  fault::FaultInjector no_faults;
+  core::EdgeConfig clean = device.config();
+  clean.faults = &no_faults;
+  core::EdgeDevice warm(clean);
+  anchor_home(warm, home);
+  const core::ServeResult frozen = warm.serve(1, home, 2000);
+  ASSERT_TRUE(frozen.released());
+  ASSERT_EQ(frozen.reported.kind, core::ReportKind::kTopLocation);
+  static int snapshots = 0;
+  const std::string path = testing::TempDir() + "frozen_home_" +
+                           std::to_string(::getpid()) + "_" +
+                           std::to_string(++snapshots) + ".snap";
+  ASSERT_TRUE(warm.save_snapshot(path).ok());
+  ASSERT_TRUE(device.open_snapshot(path).ok());
+  std::remove(path.c_str());
 }
 
 // ----------------------------------------------------------- Status/Result
@@ -94,7 +120,8 @@ TEST(Result, HoldsValueOrStatus) {
   EXPECT_EQ(*good, 42);
   EXPECT_EQ(good.value_or(7), 42);
 
-  const util::Result<int> bad(util::Status::timeout("deadline"));
+  const util::Result<int> bad(
+      util::Status(util::ErrorCode::kTimeout, "deadline"));
   EXPECT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), util::ErrorCode::kTimeout);
   EXPECT_EQ(bad.value_or(7), 7);
@@ -373,7 +400,7 @@ TEST(Retry, ExhaustionReturnsTheLastTransientStatus) {
       policy, engine,
       [&calls]() -> util::Status {
         ++calls;
-        return util::Status::timeout("still down");
+        return util::Status(util::ErrorCode::kTimeout, "still down");
       },
       &retries);
   EXPECT_EQ(status.code(), util::ErrorCode::kTimeout);
@@ -405,10 +432,7 @@ TEST(FaultServing, CertainFaultReplaysTheFrozenCandidateSet) {
   core::EdgeDevice device(config);
 
   const geo::Point home{0, 0};
-  anchor_home(device, home);
-  // Freeze the permanent candidate set while the fault seam is not
-  // consulted (prepare_obfuscation is the registration-time path).
-  device.prepare_obfuscation(1);
+  anchor_frozen_home(device, home);
   const double spent_before = device.accountant().spend_for(1).basic_epsilon;
 
   const core::ServeResult result = device.serve(1, home, 2000);
@@ -452,8 +476,7 @@ TEST(FaultServing, OutcomesAreDeterministicForAFixedSeed) {
     config.faults = &injector;
     config.retry.max_attempts = 2;
     core::EdgeDevice device(config);
-    anchor_home(device, {0, 0});
-    device.prepare_obfuscation(1);
+    anchor_frozen_home(device, {0, 0});
     std::vector<std::pair<core::ServeOutcome, geo::Point>> outcomes;
     for (int i = 0; i < 100; ++i) {
       const core::ServeResult r = device.serve(1, {0, 0}, 2000 + i);
@@ -481,8 +504,7 @@ TEST(FaultServing, FailPrivateUnderHeavyMixedFaults) {
   config.retry.max_attempts = 2;
   core::EdgeDevice device(config);
   const geo::Point home{0, 0};
-  anchor_home(device, home);
-  device.prepare_obfuscation(1);
+  anchor_frozen_home(device, home);
 
   std::size_t drops = 0;
   for (int i = 0; i < 300; ++i) {
@@ -530,7 +552,8 @@ TEST(FaultServing, ConcurrentBatchCompletesUnderFaults) {
   std::vector<trace::UserTrace> traces;
   for (const trace::SyntheticUser& user : users) traces.push_back(user.trace);
 
-  const core::BatchServeStats stats = edge.serve_trace_batch(traces);
+  par::ThreadPool pool(4);
+  const core::BatchServeStats stats = edge.serve_trace_batch(traces, pool);
   EXPECT_EQ(stats.users, 12u);
   EXPECT_GT(stats.requests, 0u);
   // Conservation: every request ends in exactly one outcome bucket.
@@ -595,21 +618,6 @@ TEST(EdgeConfig, FluentCopiesSetOneKnob) {
   EXPECT_EQ(base.with_seed(9).seed, 9u);
   EXPECT_EQ(base.with_shards(3).shards, 3u);
   EXPECT_EQ(base.with_seed(9).shards, base.shards);
-}
-
-TEST(ServeOutcome, NamesAreStable) {
-  EXPECT_STREQ(core::serve_outcome_name(core::ServeOutcome::kServed),
-               "served");
-  EXPECT_STREQ(
-      core::serve_outcome_name(core::ServeOutcome::kServedAfterRetry),
-      "served_after_retry");
-  EXPECT_STREQ(core::serve_outcome_name(core::ServeOutcome::kDegradedCached),
-               "degraded_cached");
-  EXPECT_STREQ(
-      core::serve_outcome_name(core::ServeOutcome::kDegradedDropped),
-      "degraded_dropped");
-  EXPECT_STREQ(core::serve_outcome_name(core::ServeOutcome::kFailed),
-               "failed");
 }
 
 }  // namespace

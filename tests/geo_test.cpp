@@ -12,8 +12,16 @@
 #include "geo/projection.hpp"
 #include "util/validation.hpp"
 
+#include "oracles.hpp"
+
 namespace privlocad::geo {
 namespace {
+
+using oracles::GeoBox;
+using oracles::haversine_distance;
+using oracles::rad_to_deg;
+using oracles::shanghai_geo_box;
+using oracles::to_local;
 
 // ------------------------------------------------------------------ Point
 
@@ -71,15 +79,15 @@ TEST(LatLon, DegreeRadianRoundTrip) {
 
 TEST(Projection, OriginMapsToZero) {
   const LocalProjection proj(LatLon{31.0, 121.5});
-  const Point origin = proj.to_local(LatLon{31.0, 121.5});
-  EXPECT_NEAR(origin.x, 0.0, 1e-9);
-  EXPECT_NEAR(origin.y, 0.0, 1e-9);
+  const LatLon origin = proj.to_geo(Point{0.0, 0.0});
+  EXPECT_NEAR(origin.lat_deg, 31.0, 1e-12);
+  EXPECT_NEAR(origin.lon_deg, 121.5, 1e-12);
 }
 
 TEST(Projection, RoundTripIsExact) {
   const LocalProjection proj = shanghai_projection();
   const LatLon geo{31.1234, 121.6789};
-  const LatLon back = proj.to_geo(proj.to_local(geo));
+  const LatLon back = proj.to_geo(to_local(proj, geo));
   EXPECT_NEAR(back.lat_deg, geo.lat_deg, 1e-12);
   EXPECT_NEAR(back.lon_deg, geo.lon_deg, 1e-12);
 }
@@ -100,7 +108,7 @@ class ProjectionAccuracy : public ::testing::TestWithParam<ProjPair> {};
 TEST_P(ProjectionAccuracy, MatchesHaversineWithinHalfPercent) {
   const LocalProjection proj = shanghai_projection();
   const auto& [a, b] = GetParam();
-  const double euclid = distance(proj.to_local(a), proj.to_local(b));
+  const double euclid = distance(to_local(proj, a), to_local(proj, b));
   const double sphere = haversine_distance(a, b);
   ASSERT_GT(sphere, 0.0);
   EXPECT_NEAR(euclid / sphere, 1.0, 0.005);
@@ -121,9 +129,6 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Circle, AreaAndContainment) {
   const Circle c({0, 0}, 2.0);
   EXPECT_DOUBLE_EQ(c.area(), std::numbers::pi * 4.0);
-  EXPECT_TRUE(c.contains({1.0, 1.0}));
-  EXPECT_TRUE(c.contains({2.0, 0.0}));  // boundary counts as inside
-  EXPECT_FALSE(c.contains({2.1, 0.0}));
 }
 
 TEST(Circle, NegativeRadiusRejected) {
@@ -197,7 +202,6 @@ TEST(BoundingBox, ContainsAndClamp) {
   EXPECT_TRUE(box.contains({5, 2}));
   EXPECT_TRUE(box.contains({0, 0}));
   EXPECT_FALSE(box.contains({11, 2}));
-  EXPECT_EQ(box.clamp({12, -1}), (Point{10, 0}));
   EXPECT_DOUBLE_EQ(box.width(), 10.0);
   EXPECT_DOUBLE_EQ(box.height(), 5.0);
 }
@@ -222,10 +226,19 @@ TEST(GeoBox, ShanghaiBoxMatchesPaper) {
 
 // -------------------------------------------------------------- GridIndex
 
+/// Indices of every live point of `index` within `radius_m` of `query`.
+std::vector<std::size_t> within(const GridIndex& index, Point query,
+                                double radius_m) {
+  std::vector<std::size_t> hits;
+  index.for_each_within(query, radius_m,
+                        [&hits](std::size_t i, double) { hits.push_back(i); });
+  return hits;
+}
+
 TEST(GridIndex, FindsExactlyTheNeighborsWithinRadius) {
   const std::vector<Point> points{{0, 0}, {10, 0}, {60, 0}, {0, 45}, {100, 100}};
   const GridIndex index(points, 50.0);
-  const auto hits = index.within({0, 0}, 50.0);
+  const auto hits = within(index, {0, 0}, 50.0);
   // {0,0}, {10,0}, {0,45} are within 50 m; {60,0} and {100,100} are not.
   EXPECT_EQ(hits.size(), 3u);
 }
@@ -233,14 +246,14 @@ TEST(GridIndex, FindsExactlyTheNeighborsWithinRadius) {
 TEST(GridIndex, RadiusLargerThanCellStillCorrect) {
   const std::vector<Point> points{{0, 0}, {120, 0}, {240, 0}};
   const GridIndex index(points, 50.0);
-  EXPECT_EQ(index.within({0, 0}, 130.0).size(), 2u);
-  EXPECT_EQ(index.within({0, 0}, 250.0).size(), 3u);
+  EXPECT_EQ(within(index, {0, 0}, 130.0).size(), 2u);
+  EXPECT_EQ(within(index, {0, 0}, 250.0).size(), 3u);
 }
 
 TEST(GridIndex, NegativeCoordinatesHandled) {
   const std::vector<Point> points{{-75, -75}, {-25, -25}, {25, 25}};
   const GridIndex index(points, 50.0);
-  EXPECT_EQ(index.within({-50, -50}, 40.0).size(), 2u);
+  EXPECT_EQ(within(index, {-50, -50}, 40.0).size(), 2u);
 }
 
 TEST(GridIndex, RejectsNonPositiveCellSize) {
@@ -264,7 +277,7 @@ TEST(GridIndex, AgreesWithBruteForce) {
   for (const Point& p : points) {
     if (distance(p, query) <= radius) ++brute;
   }
-  EXPECT_EQ(index.within(query, radius).size(), brute);
+  EXPECT_EQ(within(index, query, radius).size(), brute);
 }
 
 // ----------------------------------------------- GridIndex tombstoning
@@ -272,12 +285,12 @@ TEST(GridIndex, AgreesWithBruteForce) {
 TEST(GridIndex, KilledPointsDisappearFromQueries) {
   const std::vector<Point> points{{0, 0}, {10, 0}, {20, 0}, {200, 200}};
   GridIndex index(points, 50.0);
-  EXPECT_EQ(index.within({0, 0}, 30.0).size(), 3u);
+  EXPECT_EQ(within(index, {0, 0}, 30.0).size(), 3u);
 
   index.kill(1);
   EXPECT_FALSE(index.alive(1));
   EXPECT_TRUE(index.alive(0));
-  const auto hits = index.within({0, 0}, 30.0);
+  const auto hits = within(index, {0, 0}, 30.0);
   EXPECT_EQ(hits.size(), 2u);
   for (const std::size_t i : hits) EXPECT_NE(i, 1u);
 }
@@ -287,9 +300,9 @@ TEST(GridIndex, ReviveAllRestoresEveryPoint) {
   GridIndex index(points, 50.0);
   index.kill(0);
   index.kill(2);
-  EXPECT_EQ(index.within({0, 0}, 30.0).size(), 1u);
+  EXPECT_EQ(within(index, {0, 0}, 30.0).size(), 1u);
   index.revive_all();
-  EXPECT_EQ(index.within({0, 0}, 30.0).size(), 3u);
+  EXPECT_EQ(within(index, {0, 0}, 30.0).size(), 3u);
   EXPECT_TRUE(index.alive(0));
   EXPECT_TRUE(index.alive(2));
 }
@@ -309,7 +322,7 @@ TEST(GridIndex, TombstonesMatchBruteForceFilter) {
   for (std::size_t i = 0; i < points.size(); ++i) {
     if (i % 3 != 0 && distance(points[i], query) <= radius) ++brute;
   }
-  EXPECT_EQ(index.within(query, radius).size(), brute);
+  EXPECT_EQ(within(index, query, radius).size(), brute);
 }
 
 TEST(GridIndex, RebuildReplacesContentsAndRevives) {
@@ -320,7 +333,7 @@ TEST(GridIndex, RebuildReplacesContentsAndRevives) {
   index.rebuild({{5, 5}, {15, 5}, {500, 500}}, 40.0);
   EXPECT_EQ(index.size(), 3u);
   EXPECT_TRUE(index.alive(0));
-  EXPECT_EQ(index.within({5, 5}, 20.0).size(), 2u);
+  EXPECT_EQ(within(index, {5, 5}, 20.0).size(), 2u);
   EXPECT_THROW(index.rebuild({{0, 0}}, 0.0), util::InvalidArgument);
 }
 
@@ -328,7 +341,7 @@ TEST(GridIndex, DefaultConstructedThenRebuilt) {
   GridIndex index;
   EXPECT_EQ(index.size(), 0u);
   index.rebuild({{0, 0}, {25, 0}}, 30.0);
-  EXPECT_EQ(index.within({0, 0}, 26.0).size(), 2u);
+  EXPECT_EQ(within(index, {0, 0}, 26.0).size(), 2u);
 }
 
 }  // namespace

@@ -40,6 +40,8 @@
 #include "net/wire.hpp"
 #include "trace/check_in.hpp"
 
+#include "burst_peer.hpp"
+
 namespace privlocad {
 namespace {
 
@@ -319,7 +321,7 @@ TEST(BackendConformance, ShedPartitionIsDeterministicAcrossBackends) {
 }
 
 TEST(BackendConformance, CapacitySheddingAccountsEveryRequestUnderOverload) {
-  // 4x open-loop overload against bounded queues: at-push shedding must
+  // Open-loop overload against bounded queues: at-push shedding must
   // keep exact accounting -- every request that went out comes back as
   // exactly one response (served or shed), with nothing missing and
   // nothing leaked -- on every backend.
@@ -336,23 +338,22 @@ TEST(BackendConformance, CapacitySheddingAccountsEveryRequestUnderOverload) {
                  .with_backend(kind));
     ASSERT_NE(server, nullptr);
 
-    // 2 workers x 500 us/service caps throughput near 4000 rps; offer
-    // 4x that.
+    // 2 workers x 500 us/service caps throughput near 4000 rps; the
+    // plan's 4000 requests arrive as one burst.
     net::LoadPlanConfig plan_config;
     plan_config.target_rps = 16000.0;
     plan_config.duration_s = 0.25;
     plan_config.users = 64;
     plan_config.seed = 77;
-    net::OpenLoopConfig loop_config;
-    loop_config.port = server->port();
-    loop_config.connections = 4;
-    util::Result<net::OpenLoopStats> run = net::run_open_loop(
-        loop_config, net::build_open_loop_plan(plan_config));
+    const std::vector<net::TimedRequest> plan =
+        net::build_open_loop_plan(plan_config);
+    util::Result<burst::Stats> run = burst::run(server->port(), plan, 4);
     ASSERT_TRUE(run.ok()) << run.status().to_string();
-    const net::OpenLoopStats& stats = run.value();
+    const burst::Stats& stats = run.value();
     server->stop();
 
-    EXPECT_EQ(stats.missing, 0u) << net::io_backend_kind_name(kind);
+    EXPECT_EQ(stats.sent, plan.size()) << net::io_backend_kind_name(kind);
+    EXPECT_EQ(stats.missing, 0u);
     EXPECT_EQ(stats.responses, stats.sent);
     EXPECT_EQ(stats.served + stats.served_after_retry +
                   stats.degraded_cached + stats.degraded_dropped +

@@ -26,7 +26,11 @@
 #include "net/load_model.hpp"
 #include "net/server.hpp"
 #include "net/wire.hpp"
+#include "simd/dispatch.hpp"
 #include "trace/check_in.hpp"
+
+#include "burst_peer.hpp"
+#include "oracles.hpp"
 
 namespace privlocad {
 namespace {
@@ -155,26 +159,28 @@ TEST(Wire, NonReleasedResponseNeverCarriesCoordinates) {
 TEST(Admission, ShedsDeterministicallyAtCapacity) {
   net::BoundedRequestQueue queue(3);
   net::PendingRequest pending;
-  EXPECT_TRUE(queue.try_push(pending));
-  EXPECT_TRUE(queue.try_push(pending));
-  EXPECT_TRUE(queue.try_push(pending));
-  EXPECT_FALSE(queue.try_push(pending));  // full: shed, not block
-  EXPECT_EQ(queue.size(), 3u);
+  EXPECT_TRUE(oracles::try_push(queue, pending));
+  EXPECT_TRUE(oracles::try_push(queue, pending));
+  EXPECT_TRUE(oracles::try_push(queue, pending));
+  // Full: shed, not block.
+  EXPECT_FALSE(oracles::try_push(queue, pending));
+  EXPECT_EQ(oracles::queue_size(queue), 3u);
 
   std::vector<net::PendingRequest> out;
   EXPECT_TRUE(queue.pop_batch(out));
   EXPECT_EQ(out.size(), 3u);
   queue.mark_started();
-  EXPECT_TRUE(queue.try_push(pending));  // room again
+  EXPECT_TRUE(oracles::try_push(queue, pending));  // room again
 }
 
 TEST(Admission, CloseDrainsBacklogThenUnblocks) {
   net::BoundedRequestQueue queue(8);
   net::PendingRequest pending;
   pending.conn_id = 17;
-  ASSERT_TRUE(queue.try_push(pending));
+  ASSERT_TRUE(oracles::try_push(queue, pending));
   queue.close();
-  EXPECT_FALSE(queue.try_push(pending));  // closed refuses new work
+  // Closed refuses new work.
+  EXPECT_FALSE(oracles::try_push(queue, pending));
 
   std::vector<net::PendingRequest> out;
   EXPECT_TRUE(queue.pop_batch(out));  // backlog still drains
@@ -193,13 +199,13 @@ TEST(Admission, BatchAdmitMatchesSequentialTryPush) {
   auto prepared = [] {
     auto queue = std::make_unique<net::BoundedRequestQueue>(6);
     net::PendingRequest pending;
-    EXPECT_TRUE(queue->try_push(pending));
-    EXPECT_TRUE(queue->try_push(pending));
+    EXPECT_TRUE(oracles::try_push(*queue, pending));
+    EXPECT_TRUE(oracles::try_push(*queue, pending));
     std::vector<net::PendingRequest> popped;
     EXPECT_TRUE(queue->pop_batch(popped));
     queue->mark_started();                  // one in service, one in hand
-    EXPECT_TRUE(queue->try_push(pending));  // and one queued
-    EXPECT_EQ(queue->size(), 2u);
+    EXPECT_TRUE(oracles::try_push(*queue, pending));  // and one queued
+    EXPECT_EQ(oracles::queue_size(*queue), 2u);
     return queue;
   };
   const std::unique_ptr<net::BoundedRequestQueue> sequential = prepared();
@@ -211,7 +217,7 @@ TEST(Admission, BatchAdmitMatchesSequentialTryPush) {
   }
   std::vector<bool> expected;
   for (const net::PendingRequest& request : requests) {
-    expected.push_back(sequential->try_push(request));
+    expected.push_back(oracles::try_push(*sequential, request));
   }
   std::vector<bool> admitted;
   const std::size_t count = batched->try_push_batch(requests, admitted);
@@ -236,24 +242,28 @@ TEST(Admission, BatchAdmitMatchesSequentialTryPush) {
 TEST(Admission, PoppedButUnstartedRequestsStillCountAsQueued) {
   net::BoundedRequestQueue queue(3);
   net::PendingRequest pending;
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(queue.try_push(pending));
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(oracles::try_push(queue, pending));
+  }
   std::vector<net::PendingRequest> out;
   ASSERT_TRUE(queue.pop_batch(out));
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(queue.in_hand(), 3u);
-  EXPECT_EQ(queue.size(), 3u);
-  EXPECT_FALSE(queue.try_push(pending));  // in hand still fills capacity
+  EXPECT_EQ(oracles::queue_size(queue), 3u);
+  // In hand still fills capacity.
+  EXPECT_FALSE(oracles::try_push(queue, pending));
 
   queue.mark_started();
-  EXPECT_EQ(queue.size(), 2u);
-  ASSERT_TRUE(queue.try_push(pending));   // the started one freed a slot
+  EXPECT_EQ(oracles::queue_size(queue), 2u);
+  // The started one freed a slot.
+  ASSERT_TRUE(oracles::try_push(queue, pending));
   queue.mark_started();
   queue.mark_started();
   EXPECT_EQ(queue.in_hand(), 0u);
   ASSERT_TRUE(queue.pop_batch(out));
   ASSERT_EQ(out.size(), 1u);
   queue.mark_started();
-  EXPECT_EQ(queue.size(), 0u);
+  EXPECT_EQ(oracles::queue_size(queue), 0u);
 }
 
 TEST(Admission, ConcurrentBatchesDrainEverythingAdmittedAfterClose) {
@@ -290,7 +300,7 @@ TEST(Admission, ConcurrentBatchesDrainEverythingAdmittedAfterClose) {
   EXPECT_EQ(popped_ids, admitted_ids);
   EXPECT_LE(largest_batch, net::BoundedRequestQueue::kPopBatch);
   EXPECT_EQ(queue.in_hand(), 0u);
-  EXPECT_EQ(queue.size(), 0u);
+  EXPECT_EQ(oracles::queue_size(queue), 0u);
   std::vector<net::PendingRequest> late(1);
   EXPECT_EQ(queue.try_push_batch(late, admitted), 0u);  // closed
   EXPECT_FALSE(admitted[0]);
@@ -366,82 +376,6 @@ TEST(LoadModel, BurstyPlanKeepsTheMeanRate) {
   const double on_share =
       static_cast<double>(on) / static_cast<double>(on + off);
   EXPECT_GT(on_share, config.burst_fraction * 2.0);
-}
-
-TEST(LoadModel, DiurnalPlanIsDeterministicInTheSeed) {
-  net::LoadPlanConfig config;
-  config.target_rps = 1500.0;
-  config.duration_s = 2.0;
-  config.process = net::ArrivalProcess::kDiurnal;
-  config.diurnal_period_s = 0.5;
-  config.users = 64;
-  config.seed = 21;
-  const std::vector<net::TimedRequest> a =
-      net::build_open_loop_plan(config);
-  const std::vector<net::TimedRequest> b =
-      net::build_open_loop_plan(config);
-  ASSERT_EQ(a.size(), b.size());
-  ASSERT_FALSE(a.empty());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i].at_s),
-              std::bit_cast<std::uint64_t>(b[i].at_s));
-    EXPECT_EQ(a[i].request.user_id, b[i].request.user_id);
-  }
-}
-
-TEST(LoadModel, DiurnalEnvelopeIntegratesToTheTargetAnalytically) {
-  // The mean-rate preservation property, checked on the envelope itself
-  // (no sampling noise): the integral of diurnal_rate_rps over the run
-  // must equal target_rps * duration_s even when the run covers a
-  // FRACTIONAL number of cycles at a nonzero phase.
-  net::LoadPlanConfig config;
-  config.target_rps = 2000.0;
-  config.duration_s = 1.3;  // 2.6 cycles: partial-cycle compensation
-  config.process = net::ArrivalProcess::kDiurnal;
-  config.diurnal_period_s = 0.5;
-  config.diurnal_amplitude = 0.8;
-  config.diurnal_phase = 0.25;
-  const std::size_t steps = 200000;
-  const double dt = config.duration_s / static_cast<double>(steps);
-  double integral = 0.0;
-  for (std::size_t i = 0; i < steps; ++i) {
-    const double t = (static_cast<double>(i) + 0.5) * dt;
-    integral += net::diurnal_rate_rps(config, t) * dt;
-  }
-  EXPECT_NEAR(integral, config.target_rps * config.duration_s,
-              config.target_rps * config.duration_s * 1e-4);
-}
-
-TEST(LoadModel, DiurnalPlanKeepsTheMeanRateAndShowsPeaks) {
-  net::LoadPlanConfig config;
-  config.target_rps = 2000.0;
-  config.duration_s = 4.0;
-  config.process = net::ArrivalProcess::kDiurnal;
-  config.diurnal_period_s = 1.0;
-  config.diurnal_amplitude = 0.8;
-  config.users = 100;
-  const std::vector<net::TimedRequest> plan =
-      net::build_open_loop_plan(config);
-  const double achieved =
-      static_cast<double>(plan.size()) / config.duration_s;
-  EXPECT_NEAR(achieved, config.target_rps, config.target_rps * 0.10);
-  for (std::size_t i = 1; i < plan.size(); ++i) {
-    EXPECT_LE(plan[i - 1].at_s, plan[i].at_s);
-  }
-
-  // The rising half-cycle (sin > 0) must be visibly denser than the
-  // falling half: with amplitude 0.8 the split is (1 + 2*0.8/pi)/2 vs
-  // the rest, ~0.75/0.25.
-  std::size_t peak_half = 0;
-  for (const net::TimedRequest& timed : plan) {
-    const double phase =
-        std::fmod(timed.at_s, config.diurnal_period_s) /
-        config.diurnal_period_s;
-    if (phase < 0.5) ++peak_half;
-  }
-  const double peak_share =
-      static_cast<double>(peak_half) / static_cast<double>(plan.size());
-  EXPECT_GT(peak_share, 0.65);
 }
 
 TEST(LoadModel, ZipfSkewsTowardLowRanks) {
@@ -570,6 +504,20 @@ TEST(EdgeServer, StartTwiceIsATypedError) {
   ASSERT_TRUE(server->start().ok());
   EXPECT_EQ(server->start().code(), util::ErrorCode::kFailedPrecondition);
   server->stop();
+}
+
+TEST(EdgeServer, MetricsNameTheSimdLevelItServesWith) {
+  // The daemon's metrics dump says which SIMD kernels serve: the gauge
+  // is published at create(), before any request.
+  const std::unique_ptr<net::EdgeServer> server =
+      make_server(small_edge_config());
+  ASSERT_NE(server, nullptr);
+  EXPECT_NE(server->metrics().to_string().find("simd.dispatch_avx2: "),
+            std::string::npos);
+  const double expected =
+      simd::active_dispatch_level() == simd::DispatchLevel::kAvx2 ? 1.0
+                                                                   : 0.0;
+  EXPECT_EQ(server->metrics().gauge("simd.dispatch_avx2").value(), expected);
 }
 
 // ------------------------------------------------------- loopback serving
@@ -889,12 +837,12 @@ TEST(EdgeServer, InjectedFaultsNeverLeakRawCoordinatesOnTheWire) {
   server->stop();
 }
 
-// ---------------------------------------------------- open-loop overload
+// --------------------------------------------------------- burst overload
 
 TEST(OpenLoop, OverloadStaysBoundedAccountedAndLeakFree) {
-  // Offered >> capacity: one slow worker, a small queue, a 4x-capacity
-  // bursty plan. The server must answer or shed EVERY request, never
-  // crash, and never leak a raw coordinate.
+  // Offered >> capacity: one slow worker, a small queue, and a bursty
+  // plan sent all at once. The server must answer or shed EVERY request,
+  // never crash, and never leak a raw coordinate.
   net::ServerConfig server_config;
   server_config.workers = 1;
   server_config.queue_capacity = 16;
@@ -914,15 +862,11 @@ TEST(OpenLoop, OverloadStaysBoundedAccountedAndLeakFree) {
       net::build_open_loop_plan(plan_config);
   ASSERT_FALSE(plan.empty());
 
-  net::OpenLoopConfig loop_config;
-  loop_config.port = server->port();
-  loop_config.connections = 2;
-  util::Result<net::OpenLoopStats> run =
-      net::run_open_loop(loop_config, plan);
-  ASSERT_TRUE(run.ok());
-  const net::OpenLoopStats& stats = run.value();
+  util::Result<burst::Stats> run = burst::run(server->port(), plan, 2);
+  ASSERT_TRUE(run.ok()) << run.status().to_string();
+  const burst::Stats& stats = run.value();
 
-  EXPECT_EQ(stats.sent, stats.offered);
+  EXPECT_EQ(stats.sent, plan.size());
   EXPECT_EQ(stats.responses + stats.missing, stats.sent);
   EXPECT_EQ(stats.missing, 0u);  // every admitted or shed answer arrived
   EXPECT_EQ(stats.raw_leaks, 0u);

@@ -16,6 +16,8 @@
 #include "rng/engine.hpp"
 #include "util/validation.hpp"
 
+#include "oracles.hpp"
+
 namespace privlocad {
 namespace {
 
@@ -24,6 +26,11 @@ using opt::LpProblem;
 using opt::LpStatus;
 using opt::Matrix;
 using opt::SparseLpProblem;
+using oracles::cell_center;
+using oracles::channel_row;
+using oracles::csr_from_dense;
+using oracles::max_constraint_violation;
+using oracles::solve_sparse;
 
 // ------------------------------------------------------------------ simplex
 
@@ -224,7 +231,7 @@ TEST(CsrMatrix, BuildsIncrementallyAndRoundTripsFromDense) {
   dense.at(0, 0) = 1.0;
   dense.at(0, 3) = -2.0;
   dense.at(2, 2) = 5.0;
-  const CsrMatrix converted = CsrMatrix::from_dense(dense);
+  const CsrMatrix converted = csr_from_dense(dense);
   ASSERT_EQ(converted.rows(), m.rows());
   ASSERT_EQ(converted.nonzeros(), m.nonzeros());
   for (std::size_t nz = 0; nz < m.nonzeros(); ++nz) {
@@ -237,8 +244,8 @@ TEST(CsrMatrix, FromDenseDropsSmallEntriesWithTolerance) {
   Matrix dense(1, 3);
   dense.at(0, 0) = 1.0;
   dense.at(0, 1) = 1e-15;
-  const CsrMatrix kept = CsrMatrix::from_dense(dense);
-  const CsrMatrix pruned = CsrMatrix::from_dense(dense, 1e-12);
+  const CsrMatrix kept = csr_from_dense(dense);
+  const CsrMatrix pruned = csr_from_dense(dense, 1e-12);
   EXPECT_EQ(kept.nonzeros(), 2u);
   EXPECT_EQ(pruned.nonzeros(), 1u);
 }
@@ -262,7 +269,7 @@ SparseLpProblem sparse_dantzig() {
 }
 
 TEST(RevisedSimplex, SolvesTextbookMaximization) {
-  const auto solution = opt::solve_sparse(sparse_dantzig());
+  const auto solution = solve_sparse(sparse_dantzig());
   ASSERT_EQ(solution.status, LpStatus::kOptimal);
   EXPECT_NEAR(solution.x[0], 2.0, 1e-9);
   EXPECT_NEAR(solution.x[1], 6.0, 1e-9);
@@ -283,7 +290,7 @@ TEST(RevisedSimplex, HandlesEqualityAndNegativeRhs) {
   p.ub_lhs.append(1, 1.0);
   p.ub_lhs.finish_row();
   p.ub_rhs = {7.0};
-  const auto solution = opt::solve_sparse(p);
+  const auto solution = solve_sparse(p);
   ASSERT_EQ(solution.status, LpStatus::kOptimal);
   EXPECT_NEAR(solution.objective, 10.0, 1e-9);
 }
@@ -299,7 +306,7 @@ TEST(RevisedSimplex, DetectsInfeasibility) {
   p.ub_lhs.append(0, 1.0);
   p.ub_lhs.finish_row();
   p.ub_rhs = {3.0};
-  EXPECT_EQ(opt::solve_sparse(p).status, LpStatus::kInfeasible);
+  EXPECT_EQ(solve_sparse(p).status, LpStatus::kInfeasible);
 }
 
 TEST(RevisedSimplex, DetectsUnboundedness) {
@@ -312,7 +319,7 @@ TEST(RevisedSimplex, DetectsUnboundedness) {
   p.ub_lhs.append(0, -1.0);
   p.ub_lhs.finish_row();
   p.ub_rhs = {-1.0};
-  EXPECT_EQ(opt::solve_sparse(p).status, LpStatus::kUnbounded);
+  EXPECT_EQ(solve_sparse(p).status, LpStatus::kUnbounded);
 }
 
 TEST(RevisedSimplex, HandlesEmptyConstraintBlocks) {
@@ -324,7 +331,7 @@ TEST(RevisedSimplex, HandlesEmptyConstraintBlocks) {
   eq_only.eq_lhs.append(1, 1.0);
   eq_only.eq_lhs.finish_row();
   eq_only.eq_rhs = {4.0};
-  auto solution = opt::solve_sparse(eq_only);
+  auto solution = solve_sparse(eq_only);
   ASSERT_EQ(solution.status, LpStatus::kOptimal);
   EXPECT_NEAR(solution.objective, 4.0, 1e-9);
 
@@ -334,13 +341,13 @@ TEST(RevisedSimplex, HandlesEmptyConstraintBlocks) {
   free_var.objective = {-1.0};
   free_var.eq_lhs = CsrMatrix(1);
   free_var.ub_lhs = CsrMatrix(1);
-  EXPECT_EQ(opt::solve_sparse(free_var).status, LpStatus::kUnbounded);
+  EXPECT_EQ(solve_sparse(free_var).status, LpStatus::kUnbounded);
 }
 
 TEST(RevisedSimplex, ReportsIterationLimit) {
   opt::SimplexOptions options;
   options.max_iterations = 1;
-  EXPECT_EQ(opt::solve_sparse(sparse_dantzig(), options).status,
+  EXPECT_EQ(solve_sparse(sparse_dantzig(), options).status,
             LpStatus::kIterationLimit);
 }
 
@@ -352,7 +359,7 @@ TEST(RevisedSimplex, ValidatesSparseStructure) {
   p.ub_lhs.finish_row();
   p.ub_rhs = {1.0};
   try {
-    opt::solve_sparse(p);
+    solve_sparse(p);
     FAIL() << "expected util::InvalidArgument";
   } catch (const util::InvalidArgument& e) {
     const std::string what = e.what();
@@ -366,7 +373,7 @@ TEST(RevisedSimplex, ValidatesSparseStructure) {
   rows.ub_lhs.finish_row();
   rows.ub_rhs = {1.0, 2.0};  // extra rhs entry
   try {
-    opt::solve_sparse(rows);
+    solve_sparse(rows);
     FAIL() << "expected util::InvalidArgument";
   } catch (const util::InvalidArgument& e) {
     const std::string what = e.what();
@@ -389,7 +396,7 @@ TEST(RevisedSimplex, WarmResolveMatchesColdSolve) {
 
   SparseLpProblem cold_problem = sparse_dantzig();
   cold_problem.objective = tilted;
-  const auto cold = opt::solve_sparse(cold_problem);
+  const auto cold = solve_sparse(cold_problem);
   ASSERT_EQ(cold.status, LpStatus::kOptimal);
   EXPECT_NEAR(warm.objective, cold.objective, 1e-9);
   ASSERT_EQ(warm.x.size(), cold.x.size());
@@ -423,7 +430,7 @@ TEST(SimplexTest, PerturbationObjectiveErrorIsLinearlyBounded) {
     ASSERT_EQ(dense_solution.status, LpStatus::kOptimal);
     EXPECT_NEAR(dense_solution.objective, -36.0, bound) << "pert=" << pert;
 
-    const auto sparse_solution = opt::solve_sparse(sparse_dantzig(), options);
+    const auto sparse_solution = solve_sparse(sparse_dantzig(), options);
     ASSERT_EQ(sparse_solution.status, LpStatus::kOptimal);
     EXPECT_NEAR(sparse_solution.objective, -36.0, bound) << "pert=" << pert;
   }
@@ -460,7 +467,7 @@ TEST(RevisedSimplex, AgreesWithDenseOnGeoIndLp) {
 
     // Structural agreement: the sparse assembly is exactly the nonzero
     // pattern of the dense one.
-    const CsrMatrix from_dense_ub = CsrMatrix::from_dense(dense.ub_lhs);
+    const CsrMatrix from_dense_ub = csr_from_dense(dense.ub_lhs);
     ASSERT_EQ(from_dense_ub.nonzeros(), sparse.ub_lhs.nonzeros());
     for (std::size_t nz = 0; nz < from_dense_ub.nonzeros(); ++nz) {
       EXPECT_EQ(from_dense_ub.col_index(nz), sparse.ub_lhs.col_index(nz));
@@ -471,7 +478,7 @@ TEST(RevisedSimplex, AgreesWithDenseOnGeoIndLp) {
     options.degeneracy_perturbation = 1e-8;
     options.max_iterations = 200000;
     const auto dense_solution = opt::solve(dense, options);
-    const auto sparse_solution = opt::solve_sparse(sparse, options);
+    const auto sparse_solution = solve_sparse(sparse, options);
     ASSERT_EQ(dense_solution.status, LpStatus::kOptimal) << "side=" << side;
     ASSERT_EQ(sparse_solution.status, LpStatus::kOptimal) << "side=" << side;
     EXPECT_NEAR(sparse_solution.objective, dense_solution.objective,
@@ -494,7 +501,7 @@ TEST(OptimalMechanism, ChannelRowsAreDistributions) {
   const lppm::OptimalGeoIndMechanism mech(small_grid());
   for (std::size_t i = 0; i < mech.cell_count(); ++i) {
     double sum = 0.0;
-    for (const double p : mech.channel_row(i)) {
+    for (const double p : channel_row(mech, i)) {
       EXPECT_GE(p, -1e-12);
       sum += p;
     }
@@ -506,7 +513,7 @@ TEST(OptimalMechanism, SatisfiesAllPairGeoIndConstraints) {
   // The spanner construction must yield full-epsilon geo-IND between
   // EVERY cell pair, not just grid neighbors.
   const lppm::OptimalGeoIndMechanism mech(small_grid());
-  EXPECT_LE(mech.max_constraint_violation(), 1e-9);
+  EXPECT_LE(max_constraint_violation(mech), 1e-9);
 }
 
 TEST(OptimalMechanism, BeatsLaplaceQualityLossOnTheGrid) {
@@ -522,19 +529,19 @@ TEST(OptimalMechanism, BeatsLaplaceQualityLossOnTheGrid) {
 TEST(OptimalMechanism, SamplesMatchChannelFrequencies) {
   const lppm::OptimalGeoIndMechanism mech(small_grid());
   rng::Engine e(5);
-  const geo::Point truth = mech.cell_center(4);  // grid center
+  const geo::Point truth = cell_center(mech, 4);  // grid center
   std::vector<int> counts(mech.cell_count(), 0);
   constexpr int kN = 60000;
   for (int i = 0; i < kN; ++i) {
     const geo::Point q = mech.obfuscate(e, truth)[0];
     for (std::size_t j = 0; j < mech.cell_count(); ++j) {
-      if (geo::distance(q, mech.cell_center(j)) < 1e-9) {
+      if (geo::distance(q, cell_center(mech, j)) < 1e-9) {
         ++counts[j];
         break;
       }
     }
   }
-  const auto& row = mech.channel_row(4);
+  const auto& row = channel_row(mech, 4);
   for (std::size_t j = 0; j < mech.cell_count(); ++j) {
     EXPECT_NEAR(static_cast<double>(counts[j]) / kN, row[j], 0.01);
   }
@@ -556,13 +563,13 @@ TEST(OptimalMechanism, SnapsArbitraryInputToNearestCell) {
   const lppm::OptimalGeoIndMechanism mech(small_grid());
   rng::Engine e(6);
   // A point close to the corner cell behaves like the corner cell.
-  const geo::Point corner = mech.cell_center(0);
+  const geo::Point corner = cell_center(mech, 0);
   const auto q = mech.obfuscate(e, corner + geo::Point{10.0, -10.0});
   ASSERT_EQ(q.size(), 1u);
   // Output is always some cell center.
   bool is_center = false;
   for (std::size_t j = 0; j < mech.cell_count(); ++j) {
-    if (geo::distance(q[0], mech.cell_center(j)) < 1e-9) is_center = true;
+    if (geo::distance(q[0], cell_center(mech, j)) < 1e-9) is_center = true;
   }
   EXPECT_TRUE(is_center);
 }

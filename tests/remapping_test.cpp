@@ -24,33 +24,34 @@ TEST(Remapper, PullsTowardsNearestHeavySupport) {
   const BayesianRemapper remapper(
       {{{0, 0}, 1.0}, {{10000, 0}, 1.0}});
   // Reported close to the first support: posterior mean lands near it.
-  const geo::Point out = remapper.remap_gaussian({500, 0}, 300.0);
+  const geo::Point out = remapper.remap_laplace({500, 0}, 0.01);
   EXPECT_LT(out.x, 100.0);
 }
 
 TEST(Remapper, SymmetricReportSplitsEvenly) {
   const BayesianRemapper remapper({{{0, 0}, 1.0}, {{1000, 0}, 1.0}});
-  const geo::Point out = remapper.remap_gaussian({500, 0}, 300.0);
+  const geo::Point out = remapper.remap_laplace({500, 0}, 0.01);
   EXPECT_NEAR(out.x, 500.0, 1e-6);  // equidistant -> mean of supports
 }
 
 TEST(Remapper, PriorWeightsBias) {
   const BayesianRemapper remapper({{{0, 0}, 9.0}, {{1000, 0}, 1.0}});
-  const geo::Point out = remapper.remap_gaussian({500, 0}, 300.0);
+  const geo::Point out = remapper.remap_laplace({500, 0}, 0.01);
   EXPECT_LT(out.x, 500.0);  // heavier prior on the left support
 }
 
 TEST(Remapper, ZeroWeightSupportIsIgnored) {
   const BayesianRemapper remapper({{{0, 0}, 1.0}, {{1000, 0}, 0.0}});
-  const geo::Point out = remapper.remap_gaussian({900, 0}, 100.0);
+  const geo::Point out = remapper.remap_laplace({900, 0}, 0.01);
   EXPECT_NEAR(out.x, 0.0, 1e-9);
 }
 
 TEST(Remapper, NumericallyStableOverMetroDistances) {
-  // Exponents of -(40 km / 100 m)^2 would underflow without the log-shift.
+  // At eps = 1 both log-likelihoods (-1414 and -111000) would underflow
+  // exp() without the log-shift.
   const BayesianRemapper remapper(
       {{{-40000, -40000}, 1.0}, {{40000, 40000}, 1.0}});
-  const geo::Point out = remapper.remap_gaussian({-39000, -39000}, 100.0);
+  const geo::Point out = remapper.remap_laplace({-39000, -39000}, 1.0);
   EXPECT_NEAR(out.x, -40000.0, 1e-6);
   EXPECT_FALSE(std::isnan(out.x));
 }
@@ -96,8 +97,7 @@ TEST(Remapper, DomainErrors) {
   EXPECT_THROW(BayesianRemapper({{{0, 0}, 0.0}}), util::InvalidArgument);
   const BayesianRemapper remapper({{{0, 0}, 1.0}});
   EXPECT_THROW(remapper.remap_laplace({0, 0}, 0.0), util::InvalidArgument);
-  EXPECT_THROW(remapper.remap_gaussian({0, 0}, -1.0),
-               util::InvalidArgument);
+  EXPECT_THROW(remapper.remap_laplace({0, 0}, -1.0), util::InvalidArgument);
   EXPECT_THROW(uniform_grid_prior(geo::BoundingBox({0, 0}, {1, 1}), 0),
                util::InvalidArgument);
 }

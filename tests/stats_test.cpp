@@ -10,8 +10,12 @@
 #include "stats/running_stats.hpp"
 #include "util/validation.hpp"
 
+#include "oracles.hpp"
+
 namespace privlocad::stats {
 namespace {
+
+using oracles::EmpiricalCdf;
 
 // ----------------------------------------------------------- RunningStats
 

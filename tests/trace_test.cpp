@@ -16,6 +16,8 @@
 #include "util/strings.hpp"
 #include "util/validation.hpp"
 
+#include "oracles.hpp"
+
 namespace privlocad::trace {
 namespace {
 
@@ -337,7 +339,7 @@ TEST(TraceIo, GeoExportStaysInStudyBoxForCenteredTraces) {
   ASSERT_EQ(table.rows.size(), 2u);
   const double lat = util::parse_double(table.rows[0][table.column("lat_deg")]);
   const double lon = util::parse_double(table.rows[0][table.column("lon_deg")]);
-  EXPECT_TRUE(geo::shanghai_geo_box().contains({lat, lon}));
+  EXPECT_TRUE(oracles::shanghai_geo_box().contains({lat, lon}));
 }
 
 TEST(TraceIo, MissingFilesThrow) {

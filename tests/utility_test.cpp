@@ -8,8 +8,12 @@
 #include "utility/metrics.hpp"
 #include "util/validation.hpp"
 
+#include "oracles.hpp"
+
 namespace privlocad::utility {
 namespace {
+
+using oracles::efficacy_monte_carlo;
 
 constexpr double kR = 5000.0;  // the paper's targeting radius R = 5 km
 

@@ -9,13 +9,18 @@
 #include "lppm/baselines.hpp"
 #include "lppm/gaussian.hpp"
 #include "lppm/planar_laplace.hpp"
-#include "lppm/verifier.hpp"
 #include "rng/samplers.hpp"
 #include "rng/engine.hpp"
 #include "util/validation.hpp"
 
+#include "oracles.hpp"
+
 namespace privlocad::lppm {
 namespace {
+
+using oracles::verify_geo_ind;
+using oracles::VerifierConfig;
+using oracles::VerifierReport;
 
 BoundedGeoIndParams paper_params(std::size_t n) {
   BoundedGeoIndParams p;
