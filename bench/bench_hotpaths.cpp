@@ -16,13 +16,17 @@
 //      same workload. Because the dispatch contract guarantees
 //      bit-identical results, the scalar/SIMD pairs measure pure
 //      throughput; the recorded per-kernel speedups are the SIMD layer's
-//      accountability numbers.
+//      accountability numbers. One more clustering case, at the default
+//      dispatch level, is a home location: 4,000 check-ins in a 20 m
+//      disk at theta = 50 m (clustering_dense_points_per_second).
 //
 // Emits BENCH_hotpaths.json; the perf_guard ctest compares the committed
 // repo-root baseline against a fresh run.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <functional>
+#include <numbers>
 #include <vector>
 
 #include "attack/clustering.hpp"
@@ -108,6 +112,22 @@ std::vector<geo::Point> kernel_cloud(std::uint64_t seed, std::size_t n,
   for (std::size_t i = 0; i < n; ++i) {
     points.push_back(
         {engine.uniform() * extent_m, engine.uniform() * extent_m});
+  }
+  return points;
+}
+
+/// One home location: `n` check-ins uniform in a disk of `radius_m`, all
+/// one component at the 50 m profiling threshold. Its few grid cells hold
+/// every point, the shape a per-user profile rebuild clusters.
+std::vector<geo::Point> dense_disk(std::uint64_t seed, std::size_t n,
+                                   double radius_m) {
+  rng::Engine engine(seed);
+  std::vector<geo::Point> points;
+  points.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double r = radius_m * std::sqrt(engine.uniform());
+    const double a = 2.0 * std::numbers::pi * engine.uniform();
+    points.push_back({r * std::cos(a), r * std::sin(a)});
   }
   return points;
 }
@@ -253,6 +273,12 @@ int main(int argc, char** argv) {
     return clustering_rate(cluster_cloud, cluster_threshold, clusterings);
   });
 
+  // One 20 m disk of 4,000 check-ins at theta = 50 m, at the default
+  // dispatch level: the dense-component case of a profile rebuild.
+  const std::vector<geo::Point> home_disk = dense_disk(43, 4000, 20.0);
+  const double clustering_dense =
+      clustering_rate(home_disk, 50.0, clusterings);
+
   const double noise_scalar = rate_under(simd::DispatchLevel::kScalar, [&] {
     return noise_apply_rate(kernel_ops * 2);
   });
@@ -275,6 +301,8 @@ int main(int argc, char** argv) {
   std::printf("  clustering   : %12.0f -> %12.0f points/s (%5.2fx)\n",
               clustering_scalar, clustering_simd,
               clustering_simd / clustering_scalar);
+  std::printf("  dense disk   : %12.0f points/s (one 4,000-point component)\n",
+              clustering_dense);
   std::printf("  noise apply  : %12.0f -> %12.0f pairs/s  (%5.2fx)\n",
               noise_scalar, noise_simd, noise_simd / noise_scalar);
   std::printf("  posterior    : %12.0f -> %12.0f cands/s  (%5.2fx)\n",
@@ -362,6 +390,7 @@ int main(int argc, char** argv) {
   record.add("clustering_points_per_second_scalar", clustering_scalar);
   record.add("clustering_points_per_second_simd", clustering_simd);
   record.add("clustering_simd_speedup", clustering_simd / clustering_scalar);
+  record.add("clustering_dense_points_per_second", clustering_dense);
   record.add("noise_apply_pairs_per_second_scalar", noise_scalar);
   record.add("noise_apply_pairs_per_second_simd", noise_simd);
   record.add("noise_apply_simd_speedup", noise_simd / noise_scalar);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "attack/clustering.hpp"
 #include "util/validation.hpp"
 
 namespace privlocad::attack {
@@ -82,12 +83,10 @@ std::vector<InferredLocation> deobfuscate_top_locations(
   if (observed_check_ins.empty()) return inferred;
 
   // One index build per call; each round retires its cluster through
-  // tombstones instead of a rebuild.
+  // tombstones (and leaves it taken) instead of a rebuild.
   ws.index_.rebuild(observed_check_ins, config.connectivity_threshold_m);
   const std::vector<geo::Point>& points = ws.index_.points();
   const std::size_t n = points.size();
-  const double threshold2 =
-      config.connectivity_threshold_m * config.connectivity_threshold_m;
   std::size_t alive_count = n;
 
   for (std::size_t rank = 0; rank < config.top_n && alive_count > 0;
@@ -96,30 +95,14 @@ std::vector<InferredLocation> deobfuscate_top_locations(
     // the live points. Seeds scan ascending, so the component discovered
     // first at any given size contains the smallest live index --
     // strictly-greater replacement therefore reproduces the old
-    // (size desc, front asc) cluster ranking exactly.
-    ws.visited_.assign(n, 0);
+    // (size desc, front asc) cluster ranking exactly. Points killed in
+    // earlier ranks stay taken, so taken() skips them too; afterwards
+    // every live point is taken.
     ws.largest_.clear();
     for (std::size_t seed = 0; seed < n; ++seed) {
-      if (!ws.index_.alive(seed) || ws.visited_[seed]) continue;
-      ws.current_.clear();
-      ws.frontier_.assign(1, seed);
-      ws.visited_[seed] = 1;
-      while (!ws.frontier_.empty()) {
-        const std::size_t current = ws.frontier_.back();
-        ws.frontier_.pop_back();
-        ws.current_.push_back(current);
-        // The grid query is <=; exact ties are filtered out with the
-        // squared distance the grid already computed (measure-zero for
-        // continuous noise, matters for degenerate inputs in tests).
-        ws.index_.for_each_within(
-            points[current], config.connectivity_threshold_m,
-            [&](std::size_t neighbor, double d2) {
-              if (ws.visited_[neighbor]) return;
-              if (d2 >= threshold2) return;
-              ws.visited_[neighbor] = 1;
-              ws.frontier_.push_back(neighbor);
-            });
-      }
+      if (ws.index_.taken(seed)) continue;
+      take_component(ws.index_, seed, config.connectivity_threshold_m,
+                     ws.current_);
       if (ws.current_.size() > ws.largest_.size()) {
         ws.largest_.swap(ws.current_);
       }
@@ -151,10 +134,15 @@ std::vector<InferredLocation> deobfuscate_top_locations(
     if (support == 0) {
       for (const std::size_t idx : ws.largest_) ws.member_[idx] = 1;
     }
+    // Members are killed and stay taken; every other live point goes
+    // back into the grid for the next rank's stage 1.
     for (std::size_t i = 0; i < n; ++i) {
+      if (!ws.index_.alive(i)) continue;
       if (ws.member_[i]) {
         ws.index_.kill(i);
         --alive_count;
+      } else {
+        ws.index_.put_back(i);
       }
     }
 

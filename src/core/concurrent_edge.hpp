@@ -6,8 +6,8 @@
 // -- so this wrapper shards users across a fixed set of internal devices,
 // one mutex per shard. Users hash to shards, so one user's requests are
 // always serialized (their location manager sees a consistent order) while
-// different users proceed in parallel. Telemetry and privacy spend roll up
-// across shards on demand.
+// different users proceed in parallel. Telemetry rolls up across shards
+// on demand; privacy spend has no cross-shard roll-up.
 #pragma once
 
 #include <cstdint>

@@ -17,8 +17,13 @@ void EdgeConfig::validate() const {
   util::require_positive(nomadic_params.level, "nomadic_params.level");
   util::require_positive(nomadic_params.radius_m, "nomadic_params.radius_m");
   util::require(management.window_seconds > 0, "window_seconds must be > 0");
+  // The threshold is the profile rebuild's grid cell size. serve()
+  // bounds |x|, |y| by kMaxPlaneCoordinateM; cells of at least 1 cm keep
+  // every cell index inside GridIndex's int32 range.
   util::require_positive(management.profiling_threshold_m,
                          "profiling threshold");
+  util::require(management.profiling_threshold_m >= 0.01,
+                "profiling threshold must be >= 0.01 m");
   util::require(
       management.eta_fraction > 0.0 && management.eta_fraction <= 1.0,
       "eta_fraction must be in (0, 1]");

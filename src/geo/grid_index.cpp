@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "util/validation.hpp"
 
@@ -26,7 +27,8 @@ void GridIndex::build_cells(double cell_size_m) {
   cell_size_ = cell_size_m;
 
   // Sort point indices by cell key (ties by index, so bucket order is the
-  // input order) and compress into CSR: unique keys + offsets + members.
+  // input order) and compress into CSR: unique keys + offsets; the
+  // members are laid out by revive_all().
   const std::size_t n = points_.size();
   keyed_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -34,10 +36,7 @@ void GridIndex::build_cells(double cell_size_m) {
   }
   std::sort(keyed_.begin(), keyed_.end());
 
-  order_.resize(n);
-  slot_xs_.resize(n);
-  slot_ys_.resize(n);
-  slot_of_.resize(n);
+  cell_of_.resize(n);
   keys_.clear();
   starts_.clear();
   keys_.reserve(n / 2 + 1);
@@ -47,23 +46,46 @@ void GridIndex::build_cells(double cell_size_m) {
       keys_.push_back(keyed_[i].first);
       starts_.push_back(static_cast<std::uint32_t>(i));
     }
+    cell_of_[keyed_[i].second] = static_cast<std::uint32_t>(keys_.size() - 1);
+  }
+  starts_.push_back(static_cast<std::uint32_t>(n));
+  revive_all();
+}
+
+void GridIndex::revive_all() {
+  const std::size_t n = points_.size();
+  order_.resize(n);
+  slot_xs_.resize(n);
+  slot_ys_.resize(n);
+  slot_of_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
     const std::uint32_t idx = keyed_[i].second;
     order_[i] = idx;
     // SoA coordinate spans in slot order feed the SIMD scan kernel with
-    // contiguous loads; slot_of_ lets kill() maintain the slot-indexed
-    // tombstones in O(1).
+    // contiguous loads; slot_of_ lets kill() and take() find a point's
+    // slot in O(1).
     slot_xs_[i] = points_[idx].x;
     slot_ys_[i] = points_[idx].y;
     slot_of_[idx] = static_cast<std::uint32_t>(i);
   }
-  starts_.push_back(static_cast<std::uint32_t>(n));
+  live_ends_.assign(starts_.begin() + 1, starts_.end());
   alive_.assign(n, 1);
   slot_alive_.assign(n, 1);
 }
 
+void GridIndex::throw_cell_out_of_range() const {
+  // The message names no coordinate: the points are users' check-ins.
+  std::string message =
+      "GridIndex cell index outside int32 (non-finite coordinate, or "
+      "cells of ";
+  message += std::to_string(cell_size_);
+  message += " m too small for its magnitude)";
+  throw util::InvalidArgument(message);
+}
+
 GridIndex::CellKey GridIndex::key_for(Point p) const {
-  return pack(static_cast<std::int32_t>(std::floor(p.x / cell_size_)),
-              static_cast<std::int32_t>(std::floor(p.y / cell_size_)));
+  return pack(static_cast<std::int32_t>(cell_coordinate(p.x)),
+              static_cast<std::int32_t>(cell_coordinate(p.y)));
 }
 
 GridIndex::CellKey GridIndex::pack(std::int32_t cx, std::int32_t cy) {

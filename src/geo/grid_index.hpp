@@ -1,10 +1,14 @@
 // Uniform-grid spatial index over a fixed set of points.
 //
-// The de-obfuscation attack (paper Alg. 1) needs, for tens of thousands of
-// users, "all check-ins within theta of this check-in" queries. A uniform
-// grid with cell size equal to the query radius answers those in O(points
-// in the 3x3 neighborhood), which makes the connectivity clustering linear
-// in practice instead of quadratic.
+// The de-obfuscation attack (paper Alg. 1) and the profile rebuild
+// (Alg. 2) need, for every check-in of a user, "all check-ins within
+// theta of this check-in" queries. A uniform grid with cell size equal to
+// the query radius answers one in O(live points in the 3x3
+// neighborhood). That alone does not make a component walk linear: a
+// home cluster of m check-ins sits in a few cells, so m queries over the
+// same cells cost O(m^2). take() is what does: a walk takes each point
+// out of the grid when it reaches it, so later queries scan only points
+// not yet reached (see attack/clustering.hpp).
 //
 // Storage is CSR-style rather than a hash map of buckets: point indices
 // are grouped by cell in one flat array (`order_`), with a sorted unique
@@ -23,16 +27,28 @@
 // produce identical visit sets, order, and d2 bits (see the dispatch
 // contract in simd/dispatch.hpp).
 //
-// Two amortization features serve the attack's round structure:
+// Three ways to hide points serve the callers' round structure:
 //   - rebuild() re-indexes a new point set in place, reusing every
 //     internal buffer's capacity (a DeobfuscationWorkspace keeps one
 //     index alive across all users a thread processes);
 //   - tombstones (kill / revive_all) hide points from queries without
-//     touching the CSR arrays, so Alg. 1 removes each round's cluster in
-//     O(cluster) instead of rebuilding the index per rank.
+//     moving them, so Alg. 1 removes each round's cluster in O(cluster)
+//     instead of rebuilding the index per rank;
+//   - take / put_back move a point out of (or back into) its cell's live
+//     prefix of slots in O(1). Queries scan only live prefixes, so a
+//     taken point costs nothing, where a tombstone is still loaded and
+//     masked.
+//
+// Cell indices are int32: an index outside that range (a coordinate more
+// than ~2.1e9 cells from the origin, e.g. 1e4 m with 1e-6 m cells) throws
+// InvalidArgument rather than wrapping.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "geo/point.hpp"
@@ -41,7 +57,8 @@
 namespace privlocad::geo {
 
 /// Build once (or rebuild in place), query many times. Queries see every
-/// point that has not been tombstoned since the last build/revive_all.
+/// point that is neither tombstoned nor taken since the last
+/// build/revive_all.
 class GridIndex {
  public:
   /// Empty index; rebuild() before querying.
@@ -49,18 +66,23 @@ class GridIndex {
 
   /// Indexes `points` with grid cells of side `cell_size_m` (> 0).
   /// The referenced vector is copied; indices returned by queries refer to
-  /// positions in that original vector.
+  /// positions in that original vector. Throws InvalidArgument when a
+  /// point's cell index falls outside int32.
   GridIndex(std::vector<Point> points, double cell_size_m);
 
   /// Re-indexes `points` in place with cells of side `cell_size_m` (> 0),
-  /// reusing the internal buffers' capacity. All points come back alive.
+  /// reusing the internal buffers' capacity. All points come back alive
+  /// and untaken.
   void rebuild(const std::vector<Point>& points, double cell_size_m);
 
   /// Calls `fn(index, distance_squared)` for each live point p with
   /// distance(p, query) <= radius_m, allocating nothing. `radius_m` may
   /// exceed the cell size (more cells are scanned). The already-computed
   /// squared distance is handed to the callback so strict (< threshold)
-  /// filters do not recompute it.
+  /// filters do not recompute it. `fn` must not take() or put_back():
+  /// both move slots under the running scan, so collect the hits and take
+  /// them after the query returns. Throws InvalidArgument when the
+  /// query's cell index falls outside int32.
   template <typename Fn>
   void for_each_within(Point query, double radius_m, Fn&& fn) const;
 
@@ -73,37 +95,86 @@ class GridIndex {
   /// True when `index` has not been tombstoned since the last build.
   bool alive(std::size_t index) const { return alive_[index] != 0; }
 
-  /// Clears every tombstone (all points queryable again).
-  void revive_all() {
-    alive_.assign(points_.size(), 1);
-    slot_alive_.assign(points_.size(), 1);
+  /// Takes point `index` out of the grid: queries skip it until
+  /// put_back(), revive_all() or rebuild(). O(1): its slot swaps with the
+  /// last live slot of its cell, and the cell's live prefix shrinks by
+  /// one. The point must not be taken already. Taking does not tombstone:
+  /// alive() is unchanged.
+  void take(std::size_t index) {
+    swap_slots(slot_of_[index], --live_ends_[cell_of_[index]]);
   }
+
+  /// Returns a taken point `index` to its cell's live prefix. O(1).
+  void put_back(std::size_t index) {
+    swap_slots(slot_of_[index], live_ends_[cell_of_[index]]++);
+  }
+
+  /// True when `index` is taken (see take()).
+  bool taken(std::size_t index) const {
+    return slot_of_[index] >= live_ends_[cell_of_[index]];
+  }
+
+  /// Clears every tombstone and puts every taken point back: all points
+  /// are queryable again, in the slot order of a fresh build. O(n).
+  void revive_all();
 
   std::size_t size() const { return points_.size(); }
   const std::vector<Point>& points() const { return points_; }
 
  private:
   using CellKey = std::uint64_t;
+  static constexpr std::int64_t kMinCell =
+      std::numeric_limits<std::int32_t>::min();
+  static constexpr std::int64_t kMaxCell =
+      std::numeric_limits<std::int32_t>::max();
 
   /// Shared CSR construction for the constructor and rebuild().
   void build_cells(double cell_size_m);
+
+  /// Cell index of coordinate `v`; throws InvalidArgument outside int32
+  /// (NaN included).
+  std::int64_t cell_coordinate(double v) const {
+    const double c = std::floor(v / cell_size_);
+    if (!(c >= static_cast<double>(kMinCell) &&
+          c <= static_cast<double>(kMaxCell))) {
+      throw_cell_out_of_range();
+    }
+    return static_cast<std::int64_t>(c);
+  }
+  [[noreturn]] void throw_cell_out_of_range() const;
 
   CellKey key_for(Point p) const;
   static CellKey pack(std::int32_t cx, std::int32_t cy);
   /// Position of `key` in keys_, or keys_.size() when absent.
   std::size_t find_cell(CellKey key) const;
 
+  /// Swaps the contents of slots `a` and `b` (same cell) and re-points
+  /// slot_of_ at both.
+  void swap_slots(std::uint32_t a, std::uint32_t b) {
+    std::swap(order_[a], order_[b]);
+    std::swap(slot_xs_[a], slot_xs_[b]);
+    std::swap(slot_ys_[a], slot_ys_[b]);
+    std::swap(slot_alive_[a], slot_alive_[b]);
+    slot_of_[order_[a]] = a;
+    slot_of_[order_[b]] = b;
+  }
+
   std::vector<Point> points_;
   double cell_size_ = 1.0;
   std::vector<CellKey> keys_;          ///< sorted unique occupied cells
   std::vector<std::uint32_t> starts_;  ///< keys_.size()+1 offsets into order_
+  /// Per cell: end of its live prefix [starts_[c], live_ends_[c]); the
+  /// taken points sit in [live_ends_[c], starts_[c + 1]).
+  std::vector<std::uint32_t> live_ends_;
   std::vector<std::uint32_t> order_;   ///< point indices grouped by cell
   std::vector<std::uint8_t> alive_;    ///< tombstones: 0 = hidden
   std::vector<double> slot_xs_;        ///< point x in CSR slot order (SoA)
   std::vector<double> slot_ys_;        ///< point y in CSR slot order (SoA)
   std::vector<std::uint8_t> slot_alive_;  ///< tombstones in slot order
   std::vector<std::uint32_t> slot_of_;    ///< point index -> CSR slot
-  /// rebuild() scratch (cell key, point index) kept for capacity reuse.
+  std::vector<std::uint32_t> cell_of_;    ///< point index -> position in keys_
+  /// (cell key, point index) sorted: the fresh-build slot order, which
+  /// revive_all() lays out again.
   std::vector<std::pair<CellKey, std::uint32_t>> keyed_;
 };
 
@@ -117,16 +188,25 @@ void GridIndex::for_each_within(Point query, double radius_m, Fn&& fn) const {
   std::uint32_t hit_slots[kScanChunk];
   double hit_d2[kScanChunk];
   const double r2 = radius_m * radius_m;
-  const auto cx = static_cast<std::int32_t>(std::floor(query.x / cell_size_));
-  const auto cy = static_cast<std::int32_t>(std::floor(query.y / cell_size_));
-  const auto reach = static_cast<std::int32_t>(
-      std::ceil(radius_m / cell_size_));
-  for (std::int32_t dx = -reach; dx <= reach; ++dx) {
-    for (std::int32_t dy = -reach; dy <= reach; ++dy) {
-      const std::size_t cell = find_cell(pack(cx + dx, cy + dy));
+  const std::int64_t cx = cell_coordinate(query.x);
+  const std::int64_t cy = cell_coordinate(query.y);
+  // No point lies in a cell outside int32, so the scan is clamped there;
+  // a NaN radius scans nothing.
+  const double reach_cells = std::ceil(radius_m / cell_size_);
+  const std::int64_t reach =
+      std::isnan(reach_cells)
+          ? -1
+          : static_cast<std::int64_t>(std::clamp(
+                reach_cells, -1.0, static_cast<double>(kMaxCell - kMinCell)));
+  const std::int64_t x_end = std::min(cx + reach, kMaxCell);
+  const std::int64_t y_end = std::min(cy + reach, kMaxCell);
+  for (std::int64_t x = std::max(cx - reach, kMinCell); x <= x_end; ++x) {
+    for (std::int64_t y = std::max(cy - reach, kMinCell); y <= y_end; ++y) {
+      const std::size_t cell = find_cell(pack(static_cast<std::int32_t>(x),
+                                              static_cast<std::int32_t>(y)));
       if (cell == keys_.size()) continue;
       std::uint32_t begin = starts_[cell];
-      const std::uint32_t end = starts_[cell + 1];
+      const std::uint32_t end = live_ends_[cell];
       while (begin < end) {
         const std::uint32_t chunk_end =
             end - begin > kScanChunk ? begin + kScanChunk : end;

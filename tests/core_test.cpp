@@ -201,6 +201,20 @@ TEST(LocationManager, InvalidConfigRejected) {
   EXPECT_THROW(c.validate(), util::InvalidArgument);
 }
 
+TEST(LocationManager, ProfilingThresholdFlooredAtOneCentimetre) {
+  // The threshold is the rebuild's grid cell size: below 1 cm a plane
+  // coordinate's cell index no longer fits int32.
+  EdgeConfig c;
+  c.management = fast_window();
+  c.management.profiling_threshold_m = 1e-6;
+  EXPECT_THROW(c.validate(), util::InvalidArgument);
+  EXPECT_THROW(EdgeDevice{c}, util::InvalidArgument);
+  c.management.profiling_threshold_m = 0.009;
+  EXPECT_THROW(c.validate(), util::InvalidArgument);
+  c.management.profiling_threshold_m = 0.01;
+  EXPECT_NO_THROW(c.validate());
+}
+
 // -------------------------------------------------------- obfuscation table
 //
 // Paper Section V-C on the UserArena: each top location maps to a

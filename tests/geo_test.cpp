@@ -344,5 +344,146 @@ TEST(GridIndex, DefaultConstructedThenRebuilt) {
   EXPECT_EQ(within(index, {0, 0}, 26.0).size(), 2u);
 }
 
+// ---------------------------------------------------- GridIndex take
+
+/// within() in ascending index order: a take reorders its cell's slots.
+std::vector<std::size_t> sorted_within(const GridIndex& index, Point query,
+                                       double radius_m) {
+  std::vector<std::size_t> hits = within(index, query, radius_m);
+  std::sort(hits.begin(), hits.end());
+  return hits;
+}
+
+/// Sorted hits of `index` against the brute-force filter over the points
+/// neither taken nor killed.
+void expect_live_within(const GridIndex& index, Point query,
+                        double radius_m) {
+  std::vector<std::size_t> expected;
+  for (std::size_t i = 0; i < index.size(); ++i) {
+    if (index.alive(i) && !index.taken(i) &&
+        distance(index.points()[i], query) <= radius_m) {
+      expected.push_back(i);
+    }
+  }
+  EXPECT_EQ(sorted_within(index, query, radius_m), expected);
+}
+
+TEST(GridIndex, TakenPointsVanishFromQueries) {
+  const std::vector<Point> points{{0, 0}, {10, 0}, {20, 0}, {-30, 5}};
+  GridIndex index(points, 50.0);
+  index.take(1);
+  EXPECT_TRUE(index.taken(1));
+  EXPECT_FALSE(index.taken(0));
+  // Taking hides a point without tombstoning it.
+  EXPECT_TRUE(index.alive(1));
+  EXPECT_EQ(sorted_within(index, {0, 0}, 40.0),
+            (std::vector<std::size_t>{0, 2, 3}));
+  index.take(3);
+  index.take(0);
+  EXPECT_EQ(sorted_within(index, {0, 0}, 40.0),
+            (std::vector<std::size_t>{2}));
+  index.put_back(1);
+  EXPECT_FALSE(index.taken(1));
+  expect_live_within(index, {0, 0}, 40.0);
+  EXPECT_EQ(within(index, {0, 0}, 40.0).size(), 2u);
+}
+
+TEST(GridIndex, TakeAndKillCombine) {
+  const std::vector<Point> points{{0, 0}, {5, 0}, {10, 0}, {15, 0}, {20, 0}};
+  GridIndex index(points, 50.0);
+  // Kill a taken point, take a killed one, and put a killed point back:
+  // a tombstone moves with its slot and still hides the point.
+  index.take(1);
+  index.kill(1);
+  index.kill(3);
+  index.take(3);
+  index.take(0);
+  index.put_back(3);
+  EXPECT_TRUE(index.taken(1));
+  EXPECT_FALSE(index.alive(1));
+  EXPECT_FALSE(index.taken(3));
+  EXPECT_FALSE(index.alive(3));
+  EXPECT_EQ(sorted_within(index, {0, 0}, 30.0),
+            (std::vector<std::size_t>{2, 4}));
+  index.put_back(1);
+  index.put_back(0);
+  expect_live_within(index, {0, 0}, 30.0);
+  EXPECT_EQ(within(index, {0, 0}, 30.0).size(), 3u);
+}
+
+TEST(GridIndex, RebuildAndReviveAllReturnTakenPoints) {
+  std::vector<Point> points;
+  for (int i = 0; i < 300; ++i) {
+    points.push_back({std::fmod(i * 127.3, 300.0) - 150.0,
+                      std::fmod(i * 311.7, 300.0) - 150.0});
+  }
+  GridIndex index(points, 40.0);
+  const Point query{3.0, -11.0};
+  const std::vector<std::size_t> fresh = within(index, query, 120.0);
+  for (std::size_t i = 0; i < points.size(); i += 2) index.take(i);
+  for (std::size_t i = 1; i < points.size(); i += 5) index.kill(i);
+  expect_live_within(index, query, 120.0);
+
+  // revive_all restores the fresh build's visit order, not only its set.
+  index.revive_all();
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    EXPECT_FALSE(index.taken(i));
+    EXPECT_TRUE(index.alive(i));
+  }
+  EXPECT_EQ(within(index, query, 120.0), fresh);
+
+  for (std::size_t i = 0; i < points.size(); i += 3) index.take(i);
+  index.rebuild(points, 40.0);
+  for (std::size_t i = 0; i < points.size(); ++i) EXPECT_FALSE(index.taken(i));
+  EXPECT_EQ(within(index, query, 120.0), fresh);
+}
+
+TEST(GridIndex, ManyTakesInOneCellMatchBruteForce) {
+  // 600 points in one 100 m cell, taken in a scrambled order (step 7919
+  // is coprime to 600) with every fourth taken point put back later:
+  // each take swaps slots, and queries must track every swap.
+  constexpr std::size_t kN = 600;
+  std::vector<Point> points;
+  for (std::size_t i = 0; i < kN; ++i) {
+    points.push_back({std::fmod(i * 37.1, 99.0), std::fmod(i * 53.9, 99.0)});
+  }
+  GridIndex index(points, 100.0);
+  for (std::size_t i = 0; i < kN; i += 9) index.kill(i);
+  std::vector<std::size_t> held;
+  for (std::size_t step = 0; step < kN; ++step) {
+    const std::size_t i = (step * 7919) % kN;
+    index.take(i);
+    if (step % 4 == 0) held.push_back(i);
+    if (step % 40 == 39) {
+      for (const std::size_t h : held) index.put_back(h);
+      held.clear();
+    }
+    if (step % 25 == 0) {
+      expect_live_within(index, points[i], 30.0);
+      expect_live_within(index, {50.0, 50.0}, 200.0);
+    }
+  }
+  for (const std::size_t h : held) index.put_back(h);
+  expect_live_within(index, {50.0, 50.0}, 200.0);
+}
+
+TEST(GridIndex, RejectsCellIndexOutsideInt32) {
+  // floor(1e4 / 1e-6) = 1e10 does not fit a 32-bit cell index.
+  EXPECT_THROW(GridIndex({{1e4, 0}}, 1e-6), util::InvalidArgument);
+  EXPECT_THROW(GridIndex({{0, -1e4}}, 1e-6), util::InvalidArgument);
+  GridIndex index;
+  EXPECT_THROW(index.rebuild({{0, 0}, {1e4, 1e4}}, 1e-6),
+               util::InvalidArgument);
+  EXPECT_THROW(index.rebuild({{std::nan(""), 0}}, 1.0),
+               util::InvalidArgument);
+
+  // A query whose own cell is out of range throws too; one whose 3x3
+  // neighbourhood only reaches past int32 scans the cells that exist.
+  index.rebuild({{0, 0}, {2.1e9, 0}}, 1.0);
+  EXPECT_THROW(within(index, {1e10, 0}, 1.0), util::InvalidArgument);
+  EXPECT_EQ(within(index, {2.1e9, 0}, 1.0), (std::vector<std::size_t>{1}));
+  EXPECT_EQ(within(index, {2147483647.0, 0}, 1.0).size(), 0u);
+}
+
 }  // namespace
 }  // namespace privlocad::geo

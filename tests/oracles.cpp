@@ -1,5 +1,6 @@
 #include "oracles.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <span>
@@ -62,6 +63,52 @@ geo::Point to_local(const geo::LocalProjection& projection,
 
 GeoBox shanghai_geo_box() {
   return GeoBox{geo::LatLon{30.7, 121.0}, geo::LatLon{31.4, 122.0}};
+}
+
+// ---------------------------------------------------------------- attack
+
+std::vector<std::vector<std::size_t>> connected_components_bruteforce(
+    const std::vector<geo::Point>& points, double threshold_m) {
+  const std::size_t n = points.size();
+  std::vector<std::size_t> parent(n);
+  for (std::size_t i = 0; i < n; ++i) parent[i] = i;
+  const auto find = [&parent](std::size_t i) {
+    while (parent[i] != i) {
+      parent[i] = parent[parent[i]];
+      i = parent[i];
+    }
+    return i;
+  };
+  const double threshold2 = threshold_m * threshold_m;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const double dx = points[j].x - points[i].x;
+      const double dy = points[j].y - points[i].y;
+      if (dx * dx + dy * dy < threshold2) {
+        const std::size_t a = find(i);
+        const std::size_t b = find(j);
+        if (a != b) parent[std::max(a, b)] = std::min(a, b);
+      }
+    }
+  }
+  // Roots are each component's smallest index, so walking i ascending
+  // fills every component in ascending order.
+  std::vector<std::vector<std::size_t>> components;
+  std::vector<std::size_t> slot(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t root = find(i);
+    if (root == i) {
+      slot[i] = components.size();
+      components.emplace_back();
+    }
+    components[slot[root]].push_back(i);
+  }
+  std::stable_sort(components.begin(), components.end(),
+                   [](const std::vector<std::size_t>& a,
+                      const std::vector<std::size_t>& b) {
+                     return a.size() > b.size();
+                   });
+  return components;
 }
 
 // ------------------------------------------------------------------- rng

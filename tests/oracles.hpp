@@ -5,8 +5,9 @@
 // (haversine vs the equirectangular projection), a forward function for
 // an inverse (the planar Laplace radial CDF vs its quantile), a sampled
 // estimate for a closed form (Monte-Carlo efficacy), a brute-force scan
-// for a solver's claim (the geo-IND constraint check), or a sequential
-// rule for a batched one (single-request admission). Keeping them here
+// for a solver's claim (the geo-IND constraint check, all-pairs
+// connected components), or a sequential rule for a batched one
+// (single-request admission). Keeping them here
 // keeps every function under src/ reachable from a shipped binary.
 #pragma once
 
@@ -54,6 +55,17 @@ struct GeoBox {
 
 /// The study area: lat in [30.7, 31.4], lon in [121, 122].
 GeoBox shanghai_geo_box();
+
+// ---------------------------------------------------------------- attack
+
+/// Connected components of `points` under dist < threshold_m (strict),
+/// by union-find over all n^2/2 pairs: the reference for
+/// attack::connectivity_clusters. Same output contract: each component's
+/// indices ascending, components by size descending, ties by smallest
+/// index. The pair test computes dx*dx + dy*dy < threshold^2 exactly as
+/// the grid's scan kernel does, so pairs at exactly theta agree.
+std::vector<std::vector<std::size_t>> connected_components_bruteforce(
+    const std::vector<geo::Point>& points, double threshold_m);
 
 // ------------------------------------------------------------------- rng
 

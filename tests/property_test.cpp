@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numbers>
 #include <numeric>
 #include <span>
 #include <utility>
@@ -30,6 +31,7 @@
 #include "stats/quantiles.hpp"
 #include "stats/running_stats.hpp"
 #include "utility/metrics.hpp"
+#include "oracles.hpp"
 
 namespace privlocad {
 namespace {
@@ -466,6 +468,94 @@ TEST_P(SimdAgreement, ConnectivityClustersIdenticalAcrossDispatch) {
   };
   EXPECT_EQ(run(simd::DispatchLevel::kScalar),
             run(simd::DispatchLevel::kAvx2));
+}
+
+// ---------------------------------- component walk vs all-pairs oracle
+//
+// connectivity_clusters takes each point out of the grid when its walk
+// reaches it. Connected components are unique, so its output must equal
+// the all-pairs union-find's exactly: same index vectors, same order, at
+// every dispatch level.
+
+void expect_components_match_oracle(const std::vector<geo::Point>& points,
+                                    double threshold_m) {
+  const auto expected =
+      oracles::connected_components_bruteforce(points, threshold_m);
+  std::vector<simd::DispatchLevel> levels{simd::DispatchLevel::kScalar};
+  if (simd::avx2_available()) levels.push_back(simd::DispatchLevel::kAvx2);
+  for (const simd::DispatchLevel level : levels) {
+    const DispatchGuard guard(level);
+    EXPECT_EQ(attack::connectivity_clusters(points, threshold_m), expected)
+        << "dispatch " << simd::dispatch_level_name(level) << ", theta "
+        << threshold_m << ", " << points.size() << " points";
+  }
+}
+
+TEST(ComponentOracle, DenseHomeDiskIsOneComponent) {
+  // A home location: 3,000 check-ins in a 20 m disk straddling four
+  // 50 m cells, with a few strays around it. The visited-bitmap walk did
+  // ~m^2 distance evaluations on this shape.
+  rng::Engine e(71);
+  std::vector<geo::Point> points;
+  for (int i = 0; i < 3000; ++i) {
+    const double r = 20.0 * std::sqrt(e.uniform());
+    const double a = 2.0 * std::numbers::pi * e.uniform();
+    points.push_back({5.0 + r * std::cos(a), -5.0 + r * std::sin(a)});
+  }
+  for (int i = 0; i < 40; ++i) {
+    points.push_back({e.uniform_in(-400.0, 400.0), e.uniform_in(-400.0, 400.0)});
+  }
+  expect_components_match_oracle(points, 50.0);
+  EXPECT_GE(attack::connectivity_clusters(points, 50.0).front().size(),
+            3000u);
+}
+
+TEST(ComponentOracle, ExactDuplicates) {
+  std::vector<geo::Point> points;
+  for (int i = 0; i < 300; ++i) points.push_back({12.5, -7.25});
+  for (int i = 0; i < 200; ++i) points.push_back({112.5, -7.25});
+  for (int i = 0; i < 100; ++i) points.push_back({-200.0, 300.0});
+  points.push_back({62.5, -7.25});  // exactly theta from both stacks
+  expect_components_match_oracle(points, 50.0);
+  EXPECT_EQ(attack::connectivity_clusters(points, 50.0).size(), 4u);
+}
+
+TEST(ComponentOracle, PairsAtExactlyThetaStayApart) {
+  // dx^2 + dy^2 == theta^2 exactly: a row at theta spacing and a 3-4-5
+  // diagonal are all singletons; one point just inside theta joins.
+  std::vector<geo::Point> points;
+  for (int i = -4; i <= 4; ++i) points.push_back({50.0 * i, 0.0});
+  points.push_back({1000.0, 1000.0});
+  points.push_back({1030.0, 1040.0});
+  points.push_back({0.0, 49.999});
+  expect_components_match_oracle(points, 50.0);
+  const auto clusters = attack::connectivity_clusters(points, 50.0);
+  EXPECT_EQ(clusters.size(), points.size() - 1);
+  EXPECT_EQ(clusters.front(), (attack::Cluster{4, 11}));
+}
+
+TEST(ComponentOracle, CellEdgesAndNegativeCoordinates) {
+  // Every coordinate pair from a set that sits on, just inside and just
+  // across 50 m cell edges on both sides of the origin.
+  const double coords[] = {-150.0, -100.0, -50.0, -49.5, -1.0, 0.0,
+                           49.0,   50.0,   99.5,  100.0, 150.0};
+  std::vector<geo::Point> points;
+  for (const double x : coords) {
+    for (const double y : coords) points.push_back({x, y});
+  }
+  for (const double theta : {50.0, 49.0, 51.0, 1.0, 100.0}) {
+    expect_components_match_oracle(points, theta);
+  }
+}
+
+TEST(ComponentOracle, SeededRandomClouds) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    rng::Engine e(seed + 3000);
+    const std::size_t n = 200 + e.uniform_index(1000);
+    const std::vector<geo::Point> points =
+        random_cloud(e, n, e.uniform_in(100.0, 1500.0));
+    expect_components_match_oracle(points, e.uniform_in(10.0, 150.0));
+  }
 }
 
 TEST_P(SimdAgreement, DeobfuscationInferenceIdenticalAcrossDispatch) {
