@@ -10,7 +10,7 @@
 // minimal column is the paper comparison.
 //
 // A second section exercises the optimal geo-IND baseline at scale: the
-// exact dense-LP mechanism on a small grid (--exact-side) against the
+// exact LP mechanism on a small grid (--exact-side) against the
 // spanner-decomposed approximate build on a large one (--approx-side),
 // recording the measured dilation bound, the utility-loss ratio between
 // the two constructions at the small grid, and the LP solver's opt.*
@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
   const double utility_loss_ratio =
       small_report.quality_loss / exact.expected_quality_loss();
 
-  // The headline build: a grid the dense exact solver cannot touch.
+  // The headline build: a grid the exact whole-grid LP cannot touch.
   lppm::ApproximateOptimalConfig big_config;
   big_config.per_side = approx_side;
   big_config.cell_spacing_m = 250.0;
@@ -133,7 +133,7 @@ int main(int argc, char** argv) {
       static_cast<double>(big_report.cells) / big_report.construct_seconds;
 
   std::printf("%28s %10s %12s %10s\n", "", "cells", "E[loss] m", "build s");
-  std::printf("%28s %10zu %12.1f %10.2f\n", "exact dense LP",
+  std::printf("%28s %10zu %12.1f %10.2f\n", "exact LP",
               exact.cell_count(), exact.expected_quality_loss(),
               exact_seconds);
   std::printf("%28s %10zu %12.1f %10.2f\n", "approx (same grid)",

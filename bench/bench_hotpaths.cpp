@@ -133,19 +133,17 @@ std::vector<geo::Point> dense_disk(std::uint64_t seed, std::size_t n,
 }
 
 /// Points scanned/sec through the raw distance-scan kernel
-/// (simd::scan_slots_within) over a resident SoA span with ~10%
-/// tombstones and a radius that accepts roughly a third of the live
-/// points -- the cell-scan shape GridIndex::for_each_within drives.
+/// (simd::scan_slots_within) over a resident SoA span with a radius
+/// that accepts roughly a third of the points -- the live-prefix scan
+/// GridIndex::for_each_within drives.
 double distance_scan_rate(std::uint64_t total_slots) {
   constexpr std::size_t kSlots = 32768;
   constexpr std::uint32_t kChunk = 256;
   rng::Engine engine(31);
   std::vector<double> xs(kSlots), ys(kSlots);
-  std::vector<std::uint8_t> alive(kSlots);
   for (std::size_t i = 0; i < kSlots; ++i) {
     xs[i] = engine.uniform() * 1000.0;
     ys[i] = engine.uniform() * 1000.0;
-    alive[i] = engine.uniform() < 0.9 ? 1 : 0;
   }
   const double r2 = 326.0 * 326.0;  // pi*326^2 / 1000^2 ~ 1/3 hit rate
   std::uint32_t hit_slots[kChunk];
@@ -155,9 +153,9 @@ double distance_scan_rate(std::uint64_t total_slots) {
   const util::Timer timer;
   while (scanned < total_slots) {
     for (std::uint32_t begin = 0; begin < kSlots; begin += kChunk) {
-      hits += simd::scan_slots_within(xs.data(), ys.data(), alive.data(),
-                                      begin, begin + kChunk, 500.0, 500.0,
-                                      r2, hit_slots, hit_d2);
+      hits += simd::scan_slots_within(xs.data(), ys.data(), begin,
+                                      begin + kChunk, 500.0, 500.0, r2,
+                                      hit_slots, hit_d2);
     }
     scanned += kSlots;
   }

@@ -11,8 +11,10 @@
 // runners, and sanitizer builds jitter wildly, so the guard only catches
 // collapses (an accidentally serialized pool, a sampler falling off its
 // fast path), not percent-level noise. Tighten the tolerance locally when
-// hunting a specific regression. Exits non-zero on a miss, an unreadable
-// file, or a missing field, printing each comparison either way.
+// hunting a specific regression. Exits 1 on a miss or a missing field,
+// and 2 on a usage error, an unreadable file or a malformed tolerance;
+// every comparison is printed either way.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -47,18 +49,24 @@ std::optional<std::string> read_file(const std::string& path) {
   return buffer.str();
 }
 
-double tolerance_from_env() {
+/// PRIVLOCAD_PERF_TOLERANCE, or the 5x default when it is unset or
+/// empty. Anything else that is not a finite number >= 1, consumed in
+/// full, is refused: nullopt, after a message naming the variable. A
+/// silently ignored or misread value ("2x", "inf") would move every
+/// guard's floor without a trace.
+std::optional<double> tolerance_from_env() {
   constexpr double kDefault = 5.0;
   const char* env = std::getenv("PRIVLOCAD_PERF_TOLERANCE");
-  if (env == nullptr) return kDefault;
+  if (env == nullptr || *env == '\0') return kDefault;
   char* end = nullptr;
   const double parsed = std::strtod(env, &end);
-  if (end == env || parsed < 1.0) {
+  if (end == env || *end != '\0' || !std::isfinite(parsed) ||
+      parsed < 1.0) {
     std::fprintf(stderr,
-                 "perf_guard: ignoring invalid PRIVLOCAD_PERF_TOLERANCE "
-                 "\"%s\" (need a number >= 1)\n",
+                 "perf_guard: invalid PRIVLOCAD_PERF_TOLERANCE \"%s\" "
+                 "(need a finite number >= 1)\n",
                  env);
-    return kDefault;
+    return std::nullopt;
   }
   return parsed;
 }
@@ -83,7 +91,9 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const double tolerance = tolerance_from_env();
+  const std::optional<double> tolerance_or = tolerance_from_env();
+  if (!tolerance_or) return 2;
+  const double tolerance = *tolerance_or;
   std::printf("perf_guard: %s vs baseline %s (tolerance %.2fx)\n", argv[1],
               argv[2], tolerance);
 

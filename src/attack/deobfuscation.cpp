@@ -34,12 +34,12 @@ geo::Point member_centroid(const std::vector<geo::Point>& points,
 }
 
 /// Stage-2 trimming (Algorithm 1, TRIMMING): refine the membership bitmap
-/// to the fixed point of "keep exactly the live points within r_alpha of
-/// the evolving centroid". Returns the final centroid.
-geo::Point trim_cluster(const geo::GridIndex& index,
+/// to the fixed point of "keep exactly the unretired points within
+/// r_alpha of the evolving centroid". Returns the final centroid.
+geo::Point trim_cluster(const std::vector<geo::Point>& points,
+                        const std::vector<std::uint8_t>& retired,
                         std::vector<std::uint8_t>& member,
                         const DeobfuscationConfig& config) {
-  const std::vector<geo::Point>& points = index.points();
   // Membership compares squared distances: one multiply replaces a sqrt
   // per point per iteration (ties at exactly r_alpha are measure-zero for
   // continuous noise).
@@ -51,7 +51,7 @@ geo::Point trim_cluster(const geo::GridIndex& index,
     // One pass decides membership against the current centroid: drops the
     // far members (Alg. 1: 13-15) and admits the near outsiders (16-18).
     for (std::size_t i = 0; i < points.size(); ++i) {
-      if (!index.alive(i)) continue;
+      if (retired[i]) continue;
       const bool should_belong =
           geo::distance_squared(points[i], centroid) <= trim_radius2;
       if (static_cast<bool>(member[i]) != should_belong) {
@@ -82,20 +82,21 @@ std::vector<InferredLocation> deobfuscate_top_locations(
   inferred.reserve(config.top_n);
   if (observed_check_ins.empty()) return inferred;
 
-  // One index build per call; each round retires its cluster through
-  // tombstones (and leaves it taken) instead of a rebuild.
+  // One index build per call; each round retires its cluster by leaving
+  // it taken instead of a rebuild.
   ws.index_.rebuild(observed_check_ins, config.connectivity_threshold_m);
   const std::vector<geo::Point>& points = ws.index_.points();
   const std::size_t n = points.size();
-  std::size_t alive_count = n;
+  ws.retired_.assign(n, 0);
+  std::size_t live_count = n;
 
-  for (std::size_t rank = 0; rank < config.top_n && alive_count > 0;
+  for (std::size_t rank = 0; rank < config.top_n && live_count > 0;
        ++rank) {
     // Stage 1: largest connected component (dist < theta, strict) among
     // the live points. Seeds scan ascending, so the component discovered
     // first at any given size contains the smallest live index --
     // strictly-greater replacement therefore reproduces the old
-    // (size desc, front asc) cluster ranking exactly. Points killed in
+    // (size desc, front asc) cluster ranking exactly. Points retired in
     // earlier ranks stay taken, so taken() skips them too; afterwards
     // every live point is taken.
     ws.largest_.clear();
@@ -111,9 +112,10 @@ std::vector<InferredLocation> deobfuscate_top_locations(
     ws.member_.assign(n, 0);
     for (const std::size_t idx : ws.largest_) ws.member_[idx] = 1;
 
-    geo::Point centroid = config.enable_trimming
-                              ? trim_cluster(ws.index_, ws.member_, config)
-                              : member_centroid(points, ws.member_);
+    geo::Point centroid =
+        config.enable_trimming
+            ? trim_cluster(points, ws.retired_, ws.member_, config)
+            : member_centroid(points, ws.member_);
 
     // One membership pass (this used to be two near-identical partition
     // loops): gather the member points for the estimator and the support
@@ -134,13 +136,13 @@ std::vector<InferredLocation> deobfuscate_top_locations(
     if (support == 0) {
       for (const std::size_t idx : ws.largest_) ws.member_[idx] = 1;
     }
-    // Members are killed and stay taken; every other live point goes
+    // Members are retired and stay taken; every other live point goes
     // back into the grid for the next rank's stage 1.
     for (std::size_t i = 0; i < n; ++i) {
-      if (!ws.index_.alive(i)) continue;
+      if (ws.retired_[i]) continue;
       if (ws.member_[i]) {
-        ws.index_.kill(i);
-        --alive_count;
+        ws.retired_[i] = 1;
+        --live_count;
       } else {
         ws.index_.put_back(i);
       }

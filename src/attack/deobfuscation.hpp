@@ -15,11 +15,11 @@
 //
 // PERFORMANCE. The attack runs once per user over millions of users, so
 // the per-call machinery is allocation-free after warmup: the grid index
-// is built ONCE per call and rounds remove their cluster by tombstoning
-// points in it (O(cluster)) instead of rebuilding, and every scratch
-// buffer lives in a reusable DeobfuscationWorkspace. Stage 1 is the
-// component walk of attack/clustering.hpp, which takes each point out of
-// the grid as it reaches it; each round then puts the non-members back
+// is built ONCE per call and rounds retire their cluster by leaving its
+// points taken out of it (O(cluster)) instead of rebuilding, and every
+// scratch buffer lives in a reusable DeobfuscationWorkspace. Stage 1 is
+// the component walk of attack/clustering.hpp, which takes each point out
+// of the grid as it reaches it; each round then puts the non-members back
 // in O(n). Results are bit-identical to the per-round-rebuild
 // formulation: components are unique, the largest is picked by seed
 // order, and the centroid sums members in ascending index order.
@@ -63,8 +63,8 @@ struct InferredLocation {
 };
 
 /// Reusable scratch for deobfuscate_top_locations: the CSR grid index
-/// plus every per-round buffer (membership bitmap, components, member
-/// points). Reuse rules:
+/// plus every per-round buffer (retired and membership bitmaps,
+/// components, member points). Reuse rules:
 ///   - one workspace per thread; a workspace must never be shared between
 ///     concurrent calls (no internal synchronization);
 ///   - reuse across calls is what it is for -- each call fully re-seeds
@@ -85,11 +85,12 @@ class DeobfuscationWorkspace {
       const std::vector<geo::Point>&, const DeobfuscationConfig&,
       DeobfuscationWorkspace&);
 
-  geo::GridIndex index_;              ///< built once per call
-  std::vector<std::uint8_t> member_;  ///< current cluster membership
-  std::vector<std::size_t> largest_;  ///< largest component this round
-  std::vector<std::size_t> current_;  ///< component being grown
-  std::vector<geo::Point> members_;   ///< member points for the estimator
+  geo::GridIndex index_;               ///< built once per call
+  std::vector<std::uint8_t> retired_;  ///< reported by an earlier rank
+  std::vector<std::uint8_t> member_;   ///< current cluster membership
+  std::vector<std::size_t> largest_;   ///< largest component this round
+  std::vector<std::size_t> current_;   ///< component being grown
+  std::vector<geo::Point> members_;    ///< member points for the estimator
 };
 
 /// Runs Algorithm 1. Returns up to `config.top_n` inferred locations in

@@ -27,8 +27,7 @@ void GridIndex::build_cells(double cell_size_m) {
   cell_size_ = cell_size_m;
 
   // Sort point indices by cell key (ties by index, so bucket order is the
-  // input order) and compress into CSR: unique keys + offsets; the
-  // members are laid out by revive_all().
+  // input order) and compress into CSR: unique keys + offsets.
   const std::size_t n = points_.size();
   keyed_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -49,11 +48,7 @@ void GridIndex::build_cells(double cell_size_m) {
     cell_of_[keyed_[i].second] = static_cast<std::uint32_t>(keys_.size() - 1);
   }
   starts_.push_back(static_cast<std::uint32_t>(n));
-  revive_all();
-}
 
-void GridIndex::revive_all() {
-  const std::size_t n = points_.size();
   order_.resize(n);
   slot_xs_.resize(n);
   slot_ys_.resize(n);
@@ -62,15 +57,12 @@ void GridIndex::revive_all() {
     const std::uint32_t idx = keyed_[i].second;
     order_[i] = idx;
     // SoA coordinate spans in slot order feed the SIMD scan kernel with
-    // contiguous loads; slot_of_ lets kill() and take() find a point's
-    // slot in O(1).
+    // contiguous loads; slot_of_ lets take() find a point's slot in O(1).
     slot_xs_[i] = points_[idx].x;
     slot_ys_[i] = points_[idx].y;
     slot_of_[idx] = static_cast<std::uint32_t>(i);
   }
   live_ends_.assign(starts_.begin() + 1, starts_.end());
-  alive_.assign(n, 1);
-  slot_alive_.assign(n, 1);
 }
 
 void GridIndex::throw_cell_out_of_range() const {

@@ -20,24 +20,23 @@
 //
 // The candidate walk itself is vectorized: alongside `order_` the index
 // keeps the point coordinates as SoA spans in CSR slot order
-// (`slot_xs_`/`slot_ys_`, plus a slot-indexed tombstone array), so each
-// cell's scan is a contiguous 4-wide squared-distance/compare kernel
+// (`slot_xs_`/`slot_ys_`), so each cell's scan of its live prefix is a
+// contiguous 4-wide squared-distance/compare kernel
 // (simd/kernels.hpp) instead of a per-point indirect load and an
 // out-of-line distance_squared call. Scalar and AVX2 dispatch levels
 // produce identical visit sets, order, and d2 bits (see the dispatch
 // contract in simd/dispatch.hpp).
 //
-// Three ways to hide points serve the callers' round structure:
+// Two ways to hide points serve the callers' round structure:
 //   - rebuild() re-indexes a new point set in place, reusing every
 //     internal buffer's capacity (a DeobfuscationWorkspace keeps one
-//     index alive across all users a thread processes);
-//   - tombstones (kill / revive_all) hide points from queries without
-//     moving them, so Alg. 1 removes each round's cluster in O(cluster)
-//     instead of rebuilding the index per rank;
+//     index alive across all users a thread processes); every point
+//     comes back queryable;
 //   - take / put_back move a point out of (or back into) its cell's live
 //     prefix of slots in O(1). Queries scan only live prefixes, so a
-//     taken point costs nothing, where a tombstone is still loaded and
-//     masked.
+//     taken point costs nothing. Alg. 1 leaves each round's cluster
+//     taken, which removes it in O(cluster) instead of rebuilding the
+//     index per rank.
 //
 // Cell indices are int32: an index outside that range (a coordinate more
 // than ~2.1e9 cells from the origin, e.g. 1e4 m with 1e-6 m cells) throws
@@ -57,8 +56,7 @@
 namespace privlocad::geo {
 
 /// Build once (or rebuild in place), query many times. Queries see every
-/// point that is neither tombstoned nor taken since the last
-/// build/revive_all.
+/// point not taken since the last build.
 class GridIndex {
  public:
   /// Empty index; rebuild() before querying.
@@ -71,8 +69,8 @@ class GridIndex {
   GridIndex(std::vector<Point> points, double cell_size_m);
 
   /// Re-indexes `points` in place with cells of side `cell_size_m` (> 0),
-  /// reusing the internal buffers' capacity. All points come back alive
-  /// and untaken.
+  /// reusing the internal buffers' capacity. All points come back
+  /// untaken, in the slot order of a fresh build.
   void rebuild(const std::vector<Point>& points, double cell_size_m);
 
   /// Calls `fn(index, distance_squared)` for each live point p with
@@ -86,20 +84,10 @@ class GridIndex {
   template <typename Fn>
   void for_each_within(Point query, double radius_m, Fn&& fn) const;
 
-  /// Tombstones point `index`: subsequent queries skip it. O(1).
-  void kill(std::size_t index) {
-    alive_[index] = 0;
-    slot_alive_[slot_of_[index]] = 0;
-  }
-
-  /// True when `index` has not been tombstoned since the last build.
-  bool alive(std::size_t index) const { return alive_[index] != 0; }
-
   /// Takes point `index` out of the grid: queries skip it until
-  /// put_back(), revive_all() or rebuild(). O(1): its slot swaps with the
-  /// last live slot of its cell, and the cell's live prefix shrinks by
-  /// one. The point must not be taken already. Taking does not tombstone:
-  /// alive() is unchanged.
+  /// put_back() or rebuild(). O(1): its slot swaps with the last live
+  /// slot of its cell, and the cell's live prefix shrinks by one. The
+  /// point must not be taken already.
   void take(std::size_t index) {
     swap_slots(slot_of_[index], --live_ends_[cell_of_[index]]);
   }
@@ -113,10 +101,6 @@ class GridIndex {
   bool taken(std::size_t index) const {
     return slot_of_[index] >= live_ends_[cell_of_[index]];
   }
-
-  /// Clears every tombstone and puts every taken point back: all points
-  /// are queryable again, in the slot order of a fresh build. O(n).
-  void revive_all();
 
   std::size_t size() const { return points_.size(); }
   const std::vector<Point>& points() const { return points_; }
@@ -154,7 +138,6 @@ class GridIndex {
     std::swap(order_[a], order_[b]);
     std::swap(slot_xs_[a], slot_xs_[b]);
     std::swap(slot_ys_[a], slot_ys_[b]);
-    std::swap(slot_alive_[a], slot_alive_[b]);
     slot_of_[order_[a]] = a;
     slot_of_[order_[b]] = b;
   }
@@ -167,14 +150,12 @@ class GridIndex {
   /// taken points sit in [live_ends_[c], starts_[c + 1]).
   std::vector<std::uint32_t> live_ends_;
   std::vector<std::uint32_t> order_;   ///< point indices grouped by cell
-  std::vector<std::uint8_t> alive_;    ///< tombstones: 0 = hidden
   std::vector<double> slot_xs_;        ///< point x in CSR slot order (SoA)
   std::vector<double> slot_ys_;        ///< point y in CSR slot order (SoA)
-  std::vector<std::uint8_t> slot_alive_;  ///< tombstones in slot order
-  std::vector<std::uint32_t> slot_of_;    ///< point index -> CSR slot
-  std::vector<std::uint32_t> cell_of_;    ///< point index -> position in keys_
-  /// (cell key, point index) sorted: the fresh-build slot order, which
-  /// revive_all() lays out again.
+  std::vector<std::uint32_t> slot_of_;  ///< point index -> CSR slot
+  std::vector<std::uint32_t> cell_of_;  ///< point index -> position in keys_
+  /// build_cells' sort scratch, (cell key, point index); kept so rebuild()
+  /// reuses its capacity.
   std::vector<std::pair<CellKey, std::uint32_t>> keyed_;
 };
 
@@ -211,8 +192,8 @@ void GridIndex::for_each_within(Point query, double radius_m, Fn&& fn) const {
         const std::uint32_t chunk_end =
             end - begin > kScanChunk ? begin + kScanChunk : end;
         const std::size_t hits = simd::scan_slots_within(
-            slot_xs_.data(), slot_ys_.data(), slot_alive_.data(), begin,
-            chunk_end, query.x, query.y, r2, hit_slots, hit_d2);
+            slot_xs_.data(), slot_ys_.data(), begin, chunk_end, query.x,
+            query.y, r2, hit_slots, hit_d2);
         for (std::size_t h = 0; h < hits; ++h) {
           fn(static_cast<std::size_t>(order_[hit_slots[h]]), hit_d2[h]);
         }

@@ -117,45 +117,6 @@ struct ShapeEntry {
 
 }  // namespace
 
-opt::LpProblem build_geo_ind_lp_dense(
-    const std::vector<geo::Point>& centers, const std::vector<double>& prior,
-    const std::vector<std::pair<std::size_t, std::size_t>>& directed_edges,
-    double edge_epsilon) {
-  const std::size_t k = centers.size();
-  const std::size_t vars = k * k;  // X_ij, index i * k + j
-  opt::LpProblem problem;
-  problem.objective.assign(vars, 0.0);
-  for (std::size_t i = 0; i < k; ++i) {
-    for (std::size_t j = 0; j < k; ++j) {
-      problem.objective[i * k + j] =
-          prior[i] * geo::distance(centers[i], centers[j]);
-    }
-  }
-
-  // Row-stochastic equalities.
-  problem.eq_lhs = opt::Matrix(k, vars);
-  problem.eq_rhs.assign(k, 1.0);
-  for (std::size_t i = 0; i < k; ++i) {
-    for (std::size_t j = 0; j < k; ++j) {
-      problem.eq_lhs.at(i, i * k + j) = 1.0;
-    }
-  }
-
-  // geo-IND ratio constraints, one row per directed edge and output.
-  problem.ub_lhs = opt::Matrix(directed_edges.size() * k, vars);
-  problem.ub_rhs.assign(directed_edges.size() * k, 0.0);
-  std::size_t row_index = 0;
-  for (const auto& [i, i_prime] : directed_edges) {
-    const double bound =
-        std::exp(edge_epsilon * geo::distance(centers[i], centers[i_prime]));
-    for (std::size_t j = 0; j < k; ++j, ++row_index) {
-      problem.ub_lhs.at(row_index, i * k + j) = 1.0;
-      problem.ub_lhs.at(row_index, i_prime * k + j) = -bound;
-    }
-  }
-  return problem;
-}
-
 opt::SparseLpProblem build_geo_ind_lp_sparse(
     const std::vector<geo::Point>& centers, const std::vector<double>& prior,
     const std::vector<std::pair<std::size_t, std::size_t>>& directed_edges,
@@ -234,8 +195,8 @@ OptimalGeoIndMechanism::OptimalGeoIndMechanism(OptimalMechanismConfig config)
     }
   }
 
-  const opt::LpProblem problem =
-      build_geo_ind_lp_dense(centers_, config_.prior, edges, edge_epsilon);
+  const opt::SparseLpProblem problem =
+      build_geo_ind_lp_sparse(centers_, config_.prior, edges, edge_epsilon);
 
   // The geo-IND rows are all rhs-0, so the LP is extremely degenerate;
   // a graded perturbation keeps the simplex moving (see SimplexOptions).
@@ -244,7 +205,8 @@ OptimalGeoIndMechanism::OptimalGeoIndMechanism(OptimalMechanismConfig config)
   opt::SimplexOptions lp_options;
   lp_options.degeneracy_perturbation = 1e-8;
   lp_options.max_iterations = 200000;
-  const opt::LpSolution solution = opt::solve(problem, lp_options);
+  const opt::LpSolution solution =
+      opt::RevisedSimplex(problem, lp_options).solve();
   if (solution.status != opt::LpStatus::kOptimal) {
     throw std::runtime_error(
         "optimal mechanism LP did not reach optimality");

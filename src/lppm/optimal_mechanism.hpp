@@ -12,13 +12,14 @@
 // chaining edge constraints along a path then implies every pairwise
 // constraint at the full epsilon.
 //
-// Two construction paths share the LP assembly:
-//  - The exact constructor: 8-neighbor edges (octile dilation), dense
-//    two-phase simplex. The reference -- O(k^2) variables in a dense
-//    tableau keeps it to tiny grids (<= ~4x4 in practice).
+// Two construction paths share the LP assembly (sparse CSR constraints)
+// and the solver (the revised simplex, opt/revised_simplex.hpp):
+//  - The exact constructor: 8-neighbor edges (octile dilation), one cold
+//    solve of the whole grid's LP. The reference -- O(k^2) variables and
+//    a dense m x m basis inverse keep it to small grids (<= ~4x4 in
+//    practice).
 //  - build_approximate(): per-window greedy delta-spanners with a
-//    *certified* dilation (lppm/spanner.hpp), sparse CSR constraints
-//    solved by the revised simplex, and -- past one window -- an
+//    *certified* dilation (lppm/spanner.hpp) and -- past one window -- an
 //    overlapping sub-grid decomposition whose windows are stitched into
 //    the global channel. Windows of the same shape share one resident
 //    solver: identical constraints mean later windows warm-start from
@@ -176,13 +177,9 @@ class OptimalGeoIndMechanism final : public Mechanism {
 
 /// Shared LP assembly for the geo-IND channel problem: k row-stochastic
 /// equalities plus one `X_ij <= e^{edge_epsilon d(i,i')} X_i'j` row per
-/// directed edge and output. Exposed so the solvers can be checked
-/// against each other on identical problems (tests/opt_test.cpp).
-opt::LpProblem build_geo_ind_lp_dense(
-    const std::vector<geo::Point>& centers, const std::vector<double>& prior,
-    const std::vector<std::pair<std::size_t, std::size_t>>& directed_edges,
-    double edge_epsilon);
-
+/// directed edge and output, variable X_ij at index i * k + j. Exposed so
+/// the tests can solve the same problem with the dense reference
+/// (tests/opt_test.cpp).
 opt::SparseLpProblem build_geo_ind_lp_sparse(
     const std::vector<geo::Point>& centers, const std::vector<double>& prior,
     const std::vector<std::pair<std::size_t, std::size_t>>& directed_edges,

@@ -5,6 +5,7 @@
 #include <limits>
 #include <string>
 
+#include "obs/metrics.hpp"
 #include "util/timer.hpp"
 #include "util/validation.hpp"
 
@@ -12,9 +13,20 @@ namespace privlocad::opt {
 
 namespace {
 
-/// Mirrors the dense solver's anti-cycling policy: Dantzig pricing until
-/// this many consecutive degenerate pivots, then Bland's rule.
+/// Mirrors the dense reference's anti-cycling policy: Dantzig pricing
+/// until this many consecutive degenerate pivots, then Bland's rule.
 constexpr std::size_t kStallThreshold = 64;
+
+/// Publishes one solve's iteration counts and wall time as opt.* metrics
+/// (the LP observability contract in docs/API.md).
+void record_solve_metrics(const SolveStats& stats, double seconds) {
+  auto& registry = obs::MetricsRegistry::global();
+  registry.counter("opt.solves").add(1);
+  registry.counter("opt.pivots").add(stats.pivots);
+  registry.counter("opt.phase1_iterations").add(stats.phase1_iterations);
+  registry.counter("opt.phase2_iterations").add(stats.phase2_iterations);
+  registry.histogram("opt.solve_us").record(seconds * 1e6);
+}
 
 }  // namespace
 
@@ -28,10 +40,11 @@ RevisedSimplex::RevisedSimplex(const SparseLpProblem& problem,
   m_ = m_eq_ + m_ub_;
   objective_ = problem.objective;
 
-  // rhs normalization mirrors opt::solve(): every row gets rhs >= 0 by
-  // negation (decided on the raw rhs), inequality rows carry the graded
-  // degeneracy perturbation, and rows without a natural +1 basis column
-  // (equalities and flipped inequalities) get an artificial.
+  // rhs normalization mirrors the dense reference: every row gets
+  // rhs >= 0 by negation (decided on the raw rhs), inequality rows carry
+  // the graded degeneracy perturbation, and rows without a natural +1
+  // basis column (equalities and flipped inequalities) get an
+  // artificial.
   std::vector<double> row_sign(m_, 1.0);
   b_.assign(m_, 0.0);
   art_row_.clear();
@@ -210,7 +223,7 @@ LpStatus RevisedSimplex::run_phase(const std::vector<double>& cost,
     ftran(entering, scratch_w_);
 
     // Leaving row: minimum ratio; ties by smallest basis index (exactly
-    // the dense solver's rule, so pivot paths stay comparable).
+    // the dense reference's rule, so pivot paths stay comparable).
     std::size_t leaving = m_;
     double best_ratio = std::numeric_limits<double>::infinity();
     for (std::size_t r = 0; r < m_; ++r) {
@@ -281,7 +294,7 @@ LpSolution RevisedSimplex::solve() {
     stats_.phase1_iterations += call_stats.phase1_iterations;
     stats_.phase2_iterations += call_stats.phase2_iterations;
     stats_.pivots += call_stats.pivots;
-    detail::record_solve_metrics(call_stats, timer.elapsed_seconds());
+    record_solve_metrics(call_stats, timer.elapsed_seconds());
     return solution;
   };
 
@@ -366,7 +379,7 @@ LpSolution RevisedSimplex::resolve(const std::vector<double>& objective) {
   solution.stats = call_stats;
   stats_.phase2_iterations += call_stats.phase2_iterations;
   stats_.pivots += call_stats.pivots;
-  detail::record_solve_metrics(call_stats, timer.elapsed_seconds());
+  record_solve_metrics(call_stats, timer.elapsed_seconds());
   return solution;
 }
 

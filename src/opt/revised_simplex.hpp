@@ -1,23 +1,26 @@
-// Revised two-phase simplex over sparse (CSR) constraints.
+// Revised two-phase simplex over sparse (CSR) constraints: the library's
+// one LP solver (shared types in opt/simplex.hpp).
 //
-// The dense tableau solver (opt/simplex.hpp) carries the full m x n
-// tableau through every pivot: O(m*n) memory and O(m*n) work per
-// iteration, which is what keeps the optimal geo-IND mechanism stuck at
-// tiny grids. The revised method keeps only the m x m basis inverse and
-// reconstructs tableau columns on demand from the sparse constraint
-// matrix, so with the geo-IND LP's 2-nonzero ratio rows an iteration
-// costs O(m^2) for the inverse update plus O(nnz) for pricing -- orders
-// of magnitude less than the dense sweep once n >> m nonzero density.
+// A dense tableau solver carries the full m x n tableau through every
+// pivot: O(m*n) memory and O(m*n) work per iteration, which kept the
+// optimal geo-IND mechanism stuck at tiny grids. The revised method
+// keeps only the m x m basis inverse and reconstructs tableau columns on
+// demand from the sparse constraint matrix, so with the geo-IND LP's
+// 2-nonzero ratio rows an iteration costs O(m^2) for the inverse update
+// plus O(nnz) for pricing -- orders of magnitude less than the dense
+// sweep once n >> m nonzero density.
 //
-// RevisedSimplex mirrors opt::solve() semantics (statuses, rhs
-// normalization, degeneracy perturbation, Dantzig pricing with a Bland
-// anti-cycling fallback). It is a resident solver that keeps the
-// factorized basis between calls, so resolve(new_objective) warm-starts
-// phase 2 from the previous optimal basis. The approximate optimal
-// mechanism leans on this: decomposition windows of the same shape share
-// constraints and differ only in the prior-weighted objective, so every
-// window after the first costs a handful of pivots instead of a cold
-// solve.
+// RevisedSimplex mirrors the semantics of the test suite's dense tableau
+// reference, oracles::solve_dense (statuses, rhs normalization,
+// degeneracy perturbation, Dantzig pricing with a Bland anti-cycling
+// fallback), which the tests check it against. It is a resident solver
+// that keeps the factorized basis between calls, so
+// resolve(new_objective) warm-starts phase 2 from the previous optimal
+// basis. The optimal mechanism's exact build is one cold solve(); the
+// approximate build leans on the warm restart: decomposition windows of
+// the same shape share constraints and differ only in the prior-weighted
+// objective, so every window after the first costs a handful of pivots
+// instead of a cold solve.
 #pragma once
 
 #include <cstddef>

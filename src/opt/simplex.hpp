@@ -1,67 +1,23 @@
-// Dense two-phase simplex solver.
+// Shared types of the LP solver (opt/revised_simplex.hpp).
 //
-// Solves   minimize    c^T x
-//          subject to  A_eq  x  = b_eq
-//                      A_ub  x <= b_ub
-//                      x >= 0
-//
-// Built for the optimal geo-IND mechanism (Bordenabe et al., CCS 2014):
-// the mechanism is the solution of an LP whose variables are the entries
-// of a stochastic matrix, with per-row simplex constraints (equalities)
-// and geo-IND density-ratio constraints (inequalities). Problem sizes are
-// small (hundreds of variables, thousands of constraints), so a dense
-// tableau with Bland's anti-cycling rule is simple and fast enough; it is
-// kept as the reference implementation that the sparse revised simplex
-// (opt/revised_simplex.hpp) is checked against.
+// The solver handles   minimize    c^T x
+//                      subject to  A_eq  x  = b_eq
+//                                  A_ub  x <= b_ub
+//                                  x >= 0
+// with the two-phase method. It was built for the optimal geo-IND
+// mechanism (Bordenabe et al., CCS 2014): the mechanism is the solution of
+// an LP whose variables are the entries of a stochastic matrix, with
+// per-row simplex constraints (equalities) and geo-IND density-ratio
+// constraints (inequalities). The test suite keeps a dense tableau
+// solver over the same types as its reference (tests/oracles.hpp).
 #pragma once
 
-#include <cassert>
 #include <cstddef>
 #include <vector>
 
 namespace privlocad::opt {
 
-/// Row-major dense matrix, sized rows x cols at construction. Index
-/// bounds are asserted in debug builds (NDEBUG off); release builds
-/// elide the check to keep the pivot inner loop branch-free.
-class Matrix {
- public:
-  Matrix() = default;
-  Matrix(std::size_t rows, std::size_t cols);
-
-  double& at(std::size_t r, std::size_t c) {
-    assert(r < rows_ && c < cols_ && "opt::Matrix::at index out of range");
-    return data_[r * cols_ + c];
-  }
-  double at(std::size_t r, std::size_t c) const {
-    assert(r < rows_ && c < cols_ && "opt::Matrix::at index out of range");
-    return data_[r * cols_ + c];
-  }
-
-  std::size_t rows() const { return rows_; }
-  std::size_t cols() const { return cols_; }
-
- private:
-  std::size_t rows_ = 0;
-  std::size_t cols_ = 0;
-  std::vector<double> data_;
-};
-
 enum class LpStatus { kOptimal, kInfeasible, kUnbounded, kIterationLimit };
-
-struct LpProblem {
-  std::vector<double> objective;  ///< c, one entry per variable
-
-  Matrix eq_lhs;                  ///< A_eq (may have 0 rows)
-  std::vector<double> eq_rhs;     ///< b_eq
-
-  Matrix ub_lhs;                  ///< A_ub (may have 0 rows)
-  std::vector<double> ub_rhs;     ///< b_ub
-
-  /// Validates dimensional consistency; throws util::InvalidArgument with
-  /// a message naming the offending block and the mismatched sizes.
-  void validate() const;
-};
 
 /// Iteration accounting for one or more simplex solves; also published
 /// to the global metrics registry as `opt.*` counters on every solve.
@@ -96,19 +52,10 @@ struct SimplexOptions {
   /// i.e. O(perturbation * rows) for bounded duals (the geo-IND duals are
   /// bounded by the prior-weighted cell distances). The property test
   /// SimplexTest.PerturbationObjectiveErrorIsLinearlyBounded pins this on
-  /// known LPs for both solvers. Callers that need exact feasibility
-  /// should post-process (the optimal mechanism renormalizes its rows).
-  /// Zero disables.
+  /// known LPs for the solver and its dense reference. Callers that need
+  /// exact feasibility should post-process (the optimal mechanism
+  /// renormalizes its rows). Zero disables.
   double degeneracy_perturbation = 0.0;
 };
-
-/// Solves the LP with the two-phase method.
-LpSolution solve(const LpProblem& problem, const SimplexOptions& options = {});
-
-namespace detail {
-/// Publishes one solve's iteration counts and wall time as `opt.*`
-/// metrics in the global registry (internal, shared by both solvers).
-void record_solve_metrics(const SolveStats& stats, double seconds);
-}  // namespace detail
 
 }  // namespace privlocad::opt

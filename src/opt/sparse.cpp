@@ -3,7 +3,6 @@
 #include <cmath>
 #include <string>
 
-#include "opt/simplex.hpp"
 #include "util/validation.hpp"
 
 namespace privlocad::opt {

@@ -3,10 +3,10 @@
 // The geo-IND mechanism LP has k^2 variables but only a handful of
 // nonzeros per constraint row: a row-stochastic equality touches the k
 // entries of one channel row, and a spanner-edge ratio constraint touches
-// exactly two variables. Storing those rows densely (opt::Matrix) costs
-// O(rows * k^2) memory and makes every simplex pivot a dense sweep, which
-// is why the exact solver dies past tiny grids. CsrMatrix keeps only the
-// nonzeros, so constraint storage is O(nnz) and the revised simplex
+// exactly two variables. Storing those rows densely costs O(rows * k^2)
+// memory and makes every simplex pivot a dense sweep, which kept a dense
+// tableau solver to tiny grids. CsrMatrix keeps only the nonzeros, so
+// constraint storage is O(nnz) and the revised simplex
 // (opt/revised_simplex.hpp) prices and ftrans in O(nnz per column).
 #pragma once
 
@@ -16,8 +16,6 @@
 #include <vector>
 
 namespace privlocad::opt {
-
-class Matrix;  // simplex.hpp
 
 /// Compressed-sparse-row matrix built row by row. Entries within a row
 /// must be appended in strictly increasing column order (asserted in
@@ -74,7 +72,7 @@ class CsrMatrix {
   std::size_t open_row_entries_ = 0;
 };
 
-/// The sparse counterpart of opt::LpProblem:
+/// The LP the revised simplex solves:
 ///   minimize c^T x  s.t.  A_eq x = b_eq,  A_ub x <= b_ub,  x >= 0.
 struct SparseLpProblem {
   std::vector<double> objective;  ///< c, one entry per variable

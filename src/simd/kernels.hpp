@@ -37,22 +37,20 @@
 namespace privlocad::simd {
 
 /// Scans CSR slots [begin, end) of a slot-ordered SoA point array and
-/// appends every live point with squared distance to (qx, qy) <= r2 to
-/// hit_slots/hit_d2, in ascending slot order. alive is indexed by slot
-/// (0 = tombstoned). The hit buffers must hold at least end - begin
-/// entries. Returns the hit count.
+/// appends every point with squared distance to (qx, qy) <= r2 to
+/// hit_slots/hit_d2, in ascending slot order. Every slot in the range is
+/// a candidate: GridIndex hides a point by moving it past its cell's live
+/// prefix, so the caller passes only live slots. The hit buffers must
+/// hold at least end - begin entries. Returns the hit count.
 std::size_t scan_slots_within(const double* xs, const double* ys,
-                              const std::uint8_t* alive, std::uint32_t begin,
-                              std::uint32_t end, double qx, double qy,
-                              double r2, std::uint32_t* hit_slots,
-                              double* hit_d2);
+                              std::uint32_t begin, std::uint32_t end,
+                              double qx, double qy, double r2,
+                              std::uint32_t* hit_slots, double* hit_d2);
 std::size_t scan_slots_within_scalar(const double* xs, const double* ys,
-                                     const std::uint8_t* alive,
                                      std::uint32_t begin, std::uint32_t end,
                                      double qx, double qy, double r2,
                                      std::uint32_t* hit_slots, double* hit_d2);
 std::size_t scan_slots_within_avx2(const double* xs, const double* ys,
-                                   const std::uint8_t* alive,
                                    std::uint32_t begin, std::uint32_t end,
                                    double qx, double qy, double r2,
                                    std::uint32_t* hit_slots, double* hit_d2);

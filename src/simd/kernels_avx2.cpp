@@ -22,7 +22,6 @@
 namespace privlocad::simd {
 
 std::size_t scan_slots_within_avx2(const double* xs, const double* ys,
-                                   const std::uint8_t* alive,
                                    std::uint32_t begin, std::uint32_t end,
                                    double qx, double qy, double r2,
                                    std::uint32_t* hit_slots,
@@ -37,16 +36,7 @@ std::size_t scan_slots_within_avx2(const double* xs, const double* ys,
     const __m256d dy = _mm256_sub_pd(_mm256_loadu_pd(ys + s), vqy);
     const __m256d d2 =
         _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy));
-    // Four alive bytes -> 4x64 lane mask, ANDed into the radius compare.
-    std::uint32_t alive4;
-    __builtin_memcpy(&alive4, alive + s, sizeof(alive4));
-    const __m256i alive64 = _mm256_cvtepu8_epi64(
-        _mm_cvtsi32_si128(static_cast<int>(alive4)));
-    const __m256d keep = _mm256_and_pd(
-        _mm256_cmp_pd(d2, vr2, _CMP_LE_OQ),
-        _mm256_castsi256_pd(
-            _mm256_cmpgt_epi64(alive64, _mm256_setzero_si256())));
-    int mask = _mm256_movemask_pd(keep);
+    int mask = _mm256_movemask_pd(_mm256_cmp_pd(d2, vr2, _CMP_LE_OQ));
     if (mask == 0) continue;
     alignas(32) double d2_lanes[4];
     _mm256_store_pd(d2_lanes, d2);
@@ -62,7 +52,6 @@ std::size_t scan_slots_within_avx2(const double* xs, const double* ys,
   // Tail (< 4 slots): the scalar reference loop, bit-identical by
   // construction.
   for (; s < end; ++s) {
-    if (!alive[s]) continue;
     const double dx = xs[s] - qx;
     const double dy = ys[s] - qy;
     const double d2 = dx * dx + dy * dy;
@@ -140,13 +129,12 @@ void apply_noise_pairs_avx2(const double* samples, std::size_t n_pairs,
 namespace privlocad::simd {
 
 std::size_t scan_slots_within_avx2(const double* xs, const double* ys,
-                                   const std::uint8_t* alive,
                                    std::uint32_t begin, std::uint32_t end,
                                    double qx, double qy, double r2,
                                    std::uint32_t* hit_slots,
                                    double* hit_d2) {
-  return scan_slots_within_scalar(xs, ys, alive, begin, end, qx, qy, r2,
-                                  hit_slots, hit_d2);
+  return scan_slots_within_scalar(xs, ys, begin, end, qx, qy, r2, hit_slots,
+                                  hit_d2);
 }
 
 double posterior_log_densities_avx2(const double* xs, const double* ys,

@@ -11,14 +11,12 @@
 namespace privlocad::simd {
 
 std::size_t scan_slots_within_scalar(const double* xs, const double* ys,
-                                     const std::uint8_t* alive,
                                      std::uint32_t begin, std::uint32_t end,
                                      double qx, double qy, double r2,
                                      std::uint32_t* hit_slots,
                                      double* hit_d2) {
   std::size_t hits = 0;
   for (std::uint32_t s = begin; s < end; ++s) {
-    if (!alive[s]) continue;
     const double dx = xs[s] - qx;
     const double dy = ys[s] - qy;
     const double d2 = dx * dx + dy * dy;
@@ -57,16 +55,15 @@ void apply_noise_pairs_scalar(const double* samples, std::size_t n_pairs,
 // ------------------------------------------- dispatch-level entry points
 
 std::size_t scan_slots_within(const double* xs, const double* ys,
-                              const std::uint8_t* alive, std::uint32_t begin,
-                              std::uint32_t end, double qx, double qy,
-                              double r2, std::uint32_t* hit_slots,
-                              double* hit_d2) {
+                              std::uint32_t begin, std::uint32_t end,
+                              double qx, double qy, double r2,
+                              std::uint32_t* hit_slots, double* hit_d2) {
   if (active_dispatch_level() == DispatchLevel::kAvx2) {
-    return scan_slots_within_avx2(xs, ys, alive, begin, end, qx, qy, r2,
-                                  hit_slots, hit_d2);
+    return scan_slots_within_avx2(xs, ys, begin, end, qx, qy, r2, hit_slots,
+                                  hit_d2);
   }
-  return scan_slots_within_scalar(xs, ys, alive, begin, end, qx, qy, r2,
-                                  hit_slots, hit_d2);
+  return scan_slots_within_scalar(xs, ys, begin, end, qx, qy, r2, hit_slots,
+                                  hit_d2);
 }
 
 double posterior_log_densities(const double* xs, const double* ys,

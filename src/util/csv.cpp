@@ -1,6 +1,5 @@
 #include "util/csv.hpp"
 
-#include <fstream>
 #include <istream>
 #include <ostream>
 
@@ -134,12 +133,6 @@ CsvTable read_csv(std::istream& in) {
     table.rows.push_back(std::move(fields));
   }
   return table;
-}
-
-CsvTable read_csv_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw IoError("cannot open CSV file: " + path);
-  return read_csv(in);
 }
 
 CsvWriter::CsvWriter(std::ostream& out, std::vector<std::string> header)

@@ -9,9 +9,10 @@
 //
 // Error taxonomy (util/status.hpp): structurally malformed input throws
 // util::ParseError (an InvalidArgument carrying ErrorCode::kParseError and
-// the 1-based line); failures to open a file throw util::IoError (a
-// runtime_error carrying kIoError). Callers can therefore distinguish
-// "the file is corrupt" from "the file is unreachable" programmatically.
+// the 1-based line). The reader takes a stream; callers that open a file
+// report a failure to open it themselves (trace::read_traces_file throws
+// util::IoError), so "the file is corrupt" and "the file is unreachable"
+// stay distinguishable.
 #pragma once
 
 #include <cstddef>
@@ -34,10 +35,6 @@ struct CsvTable {
 /// skipped. Throws InvalidArgument on ragged rows and malformed quoting
 /// (with the line number).
 CsvTable read_csv(std::istream& in);
-
-/// Convenience overload reading from a file path; throws
-/// std::runtime_error if the file cannot be opened.
-CsvTable read_csv_file(const std::string& path);
 
 /// Streaming CSV writer. Writes the header on construction.
 class CsvWriter {

@@ -267,7 +267,7 @@ TEST(Deobfuscation, InvalidConfigRejected) {
 namespace {
 
 /// Two well-separated Laplace-noised anchors: enough structure to
-/// exercise multi-round clustering, trimming, and the tombstone path.
+/// exercise multi-round clustering, trimming, and the round retirement path.
 std::vector<geo::Point> workspace_test_stream(std::uint64_t seed,
                                               int home_count,
                                               int office_count) {

@@ -280,59 +280,29 @@ TEST(GridIndex, AgreesWithBruteForce) {
   EXPECT_EQ(within(index, query, radius).size(), brute);
 }
 
-// ----------------------------------------------- GridIndex tombstoning
-
-TEST(GridIndex, KilledPointsDisappearFromQueries) {
-  const std::vector<Point> points{{0, 0}, {10, 0}, {20, 0}, {200, 200}};
-  GridIndex index(points, 50.0);
-  EXPECT_EQ(within(index, {0, 0}, 30.0).size(), 3u);
-
-  index.kill(1);
-  EXPECT_FALSE(index.alive(1));
-  EXPECT_TRUE(index.alive(0));
-  const auto hits = within(index, {0, 0}, 30.0);
-  EXPECT_EQ(hits.size(), 2u);
-  for (const std::size_t i : hits) EXPECT_NE(i, 1u);
-}
+// ------------------------------------------------ GridIndex rebuild
 
 TEST(GridIndex, ReviveAllRestoresEveryPoint) {
+  // Rebuilding over the same points brings every taken point back.
   const std::vector<Point> points{{0, 0}, {10, 0}, {20, 0}};
   GridIndex index(points, 50.0);
-  index.kill(0);
-  index.kill(2);
+  index.take(0);
+  index.take(2);
   EXPECT_EQ(within(index, {0, 0}, 30.0).size(), 1u);
-  index.revive_all();
+  index.rebuild(points, 50.0);
   EXPECT_EQ(within(index, {0, 0}, 30.0).size(), 3u);
-  EXPECT_TRUE(index.alive(0));
-  EXPECT_TRUE(index.alive(2));
-}
-
-TEST(GridIndex, TombstonesMatchBruteForceFilter) {
-  std::vector<Point> points;
-  for (int i = 0; i < 400; ++i) {
-    points.push_back({std::fmod(i * 127.3, 800.0) - 400.0,
-                      std::fmod(i * 311.7, 800.0) - 400.0});
-  }
-  GridIndex index(points, 60.0);
-  for (std::size_t i = 0; i < points.size(); i += 3) index.kill(i);
-
-  const Point query{-7.0, 31.0};
-  const double radius = 90.0;
-  std::size_t brute = 0;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (i % 3 != 0 && distance(points[i], query) <= radius) ++brute;
-  }
-  EXPECT_EQ(within(index, query, radius).size(), brute);
+  EXPECT_FALSE(index.taken(0));
+  EXPECT_FALSE(index.taken(2));
 }
 
 TEST(GridIndex, RebuildReplacesContentsAndRevives) {
   GridIndex index({{0, 0}, {10, 0}}, 50.0);
-  index.kill(0);
-  // Rebuild with a different cloud (and different cell size): old
-  // tombstones must not leak into the new generation.
+  index.take(0);
+  // Rebuild with a different cloud (and different cell size): the old
+  // generation's taken points must not leak into the new one.
   index.rebuild({{5, 5}, {15, 5}, {500, 500}}, 40.0);
   EXPECT_EQ(index.size(), 3u);
-  EXPECT_TRUE(index.alive(0));
+  EXPECT_FALSE(index.taken(0));
   EXPECT_EQ(within(index, {5, 5}, 20.0).size(), 2u);
   EXPECT_THROW(index.rebuild({{0, 0}}, 0.0), util::InvalidArgument);
 }
@@ -354,14 +324,13 @@ std::vector<std::size_t> sorted_within(const GridIndex& index, Point query,
   return hits;
 }
 
-/// Sorted hits of `index` against the brute-force filter over the points
-/// neither taken nor killed.
+/// Sorted hits of `index` against the brute-force filter over the
+/// untaken points.
 void expect_live_within(const GridIndex& index, Point query,
                         double radius_m) {
   std::vector<std::size_t> expected;
   for (std::size_t i = 0; i < index.size(); ++i) {
-    if (index.alive(i) && !index.taken(i) &&
-        distance(index.points()[i], query) <= radius_m) {
+    if (!index.taken(i) && distance(index.points()[i], query) <= radius_m) {
       expected.push_back(i);
     }
   }
@@ -374,8 +343,6 @@ TEST(GridIndex, TakenPointsVanishFromQueries) {
   index.take(1);
   EXPECT_TRUE(index.taken(1));
   EXPECT_FALSE(index.taken(0));
-  // Taking hides a point without tombstoning it.
-  EXPECT_TRUE(index.alive(1));
   EXPECT_EQ(sorted_within(index, {0, 0}, 40.0),
             (std::vector<std::size_t>{0, 2, 3}));
   index.take(3);
@@ -388,29 +355,6 @@ TEST(GridIndex, TakenPointsVanishFromQueries) {
   EXPECT_EQ(within(index, {0, 0}, 40.0).size(), 2u);
 }
 
-TEST(GridIndex, TakeAndKillCombine) {
-  const std::vector<Point> points{{0, 0}, {5, 0}, {10, 0}, {15, 0}, {20, 0}};
-  GridIndex index(points, 50.0);
-  // Kill a taken point, take a killed one, and put a killed point back:
-  // a tombstone moves with its slot and still hides the point.
-  index.take(1);
-  index.kill(1);
-  index.kill(3);
-  index.take(3);
-  index.take(0);
-  index.put_back(3);
-  EXPECT_TRUE(index.taken(1));
-  EXPECT_FALSE(index.alive(1));
-  EXPECT_FALSE(index.taken(3));
-  EXPECT_FALSE(index.alive(3));
-  EXPECT_EQ(sorted_within(index, {0, 0}, 30.0),
-            (std::vector<std::size_t>{2, 4}));
-  index.put_back(1);
-  index.put_back(0);
-  expect_live_within(index, {0, 0}, 30.0);
-  EXPECT_EQ(within(index, {0, 0}, 30.0).size(), 3u);
-}
-
 TEST(GridIndex, RebuildAndReviveAllReturnTakenPoints) {
   std::vector<Point> points;
   for (int i = 0; i < 300; ++i) {
@@ -421,18 +365,13 @@ TEST(GridIndex, RebuildAndReviveAllReturnTakenPoints) {
   const Point query{3.0, -11.0};
   const std::vector<std::size_t> fresh = within(index, query, 120.0);
   for (std::size_t i = 0; i < points.size(); i += 2) index.take(i);
-  for (std::size_t i = 1; i < points.size(); i += 5) index.kill(i);
+  for (std::size_t i = 0; i < points.size(); i += 6) index.put_back(i);
+  for (std::size_t i = 1; i < points.size(); i += 5) {
+    if (!index.taken(i)) index.take(i);
+  }
   expect_live_within(index, query, 120.0);
 
-  // revive_all restores the fresh build's visit order, not only its set.
-  index.revive_all();
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    EXPECT_FALSE(index.taken(i));
-    EXPECT_TRUE(index.alive(i));
-  }
-  EXPECT_EQ(within(index, query, 120.0), fresh);
-
-  for (std::size_t i = 0; i < points.size(); i += 3) index.take(i);
+  // rebuild restores the fresh build's visit order, not only its set.
   index.rebuild(points, 40.0);
   for (std::size_t i = 0; i < points.size(); ++i) EXPECT_FALSE(index.taken(i));
   EXPECT_EQ(within(index, query, 120.0), fresh);
@@ -448,7 +387,6 @@ TEST(GridIndex, ManyTakesInOneCellMatchBruteForce) {
     points.push_back({std::fmod(i * 37.1, 99.0), std::fmod(i * 53.9, 99.0)});
   }
   GridIndex index(points, 100.0);
-  for (std::size_t i = 0; i < kN; i += 9) index.kill(i);
   std::vector<std::size_t> held;
   for (std::size_t step = 0; step < kN; ++step) {
     const std::size_t i = (step * 7919) % kN;

@@ -6,12 +6,14 @@
 // an inverse (the planar Laplace radial CDF vs its quantile), a sampled
 // estimate for a closed form (Monte-Carlo efficacy), a brute-force scan
 // for a solver's claim (the geo-IND constraint check, all-pairs
-// connected components), or a sequential rule for a batched one
-// (single-request admission). Keeping them here
-// keeps every function under src/ reachable from a shipped binary.
+// connected components), a dense tableau for a sparse one (the two-phase
+// simplex), or a sequential rule for a batched one (single-request
+// admission). Keeping them here keeps every function under src/
+// reachable from a shipped binary.
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <vector>
 
@@ -167,6 +169,12 @@ geo::Point cell_center(const lppm::OptimalGeoIndMechanism& mechanism,
 /// seams, where the build report's boundary_epsilon is the guarantee.
 double max_constraint_violation(const lppm::OptimalGeoIndMechanism& mechanism);
 
+/// The same check on a bare channel (row i = output distribution of cell
+/// i) over cells at `centers`.
+double max_constraint_violation(
+    const std::vector<std::vector<double>>& channel,
+    const std::vector<geo::Point>& centers, double epsilon);
+
 // --------------------------------------------------------------- utility
 
 /// Monte-Carlo efficacy: draw ads uniformly inside the selected
@@ -179,9 +187,64 @@ double efficacy_monte_carlo(rng::Engine& engine, geo::Point true_location,
 
 // ------------------------------------------------------------------- opt
 
+/// Row-major dense matrix, sized rows x cols at construction. Index
+/// bounds are asserted in debug builds (NDEBUG off); release builds
+/// elide the check to keep the pivot inner loop branch-free.
+class Matrix {
+ public:
+  Matrix() = default;
+  Matrix(std::size_t rows, std::size_t cols);
+
+  double& at(std::size_t r, std::size_t c) {
+    assert(r < rows_ && c < cols_ && "Matrix::at index out of range");
+    return data_[r * cols_ + c];
+  }
+  double at(std::size_t r, std::size_t c) const {
+    assert(r < rows_ && c < cols_ && "Matrix::at index out of range");
+    return data_[r * cols_ + c];
+  }
+
+  std::size_t rows() const { return rows_; }
+  std::size_t cols() const { return cols_; }
+
+ private:
+  std::size_t rows_ = 0;
+  std::size_t cols_ = 0;
+  std::vector<double> data_;
+};
+
+/// Dense LP for solve_dense:
+///     minimize c^T x  subject to  A_eq x = b_eq,  A_ub x <= b_ub,  x >= 0.
+struct LpProblem {
+  std::vector<double> objective;  ///< c, one entry per variable
+
+  Matrix eq_lhs;                  ///< A_eq (may have 0 rows)
+  std::vector<double> eq_rhs;     ///< b_eq
+
+  Matrix ub_lhs;                  ///< A_ub (may have 0 rows)
+  std::vector<double> ub_rhs;     ///< b_ub
+
+  /// Validates dimensional consistency; throws util::InvalidArgument with
+  /// a message naming the offending block and the mismatched sizes.
+  void validate() const;
+};
+
+/// Dense two-phase tableau simplex: the reference opt::RevisedSimplex is
+/// checked against. Same semantics -- statuses, rhs normalization, the
+/// graded degeneracy perturbation, Dantzig pricing with a Bland fallback
+/// after 64 degenerate pivots, artificial drive-out -- over the full
+/// m x n tableau, so it stays small and obviously correct rather than
+/// fast. Publishes no metrics.
+opt::LpSolution solve_dense(const LpProblem& problem,
+                            const opt::SimplexOptions& options = {});
+
 /// Dense -> CSR: keeps entries with |a_ij| > zero_tolerance.
-opt::CsrMatrix csr_from_dense(const opt::Matrix& dense,
+opt::CsrMatrix csr_from_dense(const Matrix& dense,
                               double zero_tolerance = 0.0);
+
+/// CSR -> dense, every stored entry copied: builds the dense reference
+/// LP from the one sparse assembly the library has.
+Matrix dense_from_csr(const opt::CsrMatrix& csr);
 
 /// One cold RevisedSimplex solve; `stats` (optional) receives its
 /// iteration counts.

@@ -7,6 +7,7 @@
 // invariance, and eta-frequent minimality under random profiles.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <numbers>
 #include <numeric>
@@ -22,7 +23,6 @@
 #include "lppm/baselines.hpp"
 #include "lppm/gaussian.hpp"
 #include "lppm/planar_laplace.hpp"
-#include "opt/simplex.hpp"
 #include "rng/engine.hpp"
 #include "rng/samplers.hpp"
 #include "simd/dispatch.hpp"
@@ -289,9 +289,9 @@ TEST_P(SimplexRandom, MatchesBruteForceVertexEnumerationIn2D) {
   rng::Engine e(GetParam());
   const std::size_t m = 3 + e.uniform_index(4);  // 3..6 inequalities
 
-  opt::LpProblem p;
+  oracles::LpProblem p;
   p.objective = {e.uniform_in(-5.0, 5.0), e.uniform_in(-5.0, 5.0)};
-  p.ub_lhs = opt::Matrix(m + 2, 2);
+  p.ub_lhs = oracles::Matrix(m + 2, 2);
   p.ub_rhs.assign(m + 2, 0.0);
   for (std::size_t r = 0; r < m; ++r) {
     p.ub_lhs.at(r, 0) = e.uniform_in(0.1, 3.0);
@@ -304,7 +304,7 @@ TEST_P(SimplexRandom, MatchesBruteForceVertexEnumerationIn2D) {
   p.ub_lhs.at(m + 1, 1) = 1.0;
   p.ub_rhs[m + 1] = 20.0;
 
-  const opt::LpSolution solution = opt::solve(p);
+  const opt::LpSolution solution = oracles::solve_dense(p);
   ASSERT_EQ(solution.status, opt::LpStatus::kOptimal);
 
   // Brute force: candidate vertices are intersections of every pair of
@@ -354,7 +354,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SimplexRandom,
 // The dispatch contract (simd/dispatch.hpp): switching between the
 // scalar and AVX2 kernels changes throughput only -- visit sets, cluster
 // assignments, selection posteriors, and noise streams must agree
-// BIT-for-bit over randomized point sets, radii, and tombstone masks.
+// BIT-for-bit over randomized point sets, radii, and taken points.
 // Every suite below runs the same deterministic workload once per
 // dispatch level and compares results with exact double equality. On
 // machines (or builds) without AVX2 the suites skip: the scalar path is
@@ -409,9 +409,9 @@ TEST_P(SimdAgreement, ForEachWithinVisitsIdenticalSetsInIdenticalOrder) {
   const double cell = e.uniform_in(10.0, 120.0);
   const double radius = e.uniform_in(5.0, 250.0);
   geo::GridIndex index(points, cell);
-  // Random tombstone mask (~30%), identical for both dispatch levels.
+  // Random ~30% taken out of the grid, identical for both dispatch levels.
   for (std::size_t i = 0; i < n; ++i) {
-    if (e.uniform() < 0.3) index.kill(i);
+    if (e.uniform() < 0.3) index.take(i);
   }
   // Queries at random offsets AND at exact point positions (exact d2 = 0
   // and duplicate handling must agree too).
@@ -558,6 +558,92 @@ TEST(ComponentOracle, SeededRandomClouds) {
   }
 }
 
+// ---------------------------------------------- Alg. 1 golden digest
+//
+// A digest of deobfuscate_top_locations' outputs (count, then location
+// bits and support rank by rank) over seeded multi-cluster clouds with
+// exact duplicates, top_n 3..5, trimming on and off, through one reused
+// workspace. It was recorded while rounds still retired their clusters
+// through GridIndex tombstones, and the workspace's retired bitmap
+// reproduced it bit for bit, so any drift in stage 1, trimming or round
+// retirement changes it -- at either dispatch level.
+
+/// FNV-1a 64 over the little-endian bytes of each folded word.
+struct Fnv1a {
+  std::uint64_t state = 0xcbf29ce484222325ULL;
+  void add(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      state ^= (word >> (8 * byte)) & 0xFFu;
+      state *= 0x100000001b3ULL;
+    }
+  }
+};
+
+/// 2-5 Gaussian anchor clusters of 20-139 points, up to 39 strays, and
+/// ~10% exact duplicates, shuffled so cluster members interleave.
+std::vector<geo::Point> clustered_cloud(rng::Engine& e) {
+  std::vector<geo::Point> points;
+  const std::size_t clusters = 2 + e.uniform_index(4);
+  for (std::size_t c = 0; c < clusters; ++c) {
+    const geo::Point anchor{e.uniform_in(-3000.0, 3000.0),
+                            e.uniform_in(-3000.0, 3000.0)};
+    const double sigma = e.uniform_in(30.0, 120.0);
+    const std::size_t members = 20 + e.uniform_index(120);
+    for (std::size_t i = 0; i < members; ++i) {
+      points.push_back(anchor + rng::gaussian_noise(e, sigma));
+    }
+  }
+  const std::size_t strays = e.uniform_index(40);
+  for (std::size_t i = 0; i < strays; ++i) {
+    points.push_back({e.uniform_in(-4000.0, 4000.0),
+                      e.uniform_in(-4000.0, 4000.0)});
+  }
+  const std::size_t duplicates = points.size() / 10;
+  for (std::size_t i = 0; i < duplicates; ++i) {
+    points.push_back(points[e.uniform_index(points.size())]);
+  }
+  for (std::size_t i = points.size(); i > 1; --i) {
+    std::swap(points[i - 1], points[e.uniform_index(i)]);
+  }
+  return points;
+}
+
+TEST(DeobfuscationGolden, TopLocationsMatchRecordedDigest) {
+  constexpr std::uint64_t kGoldenDigest = 0x8506749cc7289b55ULL;
+  std::vector<simd::DispatchLevel> levels{simd::DispatchLevel::kScalar};
+  if (simd::avx2_available()) levels.push_back(simd::DispatchLevel::kAvx2);
+  for (const simd::DispatchLevel level : levels) {
+    const DispatchGuard guard(level);
+    attack::DeobfuscationWorkspace workspace;
+    Fnv1a digest;
+    std::size_t locations = 0;
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+      rng::Engine e(seed + 7000);
+      const std::vector<geo::Point> points = clustered_cloud(e);
+      attack::DeobfuscationConfig config;
+      config.connectivity_threshold_m = e.uniform_in(40.0, 120.0);
+      config.trim_radius_m = e.uniform_in(100.0, 400.0);
+      config.top_n = 3 + seed % 3;
+      for (const bool trimming : {true, false}) {
+        config.enable_trimming = trimming;
+        const auto inferred =
+            attack::deobfuscate_top_locations(points, config, workspace);
+        digest.add(inferred.size());
+        for (const attack::InferredLocation& loc : inferred) {
+          digest.add(std::bit_cast<std::uint64_t>(loc.location.x));
+          digest.add(std::bit_cast<std::uint64_t>(loc.location.y));
+          digest.add(loc.support);
+        }
+        locations += inferred.size();
+      }
+    }
+    EXPECT_EQ(digest.state, kGoldenDigest)
+        << "dispatch " << simd::dispatch_level_name(level) << ": 0x"
+        << std::hex << digest.state;
+    EXPECT_EQ(locations, 480u);
+  }
+}
+
 TEST_P(SimdAgreement, DeobfuscationInferenceIdenticalAcrossDispatch) {
   SKIP_WITHOUT_AVX2();
   rng::Engine e(GetParam() + 2000);
@@ -635,11 +721,9 @@ TEST_P(SimdAgreement, RawScanKernelAgreesAtEveryAlignment) {
   rng::Engine e(GetParam() + 5000);
   constexpr std::size_t kN = 203;  // not a multiple of 4
   std::vector<double> xs(kN), ys(kN);
-  std::vector<std::uint8_t> alive(kN);
   for (std::size_t i = 0; i < kN; ++i) {
     xs[i] = e.uniform_in(-100.0, 100.0);
     ys[i] = e.uniform_in(-100.0, 100.0);
-    alive[i] = e.uniform() < 0.7 ? 1 : 0;
   }
   const double qx = e.uniform_in(-100.0, 100.0);
   const double qy = e.uniform_in(-100.0, 100.0);
@@ -649,11 +733,11 @@ TEST_P(SimdAgreement, RawScanKernelAgreesAtEveryAlignment) {
     std::vector<std::uint32_t> slots_s(kN), slots_v(kN);
     std::vector<double> d2_s(kN), d2_v(kN);
     const std::size_t hits_s = simd::scan_slots_within_scalar(
-        xs.data(), ys.data(), alive.data(), begin, kN, qx, qy, r2,
-        slots_s.data(), d2_s.data());
+        xs.data(), ys.data(), begin, kN, qx, qy, r2, slots_s.data(),
+        d2_s.data());
     const std::size_t hits_v = simd::scan_slots_within_avx2(
-        xs.data(), ys.data(), alive.data(), begin, kN, qx, qy, r2,
-        slots_v.data(), d2_v.data());
+        xs.data(), ys.data(), begin, kN, qx, qy, r2, slots_v.data(),
+        d2_v.data());
     ASSERT_EQ(hits_s, hits_v) << "begin " << begin;
     for (std::size_t h = 0; h < hits_s; ++h) {
       EXPECT_EQ(slots_s[h], slots_v[h]);

@@ -110,23 +110,10 @@ TEST(Csv, RaggedRowIsATypedParseErrorCarryingTheLine) {
   }
 }
 
-TEST(Csv, MissingFileIsATypedIoError) {
-  try {
-    read_csv_file("/nonexistent/path.csv");
-    FAIL() << "expected IoError";
-  } catch (const IoError& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kIoError);
-  }
-}
-
 TEST(Csv, UnknownColumnThrows) {
   std::istringstream in("a,b\n1,2\n");
   const CsvTable table = read_csv(in);
   EXPECT_THROW(table.column("zzz"), InvalidArgument);
-}
-
-TEST(Csv, MissingFileThrows) {
-  EXPECT_THROW(read_csv_file("/nonexistent/path.csv"), std::runtime_error);
 }
 
 TEST(Csv, WriterRoundTripsThroughReader) {
