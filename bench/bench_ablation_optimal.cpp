@@ -1,14 +1,11 @@
 // Ablation: the LP-based optimal geo-IND mechanism (Bordenabe et al.,
 // CCS 2014 -- the related-work comparator) vs. the planar Laplace, at
-// equal epsilon on a discrete grid -- plus the exact-vs-approximate
-// construction trade and the approximate build's scaling curve.
+// equal epsilon on a discrete grid.
 //
 // Expected shape (from the related work): the optimal mechanism's
 // expected quality loss is below the Laplace's 2/eps, and the gap widens
 // with an informative prior -- the optimal channel specializes to where
-// the user actually is, which calibrated noise cannot. The approximate
-// (spanner + decomposition) build trades at most its certified dilation
-// factor of that utility for orders-of-magnitude larger grids.
+// the user actually is, which calibrated noise cannot.
 #include <cmath>
 #include <cstdio>
 
@@ -16,11 +13,8 @@
 #include "lppm/optimal_mechanism.hpp"
 #include "util/timer.hpp"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace privlocad;
-
-  const std::uint64_t max_approx_side =
-      bench::flag_or(argc, argv, "max-approx-side", 32);
 
   bench::print_header(
       "Ablation -- optimal geo-IND mechanism vs planar Laplace "
@@ -51,53 +45,5 @@ int main(int argc, char** argv) {
   }
   std::printf("\nexpected: optimal <= laplace at every level; the informed "
               "prior cuts the loss further\n");
-
-  // ------------------------- exact vs approximate ------------------------
-  bench::print_header(
-      "Exact vs approximate construction (eps = ln4/200, 250 m cells)");
-  std::printf("%6s %14s %14s %10s %12s\n", "grid", "exact E[d]",
-              "approx E[d]", "ratio", "cert. delta");
-  for (const std::size_t side : {3u, 4u}) {
-    lppm::OptimalMechanismConfig exact_config;
-    exact_config.per_side = side;
-    exact_config.cell_spacing_m = 250.0;
-    exact_config.epsilon = std::log(4.0) / 200.0;
-    const lppm::OptimalGeoIndMechanism exact(exact_config);
-
-    lppm::ApproximateOptimalConfig approx_config;
-    approx_config.per_side = side;
-    approx_config.cell_spacing_m = 250.0;
-    approx_config.epsilon = std::log(4.0) / 200.0;
-    lppm::ApproximateBuildReport report;
-    (void)lppm::OptimalGeoIndMechanism::build_approximate(approx_config,
-                                                          &report);
-    std::printf("%3zux%-2zu %14.1f %14.1f %10.3f %12.3f\n", side, side,
-                exact.expected_quality_loss(), report.quality_loss,
-                report.quality_loss / exact.expected_quality_loss(),
-                report.dilation);
-  }
-  std::printf("\nthe ratio stays below the certified dilation: the spanner "
-              "deflation costs at most delta of the exact utility\n");
-
-  // --------------------------- scaling curve -----------------------------
-  bench::print_header("Approximate build scaling (uniform prior)");
-  std::printf("%8s %8s %10s %8s %8s %8s %10s %12s\n", "grid", "cells",
-              "E[loss] m", "windows", "cold", "reused", "build s",
-              "cells/s");
-  for (std::size_t side = 8; side <= max_approx_side; side *= 2) {
-    lppm::ApproximateOptimalConfig config;
-    config.per_side = side;
-    config.cell_spacing_m = 250.0;
-    config.epsilon = std::log(4.0) / 200.0;
-    lppm::ApproximateBuildReport report;
-    (void)lppm::OptimalGeoIndMechanism::build_approximate(config, &report);
-    std::printf("%4zux%-3zu %8zu %10.1f %8zu %8zu %8zu %9.2fs %12.0f\n",
-                side, side, report.cells, report.quality_loss,
-                report.windows, report.window_solves_cold,
-                report.window_reuse_hits, report.construct_seconds,
-                static_cast<double>(report.cells) / report.construct_seconds);
-  }
-  std::printf("\nsame-shape windows share one factorized solver, so the "
-              "cold-solve count stays flat while the grid quadruples\n");
   return 0;
 }

@@ -9,12 +9,10 @@
 // DECREASES as n grows. We print both the mean UR and the minimal UR; the
 // minimal column is the paper comparison.
 //
-// A second section exercises the optimal geo-IND baseline at scale: the
-// exact LP mechanism on a small grid (--exact-side) against the
-// spanner-decomposed approximate build on a large one (--approx-side),
-// recording the measured dilation bound, the utility-loss ratio between
-// the two constructions at the small grid, and the LP solver's opt.*
-// observability counters in BENCH_fig7_mechanisms.json.
+// A second section builds the exact LP-optimal geo-IND baseline on a
+// small grid (--exact-side) and records its quality loss, its build rate
+// in cells per second, and the LP solver's opt.* observability counters
+// in BENCH_fig7_mechanisms.json.
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -39,8 +37,6 @@ int main(int argc, char** argv) {
       bench::flag_or(argc, argv, "ur-samples", 256);
   const std::uint64_t exact_side =
       bench::flag_or(argc, argv, "exact-side", 4);
-  const std::uint64_t approx_side =
-      bench::flag_or(argc, argv, "approx-side", 32);
   constexpr double kTargetingRadius = 5000.0;
   constexpr double kAlpha = 0.9;
 
@@ -93,61 +89,26 @@ int main(int argc, char** argv) {
   std::printf("\npaper @ n=10 (minimal UR): n-fold ~1.00, post-processing "
               "~0.58, composition ~0.20; composition falls with n\n");
 
-  // ------------------- optimal geo-IND baseline at scale -----------------
-  bench::print_header(
-      "Optimal geo-IND baseline: exact " + std::to_string(exact_side) + "x" +
-      std::to_string(exact_side) + " vs approximate " +
-      std::to_string(approx_side) + "x" + std::to_string(approx_side));
-
-  const double grid_epsilon = std::log(4.0) / 200.0;
+  // ---------------------------- optimal geo-IND baseline ---------------
+  bench::print_header("Optimal geo-IND baseline: exact LP on " +
+                      std::to_string(exact_side) + "x" +
+                      std::to_string(exact_side) + " cells");
 
   lppm::OptimalMechanismConfig exact_config;
   exact_config.per_side = exact_side;
   exact_config.cell_spacing_m = 250.0;
-  exact_config.epsilon = grid_epsilon;
+  exact_config.epsilon = std::log(4.0) / 200.0;
   util::Timer exact_timer;
   const lppm::OptimalGeoIndMechanism exact(exact_config);
   const double exact_seconds = exact_timer.elapsed_seconds();
+  const double exact_cells_per_second =
+      static_cast<double>(exact.cell_count()) / exact_seconds;
 
-  // Approximate build at the same small grid: the utility-loss ratio
-  // against the exact optimum must stay within the certified dilation.
-  lppm::ApproximateOptimalConfig small_config;
-  small_config.per_side = exact_side;
-  small_config.cell_spacing_m = 250.0;
-  small_config.epsilon = grid_epsilon;
-  lppm::ApproximateBuildReport small_report;
-  (void)lppm::OptimalGeoIndMechanism::build_approximate(small_config,
-                                                        &small_report);
-  const double utility_loss_ratio =
-      small_report.quality_loss / exact.expected_quality_loss();
-
-  // The headline build: a grid the exact whole-grid LP cannot touch.
-  lppm::ApproximateOptimalConfig big_config;
-  big_config.per_side = approx_side;
-  big_config.cell_spacing_m = 250.0;
-  big_config.epsilon = grid_epsilon;
-  lppm::ApproximateBuildReport big_report;
-  (void)lppm::OptimalGeoIndMechanism::build_approximate(big_config,
-                                                        &big_report);
-  const double approx_cells_per_second =
-      static_cast<double>(big_report.cells) / big_report.construct_seconds;
-
-  std::printf("%28s %10s %12s %10s\n", "", "cells", "E[loss] m", "build s");
-  std::printf("%28s %10zu %12.1f %10.2f\n", "exact LP",
-              exact.cell_count(), exact.expected_quality_loss(),
-              exact_seconds);
-  std::printf("%28s %10zu %12.1f %10.2f\n", "approx (same grid)",
-              small_report.cells, small_report.quality_loss,
-              small_report.construct_seconds);
-  std::printf("%28s %10zu %12.1f %10.2f\n", "approx (scaled)",
-              big_report.cells, big_report.quality_loss,
-              big_report.construct_seconds);
-  std::printf("\nutility-loss ratio %.3f <= certified dilation %.3f; "
-              "scaled build: %zu windows, %zu cold / %zu warm / %zu reused, "
-              "%.0f cells/s\n",
-              utility_loss_ratio, small_report.dilation, big_report.windows,
-              big_report.window_solves_cold, big_report.window_solves_warm,
-              big_report.window_reuse_hits, approx_cells_per_second);
+  std::printf("%10s %12s %10s %12s\n", "cells", "E[loss] m", "build s",
+              "cells/s");
+  std::printf("%10zu %12.1f %10.2f %12.0f\n", exact.cell_count(),
+              exact.expected_quality_loss(), exact_seconds,
+              exact_cells_per_second);
 
   auto& registry = obs::MetricsRegistry::global();
   bench::JsonMetrics metrics;
@@ -160,19 +121,7 @@ int main(int argc, char** argv) {
   metrics.add("exact_cells", exact.cell_count());
   metrics.add("exact_quality_loss", exact.expected_quality_loss());
   metrics.add("exact_lp_seconds", exact_seconds);
-  metrics.add("approx_small_quality_loss", small_report.quality_loss);
-  metrics.add("utility_loss_ratio", utility_loss_ratio);
-  metrics.add("dilation_bound", small_report.dilation);
-  metrics.add("approx_cells", big_report.cells);
-  metrics.add("approx_quality_loss", big_report.quality_loss);
-  metrics.add("approx_construct_seconds", big_report.construct_seconds);
-  metrics.add("approx_solve_seconds", big_report.solve_seconds);
-  metrics.add("approx_cells_per_second", approx_cells_per_second);
-  metrics.add("approx_windows", big_report.windows);
-  metrics.add("approx_window_solves_cold", big_report.window_solves_cold);
-  metrics.add("approx_window_solves_warm", big_report.window_solves_warm);
-  metrics.add("approx_window_reuse_hits", big_report.window_reuse_hits);
-  metrics.add("approx_boundary_epsilon", big_report.boundary_epsilon);
+  metrics.add("exact_cells_per_second", exact_cells_per_second);
   metrics.add("opt_pivots", registry.counter_value("opt.pivots"));
   metrics.add("opt_phase1_iterations",
               registry.counter_value("opt.phase1_iterations"));
@@ -180,8 +129,6 @@ int main(int argc, char** argv) {
               registry.counter_value("opt.phase2_iterations"));
   bench::add_latency_percentiles(metrics, "opt_solve_us",
                                  registry.histogram("opt.solve_us"));
-  bench::add_latency_percentiles(metrics, "opt_construct_us",
-                                 registry.histogram("opt.construct_us"));
   bench::emit_json("BENCH_fig7_mechanisms.json", metrics);
   return 0;
 }

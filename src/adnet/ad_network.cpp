@@ -33,9 +33,6 @@ AdNetwork::AdNetwork(std::vector<Advertiser> advertisers,
   for (const Advertiser& a : advertisers_) {
     if (a.targeting == TargetingType::kRadius) {
       util::require_positive(a.targeting_radius_m, "advertiser radius");
-    } else if (a.targeting == TargetingType::kArea) {
-      util::require(a.area.has_value(),
-                    "area-targeting campaign needs a polygon");
     }
   }
   build_spatial_index();
@@ -96,9 +93,6 @@ std::vector<Ad> AdNetwork::match(geo::Point reported_location,
                                         reported_location) <=
                       a.targeting_radius_m * a.targeting_radius_m;
         break;
-      case TargetingType::kArea:
-        covered = a.area.has_value() && a.area->contains(reported_location);
-        break;
       case TargetingType::kCountry:
         // Single-country simulator: a country campaign reaches everyone.
         covered = true;
@@ -118,8 +112,8 @@ std::vector<Ad> AdNetwork::match(geo::Point reported_location,
                    /*check_distance=*/true);
         });
   }
-  // ...fat-radius, area, and country campaigns by scan (the radius branch
-  // still needs its exact distance check; area/country ignore the flag).
+  // ...fat-radius and country campaigns by scan (the radius branch still
+  // needs its exact distance check; country ignores the flag).
   for (const std::size_t i : scan_indices_) {
     consider(advertisers_[i], /*check_distance=*/true);
   }

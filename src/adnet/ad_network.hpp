@@ -50,8 +50,8 @@ class AdNetwork {
   /// Matching of radius campaigns uses a spatial index: campaigns are
   /// bucketed into power-of-two radius classes, each with a uniform grid
   /// over business locations, so a request only inspects campaigns whose
-  /// class could possibly cover it. Area/country campaigns are scanned
-  /// linearly (there are few). Results are identical to a full scan
+  /// class could possibly cover it. Country and fat-radius campaigns are
+  /// scanned linearly (there are few). Results are identical to a full scan
   /// (`adnet_test` and the matching bench check this).
   explicit AdNetwork(std::vector<Advertiser> advertisers,
                      std::size_t max_ads_per_request = 10,
@@ -101,7 +101,7 @@ class AdNetwork {
   std::unordered_map<ImpressionKey, std::size_t, ImpressionKeyHash>
       impressions_;
   std::vector<RadiusClass> radius_classes_;
-  std::vector<std::size_t> scan_indices_;  // area/country campaigns
+  std::vector<std::size_t> scan_indices_;  // country and fat-radius campaigns
 };
 
 }  // namespace privlocad::adnet

@@ -8,26 +8,23 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "geo/point.hpp"
-#include "geo/polygon.hpp"
 #include "rng/engine.hpp"
 
 namespace privlocad::adnet {
 
-/// The paper's three geo-targeting categories (Section II-A).
+/// Geo-targeting categories (paper Section II-A). The paper's third,
+/// area (city/district) targeting, is not simulated.
 enum class TargetingType {
   kRadius,   ///< circle around the business location (the privacy-critical one)
-  kArea,     ///< a city/district polygon
   kCountry,  ///< whole-country; in this single-country simulator: match-all
 };
 
 /// One advertising campaign. Radius targeting is the default and the
-/// paper's focus; area and country targeting are supported so the
-/// simulator covers the full Table-of-three from Section II-A.
+/// paper's focus; country targeting matches every location.
 struct Advertiser {
   std::uint64_t id = 0;
   geo::Point business_location;
@@ -36,8 +33,6 @@ struct Advertiser {
   double bid_cpm = 1.0;      ///< bid price per mille, for auction ordering
 
   TargetingType targeting = TargetingType::kRadius;
-  /// Target region for kArea campaigns; must be set for that type.
-  std::optional<geo::Polygon> area;
 };
 
 /// A platform's allowed targeting-radius range (paper Table I).

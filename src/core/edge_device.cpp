@@ -218,7 +218,14 @@ void EdgeDevice::import_history(std::uint64_t user_id,
     // live traffic, so they do not count in telemetry.
     (void)arena_.record(row, c.position, c.time, config_.management);
   }
-  arena_.rebuild_now(row, config_.management);
+  // The last window is partial. Rebuilding from fewer check-ins than a
+  // window boundary would accept can drop a known top location, so such
+  // a tail stays pending and the current profile keeps serving.
+  if (!arena_.has_profile(row) ||
+      arena_.pending_check_ins(row) >=
+          config_.management.min_window_check_ins) {
+    arena_.rebuild_now(row, config_.management);
+  }
 }
 
 const lppm::NFoldGaussianMechanism& EdgeDevice::mechanism_for(

@@ -200,7 +200,10 @@ class EdgeDevice {
                                     geo::Point true_location);
 
   /// Bulk import of a user's history (e.g. on first registration), then a
-  /// forced profile rebuild. Used by benches to reach steady state fast.
+  /// forced profile rebuild from the last, partial window -- skipped when
+  /// the user already has a profile and that window holds fewer than
+  /// `min_window_check_ins` check-ins, which then stay pending. Used by
+  /// benches to reach steady state fast.
   void import_history(std::uint64_t user_id, const trace::UserTrace& trace);
 
   /// Personalized privacy (cf. the related work's per-user privacy

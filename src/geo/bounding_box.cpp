@@ -1,7 +1,5 @@
 #include "geo/bounding_box.hpp"
 
-#include <algorithm>
-
 #include "util/validation.hpp"
 
 namespace privlocad::geo {
@@ -14,11 +12,6 @@ BoundingBox::BoundingBox(Point min_corner, Point max_corner)
 
 bool BoundingBox::contains(Point p) const {
   return p.x >= min_.x && p.x <= max_.x && p.y >= min_.y && p.y <= max_.y;
-}
-
-BoundingBox BoundingBox::expanded_to(Point p) const {
-  return BoundingBox({std::min(min_.x, p.x), std::min(min_.y, p.y)},
-                     {std::max(max_.x, p.x), std::max(max_.y, p.y)});
 }
 
 }  // namespace privlocad::geo

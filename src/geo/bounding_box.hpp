@@ -20,9 +20,6 @@ class BoundingBox {
 
   bool contains(Point p) const;
 
-  /// Smallest box containing both this box and `p`.
-  BoundingBox expanded_to(Point p) const;
-
  private:
   Point min_;
   Point max_;

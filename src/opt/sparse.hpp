@@ -2,12 +2,12 @@
 //
 // The geo-IND mechanism LP has k^2 variables but only a handful of
 // nonzeros per constraint row: a row-stochastic equality touches the k
-// entries of one channel row, and a spanner-edge ratio constraint touches
+// entries of one channel row, and a grid-edge ratio constraint touches
 // exactly two variables. Storing those rows densely costs O(rows * k^2)
 // memory and makes every simplex pivot a dense sweep, which kept a dense
 // tableau solver to tiny grids. CsrMatrix keeps only the nonzeros, so
-// constraint storage is O(nnz) and the revised simplex
-// (opt/revised_simplex.hpp) prices and ftrans in O(nnz per column).
+// constraint storage is O(nnz) and the revised simplex (opt/simplex.hpp)
+// prices and ftrans in O(nnz per column).
 #pragma once
 
 #include <cassert>

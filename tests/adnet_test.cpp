@@ -127,6 +127,34 @@ TEST(AdNetwork, IndexedMatchingAgreesWithBruteForce) {
   }
 }
 
+// -------------------------------------------------------- targeting types
+
+TEST(Targeting, CountryCampaignMatchesEverywhere) {
+  Advertiser national = make_advertiser(1, {0, 0}, 1.0);
+  national.targeting = TargetingType::kCountry;
+
+  AdNetwork network({national});
+  EXPECT_EQ(network.match({0, 0}).size(), 1u);
+  EXPECT_EQ(network.match({40000, -40000}).size(), 1u);
+}
+
+TEST(Targeting, MixedCampaignTypesCoexist) {
+  // An indexed radius campaign, a fat one past the 8 km scan threshold,
+  // and a country campaign.
+  const Advertiser radius = make_advertiser(1, {0, 0}, 1000.0);
+  const Advertiser fat = make_advertiser(2, {20000, 0}, 9000.0);
+  Advertiser national = make_advertiser(3, {0, 0}, 1.0);
+  national.targeting = TargetingType::kCountry;
+
+  AdNetwork network({radius, fat, national});
+  // Near the origin: radius + country.
+  EXPECT_EQ(network.match({100, 100}).size(), 2u);
+  // Inside the fat campaign: fat radius + country.
+  EXPECT_EQ(network.match({20000, 1000}).size(), 2u);
+  // Far from both: country only.
+  EXPECT_EQ(network.match({-30000, 0}).size(), 1u);
+}
+
 // ----------------------------------------------------------------- bid log
 
 TEST(BidLog, RecordsPerUserInOrder) {

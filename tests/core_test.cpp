@@ -450,6 +450,51 @@ TEST(EdgeDevice, TopLocationReportsReplayFrozenCandidates) {
   EXPECT_LE(reported.size(), 10u);  // at most n distinct points, ever
 }
 
+TEST(EdgeDevice, ImportTailKeepsTopSetAndFrozenEntry) {
+  // A window's worth of check-ins at home, then (after the home entry is
+  // frozen) a tail import of 5 check-ins elsewhere: fewer than
+  // min_window_check_ins, so it must not rebuild the profile and drop
+  // home from the top set.
+  const geo::Point home{100.0, 200.0};
+  const geo::Point elsewhere{3000.0, 0.0};
+  trace::UserTrace window;
+  window.user_id = 1;
+  for (int i = 0; i < 30; ++i) window.check_ins.push_back({home, i * 30});
+  trace::UserTrace tail;
+  tail.user_id = 1;
+  for (int i = 0; i < 5; ++i) tail.check_ins.push_back({elsewhere, 910 + i});
+  ASSERT_LT(tail.check_ins.size() + 1,
+            fast_edge_config().management.min_window_check_ins);
+
+  // A twin that never sees the tail gives home's recorded candidates:
+  // the entry is drawn at the first serve, from the same stream.
+  EdgeDevice twin(fast_edge_config().with_seed(42));
+  twin.import_history(1, window);
+  std::set<std::pair<double, double>> candidates;
+  for (int i = 0; i < 200; ++i) {
+    const ReportedLocation r = served_location(twin.serve(1, home, 900 + i));
+    ASSERT_EQ(r.kind, ReportKind::kTopLocation);
+    candidates.insert({r.location.x, r.location.y});
+  }
+
+  EdgeDevice device(fast_edge_config().with_seed(42));
+  device.import_history(1, window);
+  const ReportedLocation first =
+      served_location(device.serve(1, home, 900));
+  ASSERT_EQ(first.kind, ReportKind::kTopLocation);
+  device.import_history(1, tail);
+
+  for (int i = 0; i < 50; ++i) {
+    const ReportedLocation r =
+        served_location(device.serve(1, home, 920 + i));
+    ASSERT_EQ(r.kind, ReportKind::kTopLocation) << "request " << i;
+    EXPECT_TRUE(candidates.contains({r.location.x, r.location.y}))
+        << "request " << i;
+  }
+  // Replays are post-processing: still the one charge of the first sight.
+  EXPECT_EQ(device.accountant().spend_for(1).releases, 1u);
+}
+
 TEST(EdgeDevice, FarCheckInIsNomadic) {
   EdgeDevice edge(fast_edge_config().with_seed(42));
   const geo::Point home{0.0, 0.0};

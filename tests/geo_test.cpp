@@ -210,13 +210,6 @@ TEST(BoundingBox, RejectsInvertedCorners) {
   EXPECT_THROW(BoundingBox({1, 0}, {0, 1}), util::InvalidArgument);
 }
 
-TEST(BoundingBox, ExpandedToCoversNewPoint) {
-  const BoundingBox box({0, 0}, {1, 1});
-  const BoundingBox bigger = box.expanded_to({5, -2});
-  EXPECT_TRUE(bigger.contains({5, -2}));
-  EXPECT_TRUE(bigger.contains({0.5, 0.5}));
-}
-
 TEST(GeoBox, ShanghaiBoxMatchesPaper) {
   const GeoBox box = shanghai_geo_box();
   EXPECT_TRUE(box.contains(LatLon{31.0, 121.5}));

@@ -603,15 +603,6 @@ Matrix dense_from_csr(const opt::CsrMatrix& csr) {
   return dense;
 }
 
-opt::LpSolution solve_sparse(const opt::SparseLpProblem& problem,
-                             const opt::SimplexOptions& options,
-                             opt::SolveStats* stats) {
-  opt::RevisedSimplex solver(problem, options);
-  opt::LpSolution solution = solver.solve();
-  if (stats != nullptr) *stats = solution.stats;
-  return solution;
-}
-
 // ------------------------------------------------------------------- net
 
 bool try_push(net::BoundedRequestQueue& queue, net::PendingRequest request) {

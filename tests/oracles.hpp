@@ -23,7 +23,7 @@
 #include "lppm/mechanism.hpp"
 #include "lppm/optimal_mechanism.hpp"
 #include "net/admission.hpp"
-#include "opt/revised_simplex.hpp"
+#include "opt/simplex.hpp"
 #include "opt/sparse.hpp"
 #include "rng/engine.hpp"
 
@@ -164,9 +164,10 @@ geo::Point cell_center(const lppm::OptimalGeoIndMechanism& mechanism,
                        std::size_t i);
 
 /// max over ALL cell pairs (i, i') and outputs j of
-/// X_ij - e^{eps d(i,i')} X_i'j: <= solver tolerance when the channel is
-/// eps-geo-IND. Decomposed approximate builds can exceed it across window
-/// seams, where the build report's boundary_epsilon is the guarantee.
+/// X_ij - e^{eps d(i,i')} X_i'j: <= 0 when the channel is eps-geo-IND.
+/// The solved optimal channel reads above that: the solver's degeneracy
+/// perturbation leaves up to 1.0e-4 at 4x4, eps = ln 2/200 (ROADMAP
+/// item 3).
 double max_constraint_violation(const lppm::OptimalGeoIndMechanism& mechanism);
 
 /// The same check on a bare channel (row i = output distribution of cell
@@ -229,8 +230,8 @@ struct LpProblem {
   void validate() const;
 };
 
-/// Dense two-phase tableau simplex: the reference opt::RevisedSimplex is
-/// checked against. Same semantics -- statuses, rhs normalization, the
+/// Dense two-phase tableau simplex: the reference opt::solve is checked
+/// against. Same semantics -- statuses, rhs normalization, the
 /// graded degeneracy perturbation, Dantzig pricing with a Bland fallback
 /// after 64 degenerate pivots, artificial drive-out -- over the full
 /// m x n tableau, so it stays small and obviously correct rather than
@@ -245,12 +246,6 @@ opt::CsrMatrix csr_from_dense(const Matrix& dense,
 /// CSR -> dense, every stored entry copied: builds the dense reference
 /// LP from the one sparse assembly the library has.
 Matrix dense_from_csr(const opt::CsrMatrix& csr);
-
-/// One cold RevisedSimplex solve; `stats` (optional) receives its
-/// iteration counts.
-opt::LpSolution solve_sparse(const opt::SparseLpProblem& problem,
-                             const opt::SimplexOptions& options = {},
-                             opt::SolveStats* stats = nullptr);
 
 // ------------------------------------------------------------------- net
 
