@@ -17,11 +17,11 @@
 // Part 3 (mega-scale data plane, --mega-users, default 1M): streams a
 // million-user synthetic population into one sharded edge box (per-user
 // generation -> import, no whole-population buffer), saves the columnar
-// snapshot, reopens it in a second box via mmap, and probes both boxes
-// with identical request streams. Reports serve throughput, snapshot
-// size, save/load seconds (load must be O(seconds): the open is a map +
-// directory rebuild, not a parse), resident-set bytes, and a bit-identity
-// check between the in-memory and snapshot-mapped serving paths.
+// snapshot, reopens it in a second box, and probes both boxes with
+// identical request streams. Reports serve throughput, snapshot size,
+// save/load seconds (load must be O(seconds): the open streams each
+// column extent into place, no text parse), resident-set bytes, and a
+// bit-identity check between the in-memory and reopened serving paths.
 #include <sys/stat.h>
 
 #include <algorithm>
@@ -183,7 +183,7 @@ int main(int argc, char** argv) {
                 static_cast<double>(mega_users) / import_seconds);
 
     // Snapshot the post-import state BEFORE serving: the live box and the
-    // snapshot-mapped box must start from identical state so their probe
+    // reopened box must start from identical state so their probe
     // streams can be compared bit-for-bit.
     const std::string snapshot_path = "BENCH_cluster_load.snap";
     timer.reset();
@@ -206,7 +206,7 @@ int main(int argc, char** argv) {
 
     // Each user gets one likely-top probe (their first anchor) and one
     // far-away nomadic probe; the serve-result stream is FNV-hashed so the
-    // live and mapped boxes can be compared without buffering 2M results.
+    // live and reopened boxes can be compared without buffering 2M results.
     const auto probe_edge = [&](core::ConcurrentEdge& edge) {
       std::uint64_t hash = core::snapshot::kFnvOffsetBasis;
       for (std::size_t uid = 0; uid < mega_users; ++uid) {
@@ -240,11 +240,12 @@ int main(int argc, char** argv) {
                 mega_requests_per_second, static_cast<std::size_t>(mega_requests),
                 live_serve_seconds);
 
-    // Reopen the snapshot in a second box: the load is a header check, an
-    // mmap, and a directory rebuild -- not a parse of the payload.
-    core::ConcurrentEdge mapped_edge(mega_config);
+    // Reopen the snapshot in a second box: a checksum pass, one copy of
+    // each column extent, and a directory rebuild.
+    core::ConcurrentEdge reopened_edge(mega_config);
     timer.reset();
-    const util::Status open_status = mapped_edge.open_snapshot(snapshot_path);
+    const util::Status open_status =
+        reopened_edge.open_snapshot(snapshot_path);
     snapshot_load_seconds = timer.elapsed_seconds();
     if (!open_status.ok()) {
       std::printf("  snapshot open FAILED: %s\n",
@@ -256,8 +257,8 @@ int main(int argc, char** argv) {
     std::printf("  snapshot load     : %.3fs (%.0f users/s)\n",
                 snapshot_load_seconds, snapshot_load_users_per_second);
 
-    const std::uint64_t mapped_hash = probe_edge(mapped_edge);
-    mega_serve_match = mapped_hash == live_hash;
+    const std::uint64_t reopened_hash = probe_edge(reopened_edge);
+    mega_serve_match = reopened_hash == live_hash;
     std::printf("  serve bit-identity: %s\n",
                 mega_serve_match ? "identical" : "MISMATCH");
     mega_resident_bytes = bench::resident_set_bytes();

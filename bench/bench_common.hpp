@@ -122,7 +122,7 @@ inline bool emit_json(const std::string& path, const JsonMetrics& metrics) {
 /// Current resident-set size of this process in bytes (VmRSS from
 /// /proc/self/status), or 0 where procfs is unavailable. Memory-footprint
 /// ground truth for the mega-scale benches: heap counters miss allocator
-/// slack and mmap'd snapshot pages, the RSS does not.
+/// slack, the RSS does not.
 inline std::uint64_t resident_set_bytes() {
   std::FILE* f = std::fopen("/proc/self/status", "r");
   if (f == nullptr) return 0;

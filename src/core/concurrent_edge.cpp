@@ -117,28 +117,17 @@ util::Status ConcurrentEdge::save_snapshot(const std::string& path) {
 }
 
 util::Status ConcurrentEdge::open_snapshot(const std::string& path) {
-  util::Result<snapshot::OpenedSnapshot> opened =
-      snapshot::open_validated(path);
-  if (!opened.ok()) return opened.status();
-  if (opened.value().shard_count != shards_.size()) {
-    return util::Status::failed_precondition(
-        "snapshot holds " + std::to_string(opened.value().shard_count) +
-        " shard sections but this edge has " +
-        std::to_string(shards_.size()) +
-        " shards; open with a matching shard count: " + path);
-  }
-  snapshot::Reader reader(opened.value().mapping,
-                          opened.value().payload_offset,
-                          opened.value().payload_end);
+  // Every shard stays locked from the emptiness check to the commit.
+  std::vector<std::unique_lock<std::mutex>> locks;
+  std::vector<EdgeDevice*> devices;
+  locks.reserve(shards_.size());
+  devices.reserve(shards_.size());
   for (const auto& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard->mutex);
+    locks.emplace_back(shard->mutex);
     ++shard->lock_count;
-    if (util::Status s = shard->device->read_snapshot_section(reader);
-        !s.ok()) {
-      return s;
-    }
+    devices.push_back(shard->device.get());
   }
-  return util::Status();
+  return EdgeDevice::open_snapshot(path, devices);
 }
 
 void ConcurrentEdge::publish_shard_counters() const {

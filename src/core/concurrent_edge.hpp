@@ -83,10 +83,12 @@ class ConcurrentEdge {
   /// traffic first). Returns kIoError when the file cannot be written.
   util::Status save_snapshot(const std::string& path);
 
-  /// Replaces this (empty) box's data plane with a mapped snapshot.
-  /// Returns kIoError / kParseError on damage, kFailedPrecondition when
-  /// any shard already holds users or the snapshot's shard count differs
-  /// from this box's (the shard hash must agree with the saved layout).
+  /// Replaces this (empty) box's data plane with a snapshot, one section
+  /// per shard (EdgeDevice::open_snapshot). Returns kIoError /
+  /// kParseError on damage, kFailedPrecondition when any shard already
+  /// holds users or the snapshot's shard count differs from this box's
+  /// (the shard hash must agree with the saved layout); on any error no
+  /// shard changes.
   util::Status open_snapshot(const std::string& path);
 
   /// Box-wide telemetry snapshot, read lock-free off the shared registry.

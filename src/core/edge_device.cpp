@@ -255,36 +255,51 @@ util::Status EdgeDevice::save_snapshot(const std::string& path) {
 }
 
 util::Status EdgeDevice::open_snapshot(const std::string& path) {
-  util::Result<snapshot::OpenedSnapshot> opened =
-      snapshot::open_validated(path);
-  if (!opened.ok()) return opened.status();
-  if (opened.value().shard_count != 1) {
-    return util::Status::failed_precondition(
-        "snapshot holds " + std::to_string(opened.value().shard_count) +
-        " shard sections; a standalone EdgeDevice opens single-shard "
-        "snapshots (use ConcurrentEdge): " + path);
+  EdgeDevice* const self = this;
+  return open_snapshot(path, std::span<EdgeDevice* const>(&self, 1));
+}
+
+util::Status EdgeDevice::open_snapshot(
+    const std::string& path, std::span<EdgeDevice* const> devices) {
+  for (const EdgeDevice* device : devices) {
+    if (device->arena_.size() != 0) {
+      return util::Status::failed_precondition(
+          "cannot open a snapshot into a device that already holds users");
+    }
   }
-  snapshot::Reader reader(opened.value().mapping,
-                          opened.value().payload_offset,
-                          opened.value().payload_end);
-  return read_snapshot_section(reader);
+  snapshot::Reader reader(path);
+  if (!reader.status().ok()) return reader.status();
+  if (reader.shard_count() != devices.size()) {
+    return util::Status::failed_precondition(
+        "snapshot holds " + std::to_string(reader.shard_count()) +
+        " shard sections but the target has " +
+        std::to_string(devices.size()) +
+        " shards (a standalone EdgeDevice opens single-shard snapshots): " +
+        path);
+  }
+  // Parse every section into fresh arenas first; the targets change only
+  // once the whole file has parsed.
+  std::vector<UserArena> arenas;
+  arenas.reserve(devices.size());
+  for (const EdgeDevice* device : devices) {
+    UserArena& arena = arenas.emplace_back(rng::Engine(device->config_.seed));
+    if (util::Status s = arena.load(reader); !s.ok()) return s;
+  }
+  if (util::Status s = reader.finish(); !s.ok()) return s;
+  for (std::size_t i = 0; i < devices.size(); ++i) {
+    EdgeDevice& device = *devices[i];
+    device.arena_ = std::move(arenas[i]);
+    device.custom_mechanisms_.clear();
+    for (const auto& [row, params] : device.arena_.all_custom_params()) {
+      device.custom_mechanisms_.emplace(row,
+                                        lppm::NFoldGaussianMechanism(params));
+    }
+  }
+  return util::Status();
 }
 
 void EdgeDevice::write_snapshot_section(snapshot::Writer& writer) {
   arena_.save(writer);
-}
-
-util::Status EdgeDevice::read_snapshot_section(snapshot::Reader& reader) {
-  if (arena_.size() != 0) {
-    return util::Status::failed_precondition(
-        "cannot open a snapshot into a device that already holds users");
-  }
-  if (util::Status s = arena_.load(reader); !s.ok()) return s;
-  custom_mechanisms_.clear();
-  for (const auto& [row, params] : arena_.all_custom_params()) {
-    custom_mechanisms_.emplace(row, lppm::NFoldGaussianMechanism(params));
-  }
-  return util::Status();
 }
 
 RiskAssessment EdgeDevice::assess_user_risk(std::uint64_t user_id,

@@ -21,9 +21,9 @@
 // pending windows are contiguous SoA columns indexed through a compact
 // user directory. Candidate sets are scored by the SIMD posterior kernel
 // directly from the columns, and the whole device state round-trips
-// through an mmap-backed snapshot file (save_snapshot / open_snapshot,
-// the only persistence path), so a million-user device loads in O(map),
-// not O(parse).
+// through a binary snapshot file (save_snapshot / open_snapshot, the only
+// persistence path) that opens by copying each column extent into place,
+// never by a text parse.
 //
 // Determinism: each user's randomness is an independent engine split from
 // the config seed by user id, so a user's served outputs depend only on
@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -227,19 +228,25 @@ class EdgeDevice {
   /// Returns kIoError when the file cannot be written.
   util::Status save_snapshot(const std::string& path);
 
-  /// Replaces this (empty) device's data plane with a mapped snapshot:
-  /// the bulk columns are adopted from the read-only mapping in place, so
-  /// opening is O(map + directory rebuild). Serving then resumes exactly
-  /// where the saved device left off -- bit-identical outputs, because
-  /// the per-user RNG streams are part of the snapshot. Returns
-  /// kIoError / kParseError on damage, kFailedPrecondition when this
-  /// device already holds users or the snapshot is multi-shard.
+  /// Replaces this (empty) device's data plane with a single-shard
+  /// snapshot. Serving then resumes exactly where the saved device left
+  /// off -- bit-identical outputs, because the per-user RNG streams are
+  /// part of the snapshot. Returns kIoError / kParseError on damage,
+  /// kFailedPrecondition when this device already holds users or the
+  /// snapshot is multi-shard; on any error the device is unchanged.
   util::Status open_snapshot(const std::string& path);
 
-  /// Section-level halves of save/open, used by ConcurrentEdge to pack
-  /// one section per shard into a single snapshot file.
+  /// The one open sequence behind both edge flavours: section i of the
+  /// snapshot at `path` goes to devices[i]. Every device must be empty
+  /// and the section count must match (checked first); every section is
+  /// then parsed into a fresh arena, and the arenas are swapped in only
+  /// after all of them parsed, so a failed open changes no device.
+  static util::Status open_snapshot(const std::string& path,
+                                    std::span<EdgeDevice* const> devices);
+
+  /// Writes this device's arena as one section; ConcurrentEdge packs one
+  /// section per shard into a single snapshot file.
   void write_snapshot_section(snapshot::Writer& writer);
-  util::Status read_snapshot_section(snapshot::Reader& reader);
 
   /// Per-user privacy ledger: one charge per nomadic (one-time) release,
   /// one charge per permanent candidate-set generation. Replayed candidates

@@ -1,10 +1,9 @@
 #include "core/snapshot.hpp"
 
 #include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -13,10 +12,10 @@ namespace privlocad::core::snapshot {
 
 namespace {
 
-/// The write path buffers this much before hitting the kernel: column
-/// writes arrive as many small u64/extent pieces, and a syscall per piece
-/// would dominate a million-user save.
-constexpr std::size_t kWriterBufferBytes = 256 * 1024;
+/// Both directions buffer this much per syscall: columns arrive as many
+/// small u64/extent pieces, and a syscall per piece would dominate a
+/// million-user save or open.
+constexpr std::size_t kBufferBytes = 256 * 1024;
 
 std::string errno_suffix() {
   return std::string(" (") + std::strerror(errno) + ")";
@@ -114,7 +113,7 @@ Writer::Writer(const std::string& path, std::uint32_t shard_count)
                                      tmp_path_ + errno_suffix());
     return;
   }
-  buffer_.reserve(kWriterBufferBytes);
+  buffer_.reserve(kBufferBytes);
   // Header placeholder; finish() patches the real one with pwrite.
   buffer_.assign(kHeaderBytes, 0);
 }
@@ -146,7 +145,7 @@ void Writer::write_bytes(const void* data, std::size_t n) {
   if (!status_.ok() || n == 0) return;
   const auto* bytes = static_cast<const std::uint8_t*>(data);
   buffer_.insert(buffer_.end(), bytes, bytes + n);
-  if (buffer_.size() >= kWriterBufferBytes) flush_buffer();
+  if (buffer_.size() >= kBufferBytes) flush_buffer();
   if (!status_.ok()) return;
   checksum_ = fnv1a64(data, n, checksum_);
   payload_bytes_ += n;
@@ -220,105 +219,132 @@ util::Status Writer::finish() {
   return status_;
 }
 
-// ----------------------------------------------------------------- Mapping
+// ------------------------------------------------------------------ Reader
 
-Mapping::~Mapping() {
-  if (base_ != nullptr && size_ > 0) {
-    ::munmap(const_cast<std::uint8_t*>(base_), size_);
+Reader::Reader(const std::string& path) : path_(path) {
+  fd_ = open_retry(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd_ < 0) {
+    status_ = util::Status::io_error("cannot open snapshot: " + path +
+                                     errno_suffix());
+    return;
   }
+  buffer_.resize(kBufferBytes);
+  validate();
 }
 
-util::Result<std::shared_ptr<Mapping>> map_file(const std::string& path) {
-  const int fd = open_retry(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    return util::Status::io_error("cannot open snapshot: " + path +
-                                  errno_suffix());
-  }
-  struct stat st {};
-  if (::fstat(fd, &st) != 0) {
-    close_checked(fd);
-    return util::Status::io_error("cannot stat snapshot: " + path);
-  }
-  const auto size = static_cast<std::size_t>(st.st_size);
-  if (size == 0) {
-    close_checked(fd);
-    return util::Status::parse_error("snapshot file is empty: " + path);
-  }
-  void* base = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-  // The mapping keeps its own reference to the pages; a read-only close
-  // has no buffered data to lose, so its result is advisory only.
-  close_checked(fd);
-  if (base == MAP_FAILED) {
-    return util::Status::io_error("cannot mmap snapshot: " + path + " (" +
-                                  std::strerror(errno) + ")");
-  }
-  return std::shared_ptr<Mapping>(
-      new Mapping(static_cast<const std::uint8_t*>(base), size));
+Reader::~Reader() {
+  // A read-only descriptor has no buffered data to lose on close.
+  if (fd_ >= 0) close_checked(fd_);
 }
 
-util::Result<OpenedSnapshot> open_validated(const std::string& path) {
-  util::Result<std::shared_ptr<Mapping>> mapped = map_file(path);
-  if (!mapped.ok()) return mapped.status();
-  const std::shared_ptr<Mapping>& mapping = mapped.value();
-  if (mapping->size() < kHeaderBytes) {
-    return util::Status::parse_error("snapshot truncated before the header: " +
-                                     path);
+void Reader::fail(const std::string& what) {
+  if (status_.ok()) status_ = util::Status::parse_error(what + ": " + path_);
+}
+
+std::size_t Reader::read_file(void* out, std::size_t n) {
+  auto* bytes = static_cast<std::uint8_t*>(out);
+  std::size_t got = 0;
+  while (got < n && status_.ok()) {
+    const ssize_t r = ::read(fd_, bytes + got, n - got);
+    if (r == 0) break;
+    if (r < 0) {
+      if (errno == EINTR) continue;
+      status_ = util::Status::io_error("cannot read snapshot: " + path_ +
+                                       errno_suffix());
+      break;
+    }
+    got += static_cast<std::size_t>(r);
   }
-  const std::uint8_t* h = mapping->data();
+  return got;
+}
+
+void Reader::validate() {
+  std::uint8_t header[kHeaderBytes] = {};
+  const std::size_t got = read_file(header, kHeaderBytes);
+  if (!status_.ok()) return;
+  if (got == 0) return fail("snapshot file is empty");
+  if (got < kHeaderBytes) return fail("snapshot truncated before the header");
   const auto get_u64 = [&](std::size_t off) {
     std::uint64_t v = 0;
-    std::memcpy(&v, h + off, 8);
+    std::memcpy(&v, header + off, 8);
     return v;
   };
   const auto get_u32 = [&](std::size_t off) {
     std::uint32_t v = 0;
-    std::memcpy(&v, h + off, 4);
+    std::memcpy(&v, header + off, 4);
     return v;
   };
-  if (get_u64(0) != kMagic) {
-    return util::Status::parse_error("not a PrivLocAd snapshot (bad magic): " +
-                                     path);
-  }
+  if (get_u64(0) != kMagic) return fail("not a PrivLocAd snapshot (bad magic)");
   if (get_u32(8) != kFormatVersion) {
-    return util::Status::parse_error(
-        "unsupported snapshot format version " +
-        std::to_string(get_u32(8)) + " (this build reads version " +
-        std::to_string(kFormatVersion) + "): " + path);
+    return fail("unsupported snapshot format version " +
+                std::to_string(get_u32(8)) + " (this build reads version " +
+                std::to_string(kFormatVersion) + ")");
   }
   if (get_u32(12) != kEndianTag) {
-    return util::Status::parse_error(
-        "snapshot was written with a different byte order: " + path);
+    return fail("snapshot was written with a different byte order");
   }
-  const std::uint32_t shards = get_u32(16);
-  const std::uint64_t payload_bytes = get_u64(24);
-  const std::uint64_t stored_checksum = get_u64(32);
-  if (payload_bytes != mapping->size() - kHeaderBytes) {
-    return util::Status::parse_error(
-        "snapshot payload size disagrees with the file size: " + path);
+  // First pass: checksum the whole payload before any structural check
+  // reads a byte of it, counting the bytes up to end of file.
+  std::uint64_t checksum = kFnvOffsetBasis;
+  std::uint64_t seen = 0;
+  std::size_t n = 0;
+  do {
+    n = read_file(buffer_.data(), buffer_.size());
+    if (!status_.ok()) return;
+    checksum = fnv1a64(buffer_.data(), n, checksum);
+    seen += n;
+  } while (n == buffer_.size());
+  payload_bytes_ = get_u64(24);
+  if (seen != payload_bytes_) {
+    return fail("snapshot payload size disagrees with the file size");
   }
-  const std::uint64_t computed =
-      fnv1a64(mapping->data() + kHeaderBytes, payload_bytes);
-  if (computed != stored_checksum) {
-    return util::Status::parse_error(
-        "snapshot checksum mismatch (corrupt payload): " + path);
+  if (checksum != get_u64(32)) {
+    return fail("snapshot checksum mismatch (corrupt payload)");
   }
-  OpenedSnapshot opened;
-  opened.mapping = mapping;
-  opened.shard_count = shards;
-  opened.payload_offset = kHeaderBytes;
-  opened.payload_end = kHeaderBytes + payload_bytes;
-  return opened;
+  if (::lseek(fd_, kHeaderBytes, SEEK_SET) < 0) {
+    status_ = util::Status::io_error("cannot rewind snapshot: " + path_ +
+                                     errno_suffix());
+    return;
+  }
+  shard_count_ = get_u32(16);
 }
 
-// ------------------------------------------------------------------ Reader
-
-util::Status Reader::read_u64(std::uint64_t& out) {
-  if (end_ - offset_ < sizeof(out)) {
-    return util::Status::parse_error("snapshot section truncated");
+void Reader::read_bytes(void* out, std::size_t n) {
+  if (!status_.ok()) return;
+  if (n > payload_bytes_ - consumed_) return fail("snapshot section truncated");
+  consumed_ += n;
+  auto* bytes = static_cast<std::uint8_t*>(out);
+  while (n > 0) {
+    if (buffer_pos_ == buffer_end_) {
+      // fail() keeps an I/O error that read_file already latched.
+      if (n >= buffer_.size()) {
+        // A large extent skips the buffer and is read straight into place.
+        if (read_file(bytes, n) != n) fail("snapshot shrank while being read");
+        return;
+      }
+      buffer_pos_ = 0;
+      buffer_end_ = read_file(buffer_.data(), buffer_.size());
+      if (buffer_end_ == 0) return fail("snapshot shrank while being read");
+    }
+    const std::size_t take = std::min(n, buffer_end_ - buffer_pos_);
+    std::memcpy(bytes, buffer_.data() + buffer_pos_, take);
+    buffer_pos_ += take;
+    bytes += take;
+    n -= take;
   }
-  std::memcpy(&out, mapping_->data() + offset_, sizeof(out));
-  offset_ += sizeof(out);
-  return util::Status();
+}
+
+void Reader::skip_padding() {
+  std::uint8_t padding[8];
+  const std::size_t rem = consumed_ % 8;
+  if (rem != 0) read_bytes(padding, 8 - rem);
+}
+
+util::Status Reader::finish() {
+  if (status_.ok() && consumed_ != payload_bytes_) {
+    fail("snapshot payload continues past the last section");
+  }
+  return status_;
 }
 
 }  // namespace privlocad::core::snapshot

@@ -1,12 +1,11 @@
-// Versioned mmap-backed snapshot format for the columnar data plane.
+// Versioned snapshot format for the columnar data plane.
 //
 // A snapshot is one file holding the full user-arena state of an edge
-// (one section per shard). The layout is designed so that OPENING a
-// snapshot is O(map + directory rebuild), not O(parse): every column is
-// written as a contiguous 8-byte-aligned extent that the arena can adopt
-// in place from the read-only mapping, with only the small mutable row
-// scalars copied out. A 1M-user population therefore loads in fractions
-// of a second instead of re-parsing gigabytes of CSV.
+// (one section per shard). Every column is written as a contiguous
+// 8-byte-aligned extent, so opening a snapshot is two streaming passes
+// over the file -- checksum, then one copy of each extent into an owned
+// column -- plus a directory rebuild, never a text parse: a 1M-user
+// population loads in fractions of a second.
 //
 // File layout (all integers little-endian, host == file endianness is
 // enforced by the endian tag):
@@ -25,15 +24,15 @@
 // Each section is a fixed sequence of scalars and columns (see
 // user_arena.cpp); a column is `u64 count` followed by `count` raw
 // elements padded to the next 8-byte boundary. Corruption anywhere --
-// bad magic, version, endianness, truncation, checksum mismatch -- is
-// reported as a typed util::Status (kParseError / kIoError), never a
-// crash: per the fail-private contract a damaged snapshot must fail
-// loudly at startup, not silently regenerate fresh noise.
+// bad magic, version, endianness, truncation, checksum mismatch, bytes
+// past the last section -- is reported as a typed util::Status
+// (kParseError / kIoError), never a crash: per the fail-private contract
+// a damaged snapshot must fail loudly at startup, not silently
+// regenerate fresh noise.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -119,96 +118,71 @@ class Writer {
   util::Status status_;
 };
 
-/// RAII read-only mmap of a whole snapshot file. Shared by every arena
-/// column that adopts an extent from it, so the mapping outlives the
-/// opening scope for as long as any store still reads from it.
-class Mapping {
- public:
-  ~Mapping();
-  Mapping(const Mapping&) = delete;
-  Mapping& operator=(const Mapping&) = delete;
-
-  const std::uint8_t* data() const { return base_; }
-  std::size_t size() const { return size_; }
-
- private:
-  friend util::Result<std::shared_ptr<Mapping>> map_file(
-      const std::string& path);
-  Mapping(const std::uint8_t* base, std::size_t size)
-      : base_(base), size_(size) {}
-
-  const std::uint8_t* base_ = nullptr;
-  std::size_t size_ = 0;
-};
-
-/// Maps `path` read-only; kIoError when it cannot be opened or mapped.
-util::Result<std::shared_ptr<Mapping>> map_file(const std::string& path);
-
-/// A validated, mapped snapshot: header checked (magic, version, endian,
-/// size, checksum) and payload bounds resolved.
-struct OpenedSnapshot {
-  std::shared_ptr<Mapping> mapping;
-  std::uint32_t shard_count = 0;
-  std::uint64_t payload_offset = 0;
-  std::uint64_t payload_end = 0;  ///< one past the last payload byte
-};
-
-/// Maps and validates `path`. kIoError when the file cannot be mapped;
-/// kParseError for any structural damage (truncation, bad magic/version/
-/// endianness, checksum mismatch).
-util::Result<OpenedSnapshot> open_validated(const std::string& path);
-
-/// Bounds-checked cursor over a mapped payload. read_column yields a
-/// zero-copy pointer into the mapping (8-byte aligned by construction);
-/// read_column_copy materializes the extent into an owned vector for the
-/// columns that must stay mutable after open.
+/// Streams one snapshot file back in: the constructor opens `path` and
+/// makes a first pass over it that checks the header (magic, version,
+/// endianness, payload size) and the payload checksum, so no structural
+/// check ever sees unverified bytes; the reads then make the second pass,
+/// copying each column into an owned vector through one fixed buffer.
+/// Errors latch like the Writer's: after the first failure every read is
+/// a no-op and status() holds the failure -- kIoError when the file cannot
+/// be read, kParseError for any damage (truncation, bad header, checksum
+/// mismatch, a column extent past the payload, trailing bytes).
 class Reader {
  public:
-  Reader(std::shared_ptr<Mapping> mapping, std::uint64_t offset,
-         std::uint64_t end)
-      : mapping_(std::move(mapping)), offset_(offset), end_(end) {}
+  explicit Reader(const std::string& path);
+  ~Reader();
+  Reader(const Reader&) = delete;
+  Reader& operator=(const Reader&) = delete;
 
-  util::Status read_u64(std::uint64_t& out);
+  /// Section count from the header (0 when the open failed).
+  std::uint32_t shard_count() const { return shard_count_; }
 
+  /// Leaves `out` untouched once an error has latched.
+  void read_u64(std::uint64_t& out) { read_bytes(&out, sizeof(out)); }
+
+  /// One column as the Writer lays it out. The count is bounded by the
+  /// payload bytes left before anything is allocated.
   template <typename T>
-  util::Status read_column(const T*& data, std::uint64_t& count) {
+  void read_column(std::vector<T>& out) {
     static_assert(std::is_trivially_copyable_v<T>,
                   "snapshot columns hold raw trivially-copyable elements");
-    std::uint64_t n = 0;
-    if (util::Status s = read_u64(n); !s.ok()) return s;
-    const std::uint64_t bytes = n * sizeof(T);
-    if (bytes / sizeof(T) != n || bytes > end_ - offset_) {
-      return util::Status::parse_error(
-          "snapshot column extent overruns the payload");
-    }
-    data = reinterpret_cast<const T*>(mapping_->data() + offset_);
-    count = n;
-    offset_ += bytes;
-    offset_ = (offset_ + 7) & ~std::uint64_t{7};
-    if (offset_ > end_) {
-      return util::Status::parse_error(
-          "snapshot column padding overruns the payload");
-    }
-    return util::Status();
-  }
-
-  template <typename T>
-  util::Status read_column_copy(std::vector<T>& out) {
-    const T* data = nullptr;
     std::uint64_t count = 0;
-    if (util::Status s = read_column(data, count); !s.ok()) return s;
-    out.assign(data, data + count);
-    return util::Status();
+    read_u64(count);
+    if (!status_.ok()) return;
+    if (count > (payload_bytes_ - consumed_) / sizeof(T)) {
+      fail("snapshot column extent overruns the payload");
+      return;
+    }
+    out.resize(count);
+    read_bytes(out.data(), count * sizeof(T));
+    skip_padding();
   }
 
-  std::uint64_t offset() const { return offset_; }
-  std::uint64_t end() const { return end_; }
-  const std::shared_ptr<Mapping>& mapping() const { return mapping_; }
+  /// The status after the last section: kParseError when payload bytes
+  /// remain unread.
+  util::Status finish();
+
+  const util::Status& status() const { return status_; }
 
  private:
-  std::shared_ptr<Mapping> mapping_;
-  std::uint64_t offset_ = 0;
-  std::uint64_t end_ = 0;
+  void read_bytes(void* out, std::size_t n);
+  void skip_padding();
+  /// Reads up to `n` bytes at the file cursor; fewer only at end of file
+  /// or after an I/O error, which it latches.
+  std::size_t read_file(void* out, std::size_t n);
+  /// Header and checksum pass; rewinds to the first section on success.
+  void validate();
+  void fail(const std::string& what);
+
+  int fd_ = -1;
+  std::string path_;
+  std::vector<std::uint8_t> buffer_;
+  std::size_t buffer_pos_ = 0;
+  std::size_t buffer_end_ = 0;
+  std::uint32_t shard_count_ = 0;
+  std::uint64_t payload_bytes_ = 0;
+  std::uint64_t consumed_ = 0;
+  util::Status status_;
 };
 
 }  // namespace privlocad::core::snapshot

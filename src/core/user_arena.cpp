@@ -1,6 +1,7 @@
 #include "core/user_arena.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 #include "core/eta_frequent.hpp"
 #include "core/snapshot.hpp"
@@ -222,7 +223,7 @@ simd::PointSpan UserArena::entry_candidates(Row row, std::size_t i) const {
   const std::size_t at = ent_begin_[row] + i;
   const std::uint64_t begin = ent_cand_begin_[at];
   const std::uint32_t count = ent_cand_count_[at];
-  return {cand_xs_.range(begin, count), cand_ys_.range(begin, count), count};
+  return {cand_xs_.data() + begin, cand_ys_.data() + begin, count};
 }
 
 std::int64_t UserArena::find_entry(Row row, geo::Point location,
@@ -360,28 +361,25 @@ void UserArena::compact_frozen() {
         new_ent_ys.push_back(ent_ys_[at]);
         new_cand_begin.push_back(new_cand_xs.size());
         new_cand_count.push_back(ccount);
-        const double* cxs = cand_xs_.range(cbegin, ccount);
-        const double* cys = cand_ys_.range(cbegin, ccount);
+        const double* cxs = cand_xs_.data() + cbegin;
+        const double* cys = cand_ys_.data() + cbegin;
         new_cand_xs.insert(new_cand_xs.end(), cxs, cxs + ccount);
         new_cand_ys.insert(new_cand_ys.end(), cys, cys + ccount);
       }
     }
   }
 
-  prof_xs_.reset_owned(std::move(new_prof_xs));
-  prof_ys_.reset_owned(std::move(new_prof_ys));
-  prof_freq_.reset_owned(std::move(new_prof_freq));
-  top_idx_.reset_owned(std::move(new_top_idx));
-  ent_xs_.reset_owned(std::move(new_ent_xs));
-  ent_ys_.reset_owned(std::move(new_ent_ys));
-  ent_cand_begin_.reset_owned(std::move(new_cand_begin));
-  ent_cand_count_.reset_owned(std::move(new_cand_count));
-  cand_xs_.reset_owned(std::move(new_cand_xs));
-  cand_ys_.reset_owned(std::move(new_cand_ys));
+  prof_xs_ = std::move(new_prof_xs);
+  prof_ys_ = std::move(new_prof_ys);
+  prof_freq_ = std::move(new_prof_freq);
+  top_idx_ = std::move(new_top_idx);
+  ent_xs_ = std::move(new_ent_xs);
+  ent_ys_ = std::move(new_ent_ys);
+  ent_cand_begin_ = std::move(new_cand_begin);
+  ent_cand_count_ = std::move(new_cand_count);
+  cand_xs_ = std::move(new_cand_xs);
+  cand_ys_ = std::move(new_cand_ys);
   prof_dead_ = top_dead_ = ent_dead_ = 0;
-  // Every frozen column is owned again; the window tail and row scalars
-  // always are, so the snapshot pages have no remaining readers.
-  mapping_.reset();
 }
 
 void UserArena::compact_window() {
@@ -428,36 +426,41 @@ void UserArena::compact() {
 
 // --------------------------------------------------------------- snapshots
 
+template <typename F>
+void UserArena::for_each_column(F&& f) {
+  f(user_ids_);
+  f(engines_);
+  f(window_start_);
+  f(total_check_ins_);
+  f(win_head_);
+  f(win_count_);
+  f(has_profile_);
+  f(prof_begin_);
+  f(prof_count_);
+  f(top_begin_);
+  f(top_count_);
+  f(ent_begin_);
+  f(ent_count_);
+  f(prof_xs_);
+  f(prof_ys_);
+  f(prof_freq_);
+  f(top_idx_);
+  f(ent_xs_);
+  f(ent_ys_);
+  f(ent_cand_begin_);
+  f(ent_cand_count_);
+  f(cand_xs_);
+  f(cand_ys_);
+  f(win_xs_);
+  f(win_ys_);
+  f(win_ts_);
+  f(win_prev_);
+}
+
 void UserArena::save(snapshot::Writer& writer) {
   compact();
   writer.write_u64(kSectionTag);
-  writer.write_column(user_ids_);
-  writer.write_column(engines_);
-  writer.write_column(window_start_);
-  writer.write_column(total_check_ins_);
-  writer.write_column(win_head_);
-  writer.write_column(win_count_);
-  writer.write_column(has_profile_);
-  writer.write_column(prof_begin_);
-  writer.write_column(prof_count_);
-  writer.write_column(top_begin_);
-  writer.write_column(top_count_);
-  writer.write_column(ent_begin_);
-  writer.write_column(ent_count_);
-  writer.write_column(prof_xs_.owned());
-  writer.write_column(prof_ys_.owned());
-  writer.write_column(prof_freq_.owned());
-  writer.write_column(top_idx_.owned());
-  writer.write_column(ent_xs_.owned());
-  writer.write_column(ent_ys_.owned());
-  writer.write_column(ent_cand_begin_.owned());
-  writer.write_column(ent_cand_count_.owned());
-  writer.write_column(cand_xs_.owned());
-  writer.write_column(cand_ys_.owned());
-  writer.write_column(win_xs_);
-  writer.write_column(win_ys_);
-  writer.write_column(win_ts_);
-  writer.write_column(win_prev_);
+  for_each_column([&](const auto& column) { writer.write_column(column); });
   std::vector<Row> custom_rows;
   std::vector<lppm::BoundedGeoIndParams> custom_values;
   custom_rows.reserve(custom_params_.size());
@@ -478,27 +481,16 @@ util::Status UserArena::load(snapshot::Reader& reader) {
     return util::Status::parse_error("snapshot arena section: " + what);
   };
   std::uint64_t tag = 0;
-  if (util::Status s = reader.read_u64(tag); !s.ok()) return s;
-  if (tag != kSectionTag) return parse("bad section tag");
-
-  util::Status status;
-  const auto copy = [&](auto& vec) {
-    if (status.ok()) status = reader.read_column_copy(vec);
-  };
-  copy(user_ids_);
-  copy(engines_);
-  copy(window_start_);
-  copy(total_check_ins_);
-  copy(win_head_);
-  copy(win_count_);
-  copy(has_profile_);
-  copy(prof_begin_);
-  copy(prof_count_);
-  copy(top_begin_);
-  copy(top_count_);
-  copy(ent_begin_);
-  copy(ent_count_);
-  if (!status.ok()) return status;
+  reader.read_u64(tag);
+  if (reader.status().ok() && tag != kSectionTag) {
+    return parse("bad section tag");
+  }
+  for_each_column([&](auto& column) { reader.read_column(column); });
+  std::vector<Row> custom_rows;
+  std::vector<lppm::BoundedGeoIndParams> custom_values;
+  reader.read_column(custom_rows);
+  reader.read_column(custom_values);
+  if (!reader.status().ok()) return reader.status();
 
   const std::size_t rows = user_ids_.size();
   const auto row_sized = [&](const auto& vec) { return vec.size() == rows; };
@@ -510,36 +502,6 @@ util::Status UserArena::load(snapshot::Reader& reader) {
       !row_sized(ent_begin_) || !row_sized(ent_count_)) {
     return parse("row-scalar columns disagree on the row count");
   }
-
-  // Frozen columns adopt the mapped extents in place: the O(big) payload
-  // is never copied on open.
-  const auto adopt = [&](auto& column) {
-    using Element = std::decay_t<decltype(column[0])>;
-    const Element* data = nullptr;
-    std::uint64_t count = 0;
-    if (status.ok()) status = reader.read_column(data, count);
-    if (status.ok()) column.adopt(data, count);
-  };
-  adopt(prof_xs_);
-  adopt(prof_ys_);
-  adopt(prof_freq_);
-  adopt(top_idx_);
-  adopt(ent_xs_);
-  adopt(ent_ys_);
-  adopt(ent_cand_begin_);
-  adopt(ent_cand_count_);
-  adopt(cand_xs_);
-  adopt(cand_ys_);
-  copy(win_xs_);
-  copy(win_ys_);
-  copy(win_ts_);
-  copy(win_prev_);
-  std::vector<Row> custom_rows;
-  std::vector<lppm::BoundedGeoIndParams> custom_values;
-  copy(custom_rows);
-  copy(custom_values);
-  if (!status.ok()) return status;
-
   if (prof_ys_.size() != prof_xs_.size() ||
       prof_freq_.size() != prof_xs_.size() ||
       ent_ys_.size() != ent_xs_.size() ||
@@ -553,11 +515,17 @@ util::Status UserArena::load(snapshot::Reader& reader) {
     return parse("parallel columns disagree on their lengths");
   }
 
-  // Range validation: every descriptor must stay inside its column.
+  // Range validation: every descriptor must stay inside its column
+  // (written so that a huge begin cannot wrap the sum around).
+  const auto fits = [](std::uint64_t begin, std::uint64_t count,
+                       std::size_t size) {
+    return begin <= size && count <= size - begin;
+  };
+  std::uint64_t window_records = 0;
   for (std::size_t row = 0; row < rows; ++row) {
-    if (prof_begin_[row] + prof_count_[row] > prof_xs_.size() ||
-        top_begin_[row] + top_count_[row] > top_idx_.size() ||
-        ent_begin_[row] + ent_count_[row] > ent_xs_.size()) {
+    if (!fits(prof_begin_[row], prof_count_[row], prof_xs_.size()) ||
+        !fits(top_begin_[row], top_count_[row], top_idx_.size()) ||
+        !fits(ent_begin_[row], ent_count_[row], ent_xs_.size())) {
       return parse("row range overruns a frozen column");
     }
     for (std::uint32_t i = 0; i < top_count_[row]; ++i) {
@@ -565,23 +533,41 @@ util::Status UserArena::load(snapshot::Reader& reader) {
         return parse("top index outside the row's profile");
       }
     }
-    if (win_count_[row] > 0 && win_head_[row] >= win_xs_.size()) {
-      return parse("window head outside the window columns");
+    window_records += win_count_[row];
+  }
+  // Each pending window is a chain of exactly win_count_ records ending
+  // in kNoIndex; the records of different rows are disjoint, which also
+  // bounds the walk below by the window column length.
+  if (window_records > win_xs_.size()) {
+    return parse("window counts exceed the window columns");
+  }
+  for (std::size_t row = 0; row < rows; ++row) {
+    std::uint32_t at = win_head_[row];
+    for (std::uint32_t k = 0; k < win_count_[row]; ++k) {
+      if (at >= win_xs_.size()) {
+        return parse("window chain leaves the window columns");
+      }
+      at = win_prev_[at];
     }
+    if (at != kNoIndex) return parse("window chain longer than its count");
   }
   for (std::size_t e = 0; e < ent_xs_.size(); ++e) {
-    if (ent_cand_begin_[e] + ent_cand_count_[e] > cand_xs_.size()) {
-      return parse("candidate range overruns the candidate column");
+    if (ent_cand_count_[e] == 0 ||
+        !fits(ent_cand_begin_[e], ent_cand_count_[e], cand_xs_.size())) {
+      return parse("candidate range empty or past the candidate column");
     }
   }
   for (std::size_t i = 0; i < custom_rows.size(); ++i) {
     if (custom_rows[i] >= rows) return parse("custom-params row out of range");
+    try {
+      custom_values[i].validate();
+    } catch (const std::exception&) {
+      return parse("custom privacy params out of domain");
+    }
     custom_params_[custom_rows[i]] = custom_values[i];
   }
 
   grow_directory(rows);
-  prof_dead_ = top_dead_ = ent_dead_ = win_dead_ = 0;
-  mapping_ = reader.mapping();
   return util::Status();
 }
 

@@ -21,13 +21,10 @@
 // views, so posterior selection scores store-resident columns directly
 // (no AoS->SoA scratch copy on the serve path).
 //
-// The whole arena serializes to the snapshot format (core/snapshot.hpp).
-// On open, the big frozen columns are adopted in place from the read-only
-// mapping -- columns become "mapped base + owned mutable tail" -- and only
-// the small row scalars are copied, so opening a million-user arena costs
-// a map plus a directory rebuild, not a parse. Compaction folds the
-// mapped base back into owned memory, after which the mapping is
-// released.
+// The whole arena serializes to the snapshot format (core/snapshot.hpp),
+// one column per extent: opening reads each extent into its owned column
+// and rebuilds the directory, and every range descriptor is checked
+// against its column before the arena is used.
 //
 // Determinism: every user's randomness comes from a per-user engine
 // derived as parent.split(user_id) at row creation. Serving outputs for
@@ -37,10 +34,8 @@
 // snapshot-reopened runs bit-identical.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -81,62 +76,7 @@ struct LocationManagementConfig {
 namespace snapshot {
 class Writer;
 class Reader;
-class Mapping;
 }  // namespace snapshot
-
-/// One logical column that may be split across a read-only mapped base
-/// (adopted from a snapshot) and an owned mutable tail (post-open
-/// appends). Ranges are written atomically to one side, so a user's
-/// [begin, begin+count) range never straddles the seam and range() can
-/// return one contiguous pointer.
-template <typename T>
-class ArenaColumn {
- public:
-  std::size_t size() const { return base_size_ + tail_.size(); }
-
-  T operator[](std::size_t i) const {
-    return i < base_size_ ? base_[i] : tail_[i - base_size_];
-  }
-
-  void push_back(T value) { tail_.push_back(value); }
-
-  /// Contiguous view of [begin, begin+count). Valid because ranges are
-  /// appended whole to one side of the base/tail seam.
-  const T* range(std::size_t begin, std::size_t count) const {
-    if (begin >= base_size_) return tail_.data() + (begin - base_size_);
-    assert(begin + count <= base_size_ && "range straddles the mapped seam");
-    (void)count;
-    return base_ + begin;
-  }
-
-  /// Adopts a mapped extent as the immutable base; drops any owned data.
-  void adopt(const T* base, std::size_t count) {
-    base_ = base;
-    base_size_ = count;
-    tail_.clear();
-    tail_.shrink_to_fit();
-  }
-
-  /// Replaces everything with an owned compacted vector.
-  void reset_owned(std::vector<T> owned) {
-    base_ = nullptr;
-    base_size_ = 0;
-    tail_ = std::move(owned);
-  }
-
-  bool fully_owned() const { return base_size_ == 0; }
-
-  /// The owned storage; only meaningful after compaction (save path).
-  const std::vector<T>& owned() const {
-    assert(fully_owned() && "serialize only after compaction");
-    return tail_;
-  }
-
- private:
-  const T* base_ = nullptr;
-  std::size_t base_size_ = 0;
-  std::vector<T> tail_;
-};
 
 /// The per-shard columnar store behind EdgeDevice. Row handles are dense
 /// indices valid for the arena's lifetime (rows are never deleted);
@@ -225,8 +165,7 @@ class UserArena {
   }
 
   // ------------------------------------------------ maintenance / memory
-  /// Rewrites every column dense and owned (drops orphaned ranges and the
-  /// snapshot mapping). Called automatically once garbage exceeds live
+  /// Rewrites every column dense (drops orphaned ranges). Called automatically once garbage exceeds live
   /// data, and by save() so snapshots serialize dense.
   void compact();
 
@@ -234,9 +173,9 @@ class UserArena {
   /// Writes this arena as one snapshot section (compacts first).
   void save(snapshot::Writer& writer);
 
-  /// Loads one snapshot section into this (empty) arena, adopting the
-  /// frozen columns from the mapping in place. Returns kParseError on
-  /// structural damage.
+  /// Loads one snapshot section into this (empty) arena. Returns
+  /// kParseError on structural damage, after which the arena holds
+  /// partial state and must be discarded.
   util::Status load(snapshot::Reader& reader);
 
  private:
@@ -261,6 +200,11 @@ class UserArena {
                     std::uint32_t cand_count);
   void maybe_compact();
   void compact_frozen();
+  /// Calls `f` on every serialized column in snapshot order (the custom
+  /// params follow them); save and load share it so they cannot disagree
+  /// on the layout.
+  template <typename F>
+  void for_each_column(F&& f);
   void compact_window();
 
   rng::Engine parent_;
@@ -285,13 +229,13 @@ class UserArena {
   std::vector<std::uint32_t> ent_count_;
 
   // Frozen columnar arenas (append-only ranges, copy-forward on update).
-  ArenaColumn<double> prof_xs_, prof_ys_;
-  ArenaColumn<std::uint64_t> prof_freq_;
-  ArenaColumn<std::uint32_t> top_idx_;
-  ArenaColumn<double> ent_xs_, ent_ys_;
-  ArenaColumn<std::uint64_t> ent_cand_begin_;
-  ArenaColumn<std::uint32_t> ent_cand_count_;
-  ArenaColumn<double> cand_xs_, cand_ys_;
+  std::vector<double> prof_xs_, prof_ys_;
+  std::vector<std::uint64_t> prof_freq_;
+  std::vector<std::uint32_t> top_idx_;
+  std::vector<double> ent_xs_, ent_ys_;
+  std::vector<std::uint64_t> ent_cand_begin_;
+  std::vector<std::uint32_t> ent_cand_count_;
+  std::vector<double> cand_xs_, cand_ys_;
 
   // Pending-window tail: per-record columns chained newest-first through
   // win_prev_ (win_head_[row] is the newest record's index). No per-user
@@ -310,10 +254,6 @@ class UserArena {
 
   // Reused scratch (window gather, candidate generation).
   std::vector<geo::Point> scratch_points_;
-
-  /// Keeps the snapshot pages alive while any frozen column still adopts
-  /// extents from them; released by compaction.
-  std::shared_ptr<const snapshot::Mapping> mapping_;
 };
 
 }  // namespace privlocad::core

@@ -10,8 +10,4 @@ BoundingBox::BoundingBox(Point min_corner, Point max_corner)
                 "bounding box corners are inverted");
 }
 
-bool BoundingBox::contains(Point p) const {
-  return p.x >= min_.x && p.x <= max_.x && p.y >= min_.y && p.y <= max_.y;
-}
-
 }  // namespace privlocad::geo

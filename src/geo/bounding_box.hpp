@@ -18,8 +18,6 @@ class BoundingBox {
   double width() const { return max_.x - min_.x; }
   double height() const { return max_.y - min_.y; }
 
-  bool contains(Point p) const;
-
  private:
   Point min_;
   Point max_;

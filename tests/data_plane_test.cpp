@@ -1,7 +1,8 @@
 // Tests for the columnar data plane: the UserArena's recorded
 // location-management golden, snapshot round-trips (bit-identical serving
-// across save / mmap-open), restart permanence, corruption handling, and
-// shard-count invariance of the per-user RNG streams.
+// across save / open), the pinned file format, restart permanence,
+// corruption handling (a failed open changes nothing), and shard-count
+// invariance of the per-user RNG streams.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -9,7 +10,10 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <functional>
+#include <iterator>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -201,20 +205,6 @@ TEST(OutputSelectionSpan, SpanAndVectorOverloadsAgreeBitwise) {
 
 // -------------------------------------------------- snapshot round-tripping
 
-/// True when `path` is mapped into this process (a line of
-/// /proc/self/maps ends with it).
-bool mapped_by_this_process(const std::string& path) {
-  std::ifstream maps("/proc/self/maps");
-  std::string line;
-  while (std::getline(maps, line)) {
-    if (line.size() >= path.size() &&
-        line.compare(line.size() - path.size(), path.size(), path) == 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
 TEST(Snapshot, EdgeDeviceRoundTripServesBitIdentically) {
   const std::string path = temp_path("device_roundtrip.snap");
   constexpr int kUsers = 30;
@@ -233,8 +223,6 @@ TEST(Snapshot, EdgeDeviceRoundTripServesBitIdentically) {
   core::EdgeDevice reopened(fast_config().with_seed(5));
   ASSERT_TRUE(reopened.open_snapshot(path).ok());
   EXPECT_EQ(reopened.user_count(), saved.user_count());
-  EXPECT_TRUE(mapped_by_this_process(path))
-      << "open_snapshot should serve from a mapping of the file";
 
   // Same probe streams through both devices: every served output must be
   // bit-identical, including the personalized-params user.
@@ -319,14 +307,11 @@ TEST(Snapshot, ServingIsShardCountInvariant) {
 /// at `path`, read straight from the file's arena section.
 std::vector<std::pair<std::uint64_t, std::uint64_t>> frozen_set_in(
     const std::string& path, std::uint64_t user_id) {
-  const util::Result<core::snapshot::OpenedSnapshot> opened =
-      core::snapshot::open_validated(path);
-  EXPECT_TRUE(opened.ok());
-  core::snapshot::Reader reader(opened.value().mapping,
-                                opened.value().payload_offset,
-                                opened.value().payload_end);
+  core::snapshot::Reader reader(path);
+  EXPECT_TRUE(reader.status().ok());
   core::UserArena arena{rng::Engine(0)};
   EXPECT_TRUE(arena.load(reader).ok());
+  EXPECT_TRUE(reader.finish().ok());
   const core::UserArena::Row row = arena.find(user_id);
   std::vector<std::pair<std::uint64_t, std::uint64_t>> bits;
   if (row == core::UserArena::kNoRow || arena.entry_count(row) != 1) {
@@ -555,6 +540,346 @@ TEST(EdgeDevice, RestoreOverLiveEntriesRejected) {
             util::ErrorCode::kFailedPrecondition);
   EXPECT_EQ(live.user_count(), 1u);
   std::remove(path.c_str());
+}
+
+// ------------------------------------------------ format pin, failed opens
+
+/// Imports every user's history and serves a few probes, so each user
+/// holds a profile, a frozen candidate set and pending check-ins.
+template <typename Edge>
+void populate(Edge& edge, int users) {
+  for (int u = 1; u <= users; ++u) {
+    edge.import_history(u, history_for(u));
+    for (const trace::CheckIn& c : probe_stream(u, 4)) {
+      (void)edge.serve(u, c.position, c.time);
+    }
+  }
+}
+
+std::vector<std::uint8_t> file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+// Pins the on-disk format: any change to the section layout, or to the
+// state a box serializes, moves this digest of a seeded 3-shard snapshot.
+// A deliberate format change bumps snapshot::kFormatVersion with it.
+TEST(Snapshot, FormatGolden) {
+  constexpr std::uint64_t kGoldenDigest = 0x81371025dfb3d411ULL;
+  const std::string path = temp_path("golden.snap");
+  core::ConcurrentEdge box(fast_config().with_seed(13).with_shards(3));
+  populate(box, 24);
+  ASSERT_TRUE(box.save_snapshot(path).ok());
+  const std::vector<std::uint8_t> bytes = file_bytes(path);
+  const std::uint64_t digest =
+      core::snapshot::fnv1a64(bytes.data(), bytes.size());
+  EXPECT_EQ(digest, kGoldenDigest) << std::hex << "0x" << digest;
+  std::remove(path.c_str());
+}
+
+TEST(Snapshot, SaveOpenSaveIsByteIdentical) {
+  for (const std::size_t shards :
+       {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
+    const std::string first = temp_path("resave_a.snap");
+    const std::string second = temp_path("resave_b.snap");
+    core::ConcurrentEdge saved(
+        fast_config().with_seed(17).with_shards(shards));
+    populate(saved, 24);
+    ASSERT_TRUE(saved.save_snapshot(first).ok());
+    core::ConcurrentEdge reopened(
+        fast_config().with_seed(17).with_shards(shards));
+    ASSERT_TRUE(reopened.open_snapshot(first).ok());
+    ASSERT_TRUE(reopened.save_snapshot(second).ok());
+    EXPECT_EQ(file_bytes(first), file_bytes(second))
+        << "at " << shards << " shards";
+    std::remove(first.c_str());
+    std::remove(second.c_str());
+  }
+}
+
+/// The columns of one arena section in snapshot order
+/// (UserArena::for_each_column, then the custom params).
+enum Column : std::size_t {
+  kUserIds, kEngines, kWindowStart, kTotalCheckIns, kWinHead, kWinCount,
+  kHasProfile, kProfBegin, kProfCount, kTopBegin, kTopCount, kEntBegin,
+  kEntCount, kProfXs, kProfYs, kProfFreq, kTopIdx, kEntXs, kEntYs,
+  kEntCandBegin, kEntCandCount, kCandXs, kCandYs, kWinXs, kWinYs, kWinTs,
+  kWinPrev, kCustomRows, kCustomValues, kColumnCount
+};
+constexpr std::size_t kElementBytes[kColumnCount] = {
+    8, sizeof(rng::Engine), 8, 8, 4, 4, 1, 8, 4, 8, 4, 8, 4, 8, 8,
+    8, 4, 8, 8, 8, 4, 8, 8, 8, 8, 8, 4, 4, sizeof(lppm::BoundedGeoIndParams)};
+
+struct RawColumn {
+  std::uint64_t count = 0;          ///< the count word as stored
+  std::vector<std::uint8_t> bytes;  ///< the elements, padding dropped
+};
+
+struct RawSection {
+  std::uint64_t tag = 0;
+  std::vector<RawColumn> columns;
+
+  template <typename T>
+  std::vector<T> get(Column c) const {
+    EXPECT_EQ(sizeof(T), kElementBytes[c]);
+    std::vector<T> values(columns[c].bytes.size() / sizeof(T));
+    std::memcpy(values.data(), columns[c].bytes.data(),
+                columns[c].bytes.size());
+    return values;
+  }
+  template <typename T>
+  void set(Column c, const std::vector<T>& values) {
+    EXPECT_EQ(sizeof(T), kElementBytes[c]);
+    columns[c].count = values.size();
+    columns[c].bytes.resize(values.size() * sizeof(T));
+    std::memcpy(columns[c].bytes.data(), values.data(),
+                columns[c].bytes.size());
+  }
+};
+
+/// A snapshot file split into header, sections and trailing payload
+/// bytes, so a test can damage one field and write the file back with a
+/// payload size and checksum that still verify: the damage then reaches
+/// the structural checks instead of stopping at the checksum.
+struct RawSnapshot {
+  std::vector<std::uint8_t> header;
+  std::vector<RawSection> sections;
+  std::vector<std::uint8_t> trailing;
+
+  static RawSnapshot read(const std::string& path) {
+    const std::vector<std::uint8_t> file = file_bytes(path);
+    RawSnapshot raw;
+    std::size_t at = core::snapshot::kHeaderBytes;
+    raw.header.assign(file.begin(), file.begin() + at);
+    std::uint32_t shards = 0;
+    std::memcpy(&shards, file.data() + 16, 4);
+    const auto u64_at = [&](std::size_t off) {
+      std::uint64_t v = 0;
+      std::memcpy(&v, file.data() + off, 8);
+      return v;
+    };
+    for (std::uint32_t s = 0; s < shards; ++s) {
+      RawSection& section = raw.sections.emplace_back();
+      section.tag = u64_at(at);
+      at += 8;
+      for (std::size_t c = 0; c < kColumnCount; ++c) {
+        RawColumn& column = section.columns.emplace_back();
+        column.count = u64_at(at);
+        at += 8;
+        const std::size_t n = column.count * kElementBytes[c];
+        column.bytes.assign(file.begin() + at, file.begin() + at + n);
+        at = (at + n + 7) & ~std::size_t{7};
+      }
+    }
+    raw.trailing.assign(file.begin() + at, file.end());
+    return raw;
+  }
+
+  void write(const std::string& path) const {
+    std::vector<std::uint8_t> payload;
+    const auto put = [&](const void* data, std::size_t n) {
+      const auto* bytes = static_cast<const std::uint8_t*>(data);
+      payload.insert(payload.end(), bytes, bytes + n);
+    };
+    for (const RawSection& section : sections) {
+      put(&section.tag, 8);
+      for (const RawColumn& column : section.columns) {
+        put(&column.count, 8);
+        put(column.bytes.data(), column.bytes.size());
+        payload.resize((payload.size() + 7) & ~std::size_t{7});
+      }
+    }
+    put(trailing.data(), trailing.size());
+    std::vector<std::uint8_t> file = header;
+    const std::uint64_t payload_bytes = payload.size();
+    const std::uint64_t checksum =
+        core::snapshot::fnv1a64(payload.data(), payload.size());
+    std::memcpy(file.data() + 24, &payload_bytes, 8);
+    std::memcpy(file.data() + 32, &checksum, 8);
+    file.insert(file.end(), payload.begin(), payload.end());
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(file.data()),
+              static_cast<std::streamsize>(file.size()));
+  }
+};
+
+// Regression: the loader used to parse straight into the live arena, so a
+// section that failed a structural check left the device half-loaded with
+// row scalars of mismatched lengths (the next serve() of a new user read
+// past one of them), and a ConcurrentEdge kept every shard before the
+// failing one. An open now parses everything before it commits anything.
+TEST(Snapshot, FailedOpenLeavesTargetEmpty) {
+  const std::string good = temp_path("failed_open_good.snap");
+  const std::string bad = temp_path("failed_open_bad.snap");
+
+  // The engines column's count word zeroed, its bytes kept: every later
+  // column of the section is then read out of frame.
+  core::EdgeDevice saved(fast_config().with_seed(6));
+  populate(saved, 5);
+  ASSERT_TRUE(saved.save_snapshot(good).ok());
+  RawSnapshot raw = RawSnapshot::read(good);
+  raw.sections[0].columns[kEngines].count = 0;
+  raw.write(bad);
+  core::EdgeDevice device(fast_config().with_seed(6));
+  EXPECT_EQ(device.open_snapshot(bad).code(), util::ErrorCode::kParseError);
+  EXPECT_EQ(device.user_count(), 0u);
+  ASSERT_TRUE(device.open_snapshot(good).ok());
+  EXPECT_EQ(device.user_count(), 5u);
+  EXPECT_TRUE(device.serve(99, {0.0, 0.0}, trace::kStudyStart).released());
+
+  // The same damage in the last of three shard sections: the good open
+  // that follows succeeds only if every shard is still empty.
+  core::ConcurrentEdge box_saved(fast_config().with_seed(6).with_shards(3));
+  populate(box_saved, 12);
+  ASSERT_TRUE(box_saved.save_snapshot(good).ok());
+  raw = RawSnapshot::read(good);
+  raw.sections.back().columns[kEngines].count = 0;
+  raw.write(bad);
+  core::ConcurrentEdge box(fast_config().with_seed(6).with_shards(3));
+  EXPECT_EQ(box.open_snapshot(bad).code(), util::ErrorCode::kParseError);
+  EXPECT_TRUE(box.open_snapshot(good).ok());
+  std::remove(good.c_str());
+  std::remove(bad.c_str());
+}
+
+// Checksum-valid structural damage, one field at a time: every case is a
+// typed kParseError, and the target is still empty afterwards.
+TEST(Snapshot, StructuralDamageIsATypedParseError) {
+  struct Case {
+    const char* name;
+    std::function<void(RawSnapshot&)> damage;  ///< applied to the last section
+  };
+  const std::vector<Case> cases = {
+      {"bad section tag",
+       [](RawSnapshot& raw) { raw.sections.back().tag ^= 1; }},
+      {"row-scalar count mismatch",
+       [](RawSnapshot& raw) {
+         RawSection& s = raw.sections.back();
+         std::vector<std::uint32_t> counts = s.get<std::uint32_t>(kWinCount);
+         counts.pop_back();
+         s.set(kWinCount, counts);
+       }},
+      {"parallel-column length mismatch",
+       [](RawSnapshot& raw) {
+         RawSection& s = raw.sections.back();
+         std::vector<double> ys = s.get<double>(kProfYs);
+         ys.pop_back();
+         s.set(kProfYs, ys);
+       }},
+      {"row range overrunning a frozen column",
+       [](RawSnapshot& raw) {
+         RawSection& s = raw.sections.back();
+         std::vector<std::uint32_t> counts = s.get<std::uint32_t>(kProfCount);
+         counts[0] += static_cast<std::uint32_t>(s.columns[kProfXs].count);
+         s.set(kProfCount, counts);
+       }},
+      {"row range wrapping around the column end",
+       [](RawSnapshot& raw) {
+         RawSection& s = raw.sections.back();
+         std::vector<std::uint64_t> begins = s.get<std::uint64_t>(kProfBegin);
+         begins[0] = ~std::uint64_t{0};
+         s.set(kProfBegin, begins);
+       }},
+      {"top index outside the profile",
+       [](RawSnapshot& raw) {
+         RawSection& s = raw.sections.back();
+         std::vector<std::uint32_t> top = s.get<std::uint32_t>(kTopIdx);
+         top[0] = 1u << 30;
+         s.set(kTopIdx, top);
+       }},
+      {"window head outside the window",
+       [](RawSnapshot& raw) {
+         RawSection& s = raw.sections.back();
+         std::vector<std::uint32_t> heads = s.get<std::uint32_t>(kWinHead);
+         heads[0] = static_cast<std::uint32_t>(s.columns[kWinXs].count);
+         s.set(kWinHead, heads);
+       }},
+      {"window chain longer than its count",
+       [](RawSnapshot& raw) {
+         RawSection& s = raw.sections.back();
+         std::vector<std::uint32_t> counts = s.get<std::uint32_t>(kWinCount);
+         counts[0] -= 1;
+         s.set(kWinCount, counts);
+       }},
+      {"window counts past the window columns",
+       [](RawSnapshot& raw) {
+         RawSection& s = raw.sections.back();
+         std::vector<std::uint32_t> counts = s.get<std::uint32_t>(kWinCount);
+         counts[0] = 1u << 30;
+         s.set(kWinCount, counts);
+       }},
+      {"empty candidate set",
+       [](RawSnapshot& raw) {
+         RawSection& s = raw.sections.back();
+         std::vector<std::uint32_t> counts =
+             s.get<std::uint32_t>(kEntCandCount);
+         counts[0] = 0;
+         s.set(kEntCandCount, counts);
+       }},
+      {"candidate range overrun",
+       [](RawSnapshot& raw) {
+         RawSection& s = raw.sections.back();
+         std::vector<std::uint32_t> counts =
+             s.get<std::uint32_t>(kEntCandCount);
+         counts[0] = static_cast<std::uint32_t>(s.columns[kCandXs].count) + 1;
+         s.set(kEntCandCount, counts);
+       }},
+      {"custom-params row out of range",
+       [](RawSnapshot& raw) {
+         RawSection& s = raw.sections.back();
+         s.set(kCustomRows, std::vector<std::uint32_t>{1000});
+         s.set(kCustomValues, std::vector<lppm::BoundedGeoIndParams>(1));
+       }},
+      {"custom params out of domain",
+       [](RawSnapshot& raw) {
+         RawSection& s = raw.sections.back();
+         s.set(kCustomRows, std::vector<std::uint32_t>{0});
+         s.set(kCustomValues, std::vector<lppm::BoundedGeoIndParams>{
+                                  {.epsilon = -1.0}});
+       }},
+      {"column extent past the payload",
+       [](RawSnapshot& raw) {
+         raw.sections.back().columns[kCandXs].count = std::uint64_t{1} << 40;
+       }},
+      {"64 trailing bytes after the last section",
+       [](RawSnapshot& raw) { raw.trailing.assign(64, 0); }},
+  };
+
+  const std::string device_good = temp_path("damage_device.snap");
+  const std::string box_good = temp_path("damage_box.snap");
+  const std::string bad = temp_path("damage_bad.snap");
+  core::EdgeDevice device_saved(fast_config().with_seed(8));
+  populate(device_saved, 6);
+  ASSERT_TRUE(device_saved.save_snapshot(device_good).ok());
+  core::ConcurrentEdge box_saved(fast_config().with_seed(8).with_shards(3));
+  populate(box_saved, 12);
+  ASSERT_TRUE(box_saved.save_snapshot(box_good).ok());
+
+  // The surgery itself changes nothing when no field is damaged.
+  RawSnapshot::read(box_good).write(bad);
+  ASSERT_EQ(file_bytes(bad), file_bytes(box_good));
+
+  for (const Case& c : cases) {
+    RawSnapshot raw = RawSnapshot::read(device_good);
+    c.damage(raw);
+    raw.write(bad);
+    core::EdgeDevice device(fast_config().with_seed(8));
+    EXPECT_EQ(device.open_snapshot(bad).code(), util::ErrorCode::kParseError)
+        << c.name;
+    EXPECT_EQ(device.user_count(), 0u) << c.name;
+
+    raw = RawSnapshot::read(box_good);
+    c.damage(raw);
+    raw.write(bad);
+    core::ConcurrentEdge box(fast_config().with_seed(8).with_shards(3));
+    EXPECT_EQ(box.open_snapshot(bad).code(), util::ErrorCode::kParseError)
+        << c.name << " (3 shards)";
+    EXPECT_TRUE(box.open_snapshot(box_good).ok()) << c.name << " (3 shards)";
+  }
+  std::remove(device_good.c_str());
+  std::remove(box_good.c_str());
+  std::remove(bad.c_str());
 }
 
 }  // namespace

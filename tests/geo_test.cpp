@@ -17,6 +17,7 @@
 namespace privlocad::geo {
 namespace {
 
+using oracles::box_contains;
 using oracles::GeoBox;
 using oracles::haversine_distance;
 using oracles::rad_to_deg;
@@ -199,9 +200,9 @@ TEST(OverlapFraction, RequiresPositiveAoiRadius) {
 
 TEST(BoundingBox, ContainsAndClamp) {
   const BoundingBox box({0, 0}, {10, 5});
-  EXPECT_TRUE(box.contains({5, 2}));
-  EXPECT_TRUE(box.contains({0, 0}));
-  EXPECT_FALSE(box.contains({11, 2}));
+  EXPECT_TRUE(box_contains(box, {5, 2}));
+  EXPECT_TRUE(box_contains(box, {0, 0}));
+  EXPECT_FALSE(box_contains(box, {11, 2}));
   EXPECT_DOUBLE_EQ(box.width(), 10.0);
   EXPECT_DOUBLE_EQ(box.height(), 5.0);
 }

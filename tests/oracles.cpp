@@ -49,6 +49,12 @@ double haversine_distance(geo::LatLon a, geo::LatLon b) {
          std::asin(std::min(1.0, std::sqrt(h)));
 }
 
+bool box_contains(const geo::BoundingBox& box, geo::Point p) {
+  const geo::Point lo = box.min_corner();
+  const geo::Point hi = box.max_corner();
+  return p.x >= lo.x && p.x <= hi.x && p.y >= lo.y && p.y <= hi.y;
+}
+
 double rad_to_deg(double radians) {
   return radians * 180.0 / std::numbers::pi;
 }

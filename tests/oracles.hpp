@@ -7,9 +7,10 @@
 // estimate for a closed form (Monte-Carlo efficacy), a brute-force scan
 // for a solver's claim (the geo-IND constraint check, all-pairs
 // connected components), a dense tableau for a sparse one (the two-phase
-// simplex), or a sequential rule for a batched one (single-request
-// admission). Keeping them here keeps every function under src/
-// reachable from a shipped binary.
+// simplex), a sequential rule for a batched one (single-request
+// admission), or a predicate only tests ask (bounding-box containment).
+// Keeping them here keeps every function under src/ reachable from a
+// shipped binary.
 #pragma once
 
 #include <algorithm>
@@ -17,6 +18,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "geo/bounding_box.hpp"
 #include "geo/latlon.hpp"
 #include "geo/point.hpp"
 #include "geo/projection.hpp"
@@ -42,6 +44,10 @@ double rad_to_deg(double radians);
 /// inverse of LocalProjection::to_geo.
 geo::Point to_local(const geo::LocalProjection& projection,
                     geo::LatLon coordinate);
+
+/// Closed-interval membership of `p` in `box`, the property a box-filling
+/// generator (uniform_grid_prior) must satisfy.
+bool box_contains(const geo::BoundingBox& box, geo::Point p);
 
 /// Geographic box of the paper's Shanghai dataset.
 struct GeoBox {

@@ -10,6 +10,8 @@
 #include "stats/running_stats.hpp"
 #include "util/validation.hpp"
 
+#include "oracles.hpp"
+
 namespace privlocad::lppm {
 namespace {
 
@@ -84,7 +86,7 @@ TEST(Remapper, GridPriorCoversTheBox) {
   const auto prior = uniform_grid_prior(box, 4);
   ASSERT_EQ(prior.size(), 16u);
   for (const PriorPoint& p : prior) {
-    EXPECT_TRUE(box.contains(p.location));
+    EXPECT_TRUE(oracles::box_contains(box, p.location));
     EXPECT_DOUBLE_EQ(p.weight, 1.0);
   }
   // Cell centers: first at (12.5, 12.5).
