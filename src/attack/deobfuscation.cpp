@@ -102,8 +102,7 @@ std::vector<InferredLocation> deobfuscate_top_locations(
     ws.largest_.clear();
     for (std::size_t seed = 0; seed < n; ++seed) {
       if (ws.index_.taken(seed)) continue;
-      take_component(ws.index_, seed, config.connectivity_threshold_m,
-                     ws.current_);
+      take_component(ws.index_, seed, ws.current_);
       if (ws.current_.size() > ws.largest_.size()) {
         ws.largest_.swap(ws.current_);
       }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "attack/clustering.hpp"
 #include "stats/entropy.hpp"
 #include "util/validation.hpp"
 
@@ -32,19 +31,31 @@ const ProfileEntry& LocationProfile::top(std::size_t i) const {
   return entries_[i];
 }
 
+const std::vector<ProfileEntry>& build_profile(
+    const std::vector<geo::Point>& check_ins, double threshold_m,
+    ProfileWorkspace& workspace) {
+  ComponentLabels& components = workspace.components_;
+  components.label(check_ins, threshold_m);
+  // Ascending index order per cluster: the summation order of a centroid
+  // over a sorted cluster, so the bits match it.
+  workspace.sums_.assign(components.count(), geo::Point{});
+  for (std::size_t i = 0; i < check_ins.size(); ++i) {
+    geo::Point& sum = workspace.sums_[components.of(i)];
+    sum = sum + check_ins[i];
+  }
+  workspace.entries_.clear();
+  for (const std::uint32_t c : components.ranked()) {
+    const std::uint32_t size = components.size(c);
+    workspace.entries_.push_back(
+        {workspace.sums_[c] / static_cast<double>(size), size});
+  }
+  return workspace.entries_;
+}
+
 LocationProfile build_profile(const std::vector<geo::Point>& check_ins,
                               double threshold_m) {
-  const std::vector<Cluster> clusters =
-      connectivity_clusters(check_ins, threshold_m);
-  std::vector<ProfileEntry> entries;
-  entries.reserve(clusters.size());
-  for (const Cluster& cluster : clusters) {
-    entries.push_back({cluster_centroid(check_ins, cluster),
-                       static_cast<std::uint64_t>(cluster.size())});
-  }
-  // connectivity_clusters already orders by size desc; that IS the
-  // frequency order.
-  return LocationProfile(std::move(entries));
+  ProfileWorkspace workspace;
+  return LocationProfile(build_profile(check_ins, threshold_m, workspace));
 }
 
 LocationProfile build_profile(const trace::UserTrace& trace,

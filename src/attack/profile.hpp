@@ -6,11 +6,18 @@
 // the location coordinate and its size as the frequency. Both the attacker
 // (on observed check-ins) and the edge device's location management module
 // (on true check-ins) build profiles this way.
+//
+// The build is one labelling walk (attack/clustering.hpp) followed by one
+// pass that sums each point into its cluster: linear in the check-ins
+// plus a sort of the cluster ids. The location management module rebuilds
+// every user's profile at each window close, so it calls the workspace
+// overload, which allocates nothing once warm.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "attack/clustering.hpp"
 #include "geo/point.hpp"
 #include "trace/check_in.hpp"
 
@@ -51,7 +58,31 @@ class LocationProfile {
   std::uint64_t total_ = 0;
 };
 
-/// Builds a profile from raw positions via connectivity clustering.
+/// Reusable scratch for build_profile: the labelling walk's buffers
+/// (GridIndex, labels, sizes), the per-cluster coordinate sums and the
+/// entries. Reuse rules are ComponentLabels': one owner at a time, each
+/// call re-seeds all state, and a warm workspace allocates nothing.
+/// UserArena keeps one per shard, used under the shard lock.
+class ProfileWorkspace {
+ private:
+  friend const std::vector<ProfileEntry>& build_profile(
+      const std::vector<geo::Point>&, double, ProfileWorkspace&);
+
+  ComponentLabels components_;
+  std::vector<geo::Point> sums_;
+  std::vector<ProfileEntry> entries_;
+};
+
+/// Builds the profile of `check_ins` via connectivity clustering into
+/// `workspace` and returns its entries, heaviest first (ties: the cluster
+/// holding the smallest index first). Each centroid sums its members in
+/// ascending index order. The reference stays valid until the
+/// workspace's next build.
+const std::vector<ProfileEntry>& build_profile(
+    const std::vector<geo::Point>& check_ins, double threshold_m,
+    ProfileWorkspace& workspace);
+
+/// The same build through a call-local workspace.
 LocationProfile build_profile(const std::vector<geo::Point>& check_ins,
                               double threshold_m = kDefaultProfilingThresholdM);
 

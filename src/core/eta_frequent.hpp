@@ -20,6 +20,13 @@ namespace privlocad::core {
 std::vector<attack::ProfileEntry> eta_frequent_set(
     const attack::LocationProfile& profile, std::uint64_t eta);
 
+/// Length of the eta-frequent prefix of `entries` (heaviest first, not
+/// empty) for eta = ceil(fraction * total frequency), at least 1.
+/// `fraction` must be in (0, 1]. What eta_frequent_set_fraction returns,
+/// without building the profile or copying the set.
+std::size_t eta_frequent_prefix(
+    const std::vector<attack::ProfileEntry>& entries, double fraction);
+
 /// Convenience: eta as a fraction of the profile's total check-ins,
 /// e.g. 0.8 protects the locations covering 80% of activity.
 /// `fraction` must be in (0, 1].

@@ -139,18 +139,16 @@ void UserArena::rebuild_now(Row row, const LocationManagementConfig& config) {
   window_start_[row] = kNoWindowStart;
   if (win_count_[row] == 0) return;
   gather_window(row);
-  const attack::LocationProfile profile =
-      attack::build_profile(scratch_points_, config.profiling_threshold_m);
-
-  std::vector<attack::ProfileEntry> top =
-      eta_frequent_set_fraction(profile, config.eta_fraction);
-  std::erase_if(top, [&](const attack::ProfileEntry& e) {
-    return e.frequency < config.min_top_frequency;
-  });
+  const std::vector<attack::ProfileEntry>& entries = attack::build_profile(
+      scratch_points_, config.profiling_threshold_m, profile_workspace_);
   // The eta set is a prefix of the frequency-ordered profile, and the
   // min-frequency filter removes a suffix of that prefix, so the top set
-  // is exactly the first top.size() profile entries.
-  set_rebuilt_profile(row, profile.entries(), top.size());
+  // is exactly the first `top` profile entries.
+  std::size_t top = eta_frequent_prefix(entries, config.eta_fraction);
+  while (top > 0 && entries[top - 1].frequency < config.min_top_frequency) {
+    --top;
+  }
+  set_rebuilt_profile(row, entries, top);
   clear_window(row);
   maybe_compact();
 }

@@ -252,8 +252,10 @@ class UserArena {
   std::uint64_t ent_dead_ = 0;
   std::uint64_t win_dead_ = 0;
 
-  // Reused scratch (window gather, candidate generation).
+  // Reused scratch (window gather, candidate generation, profile
+  // rebuild); the shard's lock covers them with the rest of the arena.
   std::vector<geo::Point> scratch_points_;
+  attack::ProfileWorkspace profile_workspace_;
 };
 
 }  // namespace privlocad::core

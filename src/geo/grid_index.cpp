@@ -1,6 +1,7 @@
 #include "geo/grid_index.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -25,44 +26,71 @@ void GridIndex::build_cells(double cell_size_m) {
   util::require(points_.size() <= std::numeric_limits<std::uint32_t>::max(),
                 "GridIndex point count exceeds 32-bit addressing");
   cell_size_ = cell_size_m;
-
-  // Sort point indices by cell key (ties by index, so bucket order is the
-  // input order) and compress into CSR: unique keys + offsets.
   const std::size_t n = points_.size();
-  keyed_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    keyed_[i] = {key_for(points_[i]), static_cast<std::uint32_t>(i)};
-  }
-  std::sort(keyed_.begin(), keyed_.end());
 
+  // Bucket the points by cell: an open-addressing table (linear probing,
+  // load <= 1/2) hands out bucket ids in first-seen order and counts each
+  // bucket's points. cell_of_ holds each point's bucket until the scatter.
+  const std::size_t capacity = std::bit_ceil(std::max<std::size_t>(2 * n, 8));
+  const int shift = 64 - std::countr_zero(capacity);
+  table_.assign(capacity, TableSlot{0, kEmptySlot});
+  buckets_.clear();
+  bucket_cell_.clear();
   cell_of_.resize(n);
-  keys_.clear();
-  starts_.clear();
-  keys_.reserve(n / 2 + 1);
-  starts_.reserve(n / 2 + 2);
   for (std::size_t i = 0; i < n; ++i) {
-    if (keys_.empty() || keys_.back() != keyed_[i].first) {
-      keys_.push_back(keyed_[i].first);
-      starts_.push_back(static_cast<std::uint32_t>(i));
+    const CellKey key = pack(cell_coordinate(points_[i].x),
+                             cell_coordinate(points_[i].y));
+    // Fibonacci hashing: the product's top bits mix every key bit.
+    std::size_t probe = (key * 0x9E3779B97F4A7C15ULL) >> shift;
+    while (table_[probe].bucket != kEmptySlot && table_[probe].key != key) {
+      probe = (probe + 1) & (capacity - 1);
     }
-    cell_of_[keyed_[i].second] = static_cast<std::uint32_t>(keys_.size() - 1);
+    TableSlot& slot = table_[probe];
+    if (slot.bucket == kEmptySlot) {
+      slot = {key, static_cast<std::uint32_t>(buckets_.size())};
+      buckets_.emplace_back(key, slot.bucket);
+      bucket_cell_.push_back(0);
+    }
+    ++bucket_cell_[slot.bucket];
+    cell_of_[i] = slot.bucket;
   }
-  starts_.push_back(static_cast<std::uint32_t>(n));
 
+  // Sort the distinct cells into keys_ and lay out their CSR groups.
+  // live_ends_ starts at each group's start and serves as the scatter
+  // cursor, so it ends at the group's end: every point live.
+  std::sort(buckets_.begin(), buckets_.end());
+  const std::size_t cells = buckets_.size();
+  keys_.resize(cells);
+  starts_.resize(cells + 1);
+  live_ends_.resize(cells);
+  std::uint32_t offset = 0;
+  for (std::size_t c = 0; c < cells; ++c) {
+    const auto [key, bucket] = buckets_[c];
+    keys_[c] = key;
+    starts_[c] = offset;
+    live_ends_[c] = offset;
+    offset += bucket_cell_[bucket];
+    bucket_cell_[bucket] = static_cast<std::uint32_t>(c);
+  }
+  starts_[cells] = offset;
+
+  // Scatter in index order: each cell's points keep ascending index order,
+  // the CSR a sort by (cell key, index) gives.
   order_.resize(n);
   slot_xs_.resize(n);
   slot_ys_.resize(n);
   slot_of_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t idx = keyed_[i].second;
-    order_[i] = idx;
+    const std::uint32_t cell = bucket_cell_[cell_of_[i]];
+    const std::uint32_t slot = live_ends_[cell]++;
+    cell_of_[i] = cell;
+    order_[slot] = static_cast<std::uint32_t>(i);
     // SoA coordinate spans in slot order feed the SIMD scan kernel with
     // contiguous loads; slot_of_ lets take() find a point's slot in O(1).
-    slot_xs_[i] = points_[idx].x;
-    slot_ys_[i] = points_[idx].y;
-    slot_of_[idx] = static_cast<std::uint32_t>(i);
+    slot_xs_[slot] = points_[i].x;
+    slot_ys_[slot] = points_[i].y;
+    slot_of_[i] = slot;
   }
-  live_ends_.assign(starts_.begin() + 1, starts_.end());
 }
 
 void GridIndex::throw_cell_out_of_range() const {
@@ -73,26 +101,6 @@ void GridIndex::throw_cell_out_of_range() const {
   message += std::to_string(cell_size_);
   message += " m too small for its magnitude)";
   throw util::InvalidArgument(message);
-}
-
-GridIndex::CellKey GridIndex::key_for(Point p) const {
-  return pack(static_cast<std::int32_t>(cell_coordinate(p.x)),
-              static_cast<std::int32_t>(cell_coordinate(p.y)));
-}
-
-GridIndex::CellKey GridIndex::pack(std::int32_t cx, std::int32_t cy) {
-  // Bias to unsigned so negative cells pack without sign-extension clashes.
-  const auto ux = static_cast<std::uint64_t>(
-      static_cast<std::uint32_t>(cx));
-  const auto uy = static_cast<std::uint64_t>(
-      static_cast<std::uint32_t>(cy));
-  return (ux << 32) | uy;
-}
-
-std::size_t GridIndex::find_cell(CellKey key) const {
-  const auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
-  if (it == keys_.end() || *it != key) return keys_.size();
-  return static_cast<std::size_t>(it - keys_.begin());
 }
 
 }  // namespace privlocad::geo

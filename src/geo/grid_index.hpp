@@ -13,10 +13,16 @@
 // Storage is CSR-style rather than a hash map of buckets: point indices
 // are grouped by cell in one flat array (`order_`), with a sorted unique
 // cell-key array (`keys_`) and an offsets array (`starts_`) addressing the
-// groups. Queries binary-search the 3x3 neighbor keys and then walk
-// contiguous memory -- this is the attack's inner loop over every check-in
-// pair, and the flat layout removes the per-bucket allocations and hash
-// probing of the previous unordered_map design.
+// groups. A build buckets the points by cell through an open-addressing
+// table whose capacity is reused across rebuilds, sorts only the distinct
+// cells, and scatters the points into their cells in index order -- linear
+// in the points plus a sort of the occupied cells.
+//
+// A key packs the cell's signed (x, y) indices with the sign bits flipped,
+// so key order is signed (x, y) order and a row of cells (one x, a span of
+// y) is one contiguous run of `keys_`. for_each_within does one binary
+// search per row it reaches, each starting where the previous row's scan
+// stopped: three searches for the component walk's radius = cell size.
 //
 // The candidate walk itself is vectorized: alongside `order_` the index
 // keeps the point coordinates as SoA spans in CSR slot order
@@ -104,6 +110,7 @@ class GridIndex {
 
   std::size_t size() const { return points_.size(); }
   const std::vector<Point>& points() const { return points_; }
+  double cell_size() const { return cell_size_; }
 
  private:
   using CellKey = std::uint64_t;
@@ -111,6 +118,13 @@ class GridIndex {
       std::numeric_limits<std::int32_t>::min();
   static constexpr std::int64_t kMaxCell =
       std::numeric_limits<std::int32_t>::max();
+
+  /// A build's cell table entry: an occupied cell and its bucket.
+  struct TableSlot {
+    CellKey key;
+    std::uint32_t bucket;
+  };
+  static constexpr std::uint32_t kEmptySlot = 0xFFFFFFFFu;
 
   /// Shared CSR construction for the constructor and rebuild().
   void build_cells(double cell_size_m);
@@ -127,10 +141,18 @@ class GridIndex {
   }
   [[noreturn]] void throw_cell_out_of_range() const;
 
-  CellKey key_for(Point p) const;
-  static CellKey pack(std::int32_t cx, std::int32_t cy);
-  /// Position of `key` in keys_, or keys_.size() when absent.
-  std::size_t find_cell(CellKey key) const;
+  /// Key of cell (cx, cy), both inside int32. Flipping the sign bits
+  /// makes unsigned key order signed (x, y) order.
+  static CellKey pack(std::int64_t cx, std::int64_t cy) {
+    const std::uint64_t ux = static_cast<std::uint32_t>(cx) ^ 0x80000000u;
+    const std::uint64_t uy = static_cast<std::uint32_t>(cy) ^ 0x80000000u;
+    return (ux << 32) | uy;
+  }
+
+  /// Calls fn on every live point of `cell` within sqrt(r2) of `query`,
+  /// in slot order.
+  template <typename Fn>
+  void scan_cell(std::size_t cell, Point query, double r2, Fn& fn) const;
 
   /// Swaps the contents of slots `a` and `b` (same cell) and re-points
   /// slot_of_ at both.
@@ -154,20 +176,41 @@ class GridIndex {
   std::vector<double> slot_ys_;        ///< point y in CSR slot order (SoA)
   std::vector<std::uint32_t> slot_of_;  ///< point index -> CSR slot
   std::vector<std::uint32_t> cell_of_;  ///< point index -> position in keys_
-  /// build_cells' sort scratch, (cell key, point index); kept so rebuild()
-  /// reuses its capacity.
-  std::vector<std::pair<CellKey, std::uint32_t>> keyed_;
+  // build_cells' scratch, kept so rebuild() reuses its capacity.
+  std::vector<TableSlot> table_;  ///< open addressing, power-of-two size
+  /// (cell key, bucket) per bucket in first-seen order, then sorted.
+  std::vector<std::pair<CellKey, std::uint32_t>> buckets_;
+  /// Per bucket: its point count, then its position in keys_.
+  std::vector<std::uint32_t> bucket_cell_;
 };
 
 template <typename Fn>
-void GridIndex::for_each_within(Point query, double radius_m, Fn&& fn) const {
-  // Hit buffer for one kernel call: cells are scanned in chunks of at
+void GridIndex::scan_cell(std::size_t cell, Point query, double r2,
+                          Fn& fn) const {
+  // Hit buffer for one kernel call: a cell is scanned in chunks of at
   // most kScanChunk slots so the buffers stay on the stack. Hits come
   // back in ascending slot order, which is exactly the visit order of
   // the pre-SIMD per-point loop.
   constexpr std::uint32_t kScanChunk = 256;
   std::uint32_t hit_slots[kScanChunk];
   double hit_d2[kScanChunk];
+  std::uint32_t begin = starts_[cell];
+  const std::uint32_t end = live_ends_[cell];
+  while (begin < end) {
+    const std::uint32_t chunk_end =
+        end - begin > kScanChunk ? begin + kScanChunk : end;
+    const std::size_t hits = simd::scan_slots_within(
+        slot_xs_.data(), slot_ys_.data(), begin, chunk_end, query.x, query.y,
+        r2, hit_slots, hit_d2);
+    for (std::size_t h = 0; h < hits; ++h) {
+      fn(static_cast<std::size_t>(order_[hit_slots[h]]), hit_d2[h]);
+    }
+    begin = chunk_end;
+  }
+}
+
+template <typename Fn>
+void GridIndex::for_each_within(Point query, double radius_m, Fn&& fn) const {
   const double r2 = radius_m * radius_m;
   const std::int64_t cx = cell_coordinate(query.x);
   const std::int64_t cy = cell_coordinate(query.y);
@@ -180,25 +223,18 @@ void GridIndex::for_each_within(Point query, double radius_m, Fn&& fn) const {
           : static_cast<std::int64_t>(std::clamp(
                 reach_cells, -1.0, static_cast<double>(kMaxCell - kMinCell)));
   const std::int64_t x_end = std::min(cx + reach, kMaxCell);
+  const std::int64_t y_begin = std::max(cy - reach, kMinCell);
   const std::int64_t y_end = std::min(cy + reach, kMaxCell);
+  if (y_begin > y_end) return;
+  // Rows ascend in x and each row is one run of keys_, so a row's search
+  // starts where the previous row's scan stopped.
+  auto cell = keys_.begin();
   for (std::int64_t x = std::max(cx - reach, kMinCell); x <= x_end; ++x) {
-    for (std::int64_t y = std::max(cy - reach, kMinCell); y <= y_end; ++y) {
-      const std::size_t cell = find_cell(pack(static_cast<std::int32_t>(x),
-                                              static_cast<std::int32_t>(y)));
-      if (cell == keys_.size()) continue;
-      std::uint32_t begin = starts_[cell];
-      const std::uint32_t end = live_ends_[cell];
-      while (begin < end) {
-        const std::uint32_t chunk_end =
-            end - begin > kScanChunk ? begin + kScanChunk : end;
-        const std::size_t hits = simd::scan_slots_within(
-            slot_xs_.data(), slot_ys_.data(), begin, chunk_end, query.x,
-            query.y, r2, hit_slots, hit_d2);
-        for (std::size_t h = 0; h < hits; ++h) {
-          fn(static_cast<std::size_t>(order_[hit_slots[h]]), hit_d2[h]);
-        }
-        begin = chunk_end;
-      }
+    cell = std::lower_bound(cell, keys_.end(), pack(x, y_begin));
+    const CellKey row_end = pack(x, y_end);
+    for (; cell != keys_.end() && *cell <= row_end; ++cell) {
+      scan_cell(static_cast<std::size_t>(cell - keys_.begin()), query, r2,
+                fn);
     }
   }
 }

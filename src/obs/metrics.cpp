@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <thread>
 
 #include "util/strings.hpp"
@@ -38,6 +39,14 @@ void LatencyHistogram::record(double value) noexcept {
     return;
   }
   totals.sum.fetch_add(value, std::memory_order_relaxed);
+  double seen = totals.max.load(std::memory_order_relaxed);
+  while (value > seen && !totals.max.compare_exchange_weak(
+                             seen, value, std::memory_order_relaxed)) {
+  }
+  seen = totals.min.load(std::memory_order_relaxed);
+  while (value < seen && !totals.min.compare_exchange_weak(
+                             seen, value, std::memory_order_relaxed)) {
+  }
   // Bucket b covers (bounds[b-1], bounds[b]]; values past the last bound
   // land in the trailing overflow bucket.
   const std::size_t bucket = static_cast<std::size_t>(
@@ -94,6 +103,13 @@ double LatencyHistogram::quantile(double q) const {
   for (const std::uint64_t c : counts) n += c;
   if (n == 0) return 0.0;
 
+  double min = std::numeric_limits<double>::infinity();
+  double max = -min;
+  for (const Slot& slot : slots_) {
+    min = std::min(min, slot.min.load(std::memory_order_relaxed));
+    max = std::max(max, slot.max.load(std::memory_order_relaxed));
+  }
+
   const double target = q * static_cast<double>(n);
   double cumulative = 0.0;
   for (std::size_t b = 0; b < counts.size(); ++b) {
@@ -111,7 +127,13 @@ double LatencyHistogram::quantile(double q) const {
       const double upper = bounds_[b];
       const double fraction = std::clamp(
           (target - cumulative) / static_cast<double>(counts[b]), 0.0, 1.0);
-      return lower + (upper - lower) * fraction;
+      // Interpolation spreads a bucket's mass over its whole width; the
+      // observed extremes bound where that mass really lies. The loads are
+      // relaxed, so a read racing record() can see a sample's bucket
+      // count before its extremes: they can lag the counts (still +/-inf
+      // after a first sample), and then min > max attests to nothing.
+      const double estimate = lower + (upper - lower) * fraction;
+      return min <= max ? std::clamp(estimate, min, max) : estimate;
     }
     cumulative = next;
   }

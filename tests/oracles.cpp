@@ -119,6 +119,14 @@ std::vector<std::vector<std::size_t>> connected_components_bruteforce(
   return components;
 }
 
+geo::Point cluster_centroid(const std::vector<geo::Point>& points,
+                            const std::vector<std::size_t>& cluster) {
+  util::require(!cluster.empty(), "centroid of empty cluster");
+  geo::Point sum{};
+  for (const std::size_t idx : cluster) sum = sum + points[idx];
+  return sum / static_cast<double>(cluster.size());
+}
+
 // ------------------------------------------------------------------- rng
 
 double lambert_w0(double x) {

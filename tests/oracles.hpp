@@ -6,9 +6,10 @@
 // an inverse (the planar Laplace radial CDF vs its quantile), a sampled
 // estimate for a closed form (Monte-Carlo efficacy), a brute-force scan
 // for a solver's claim (the geo-IND constraint check, all-pairs
-// connected components), a dense tableau for a sparse one (the two-phase
-// simplex), a sequential rule for a batched one (single-request
-// admission), or a predicate only tests ask (bounding-box containment).
+// connected components, a cluster centroid summed member by member), a
+// dense tableau for a sparse one (the two-phase simplex), a sequential
+// rule for a batched one (single-request admission), or a predicate only
+// tests ask (bounding-box containment).
 // Keeping them here keeps every function under src/ reachable from a
 // shipped binary.
 #pragma once
@@ -74,6 +75,13 @@ GeoBox shanghai_geo_box();
 /// the grid's scan kernel does, so pairs at exactly theta agree.
 std::vector<std::vector<std::size_t>> connected_components_bruteforce(
     const std::vector<geo::Point>& points, double threshold_m);
+
+/// Centroid of `cluster`'s points, summed in the cluster's order from
+/// (0, 0). Over an ascending cluster these are the bits
+/// attack::build_profile gives the cluster's entry. Throws
+/// InvalidArgument on an empty cluster.
+geo::Point cluster_centroid(const std::vector<geo::Point>& points,
+                            const std::vector<std::size_t>& cluster);
 
 // ------------------------------------------------------------------- rng
 

@@ -644,6 +644,96 @@ TEST(DeobfuscationGolden, TopLocationsMatchRecordedDigest) {
   }
 }
 
+// ------------------------------------------- profile golden digest
+//
+// A digest of attack::build_profile's entries (count, then centroid bits
+// and frequency entry by entry, in profile order) over the clustered
+// clouds above and over clouds of equal-size groups, whose order rests
+// on the smallest-index tie-break alone. It was recorded from the build
+// that sorted each cluster, summed its centroid in ascending index order
+// and ordered clusters by size desc, then first index. The labelling walk
+// reproduces it through both overloads (the workspace one reused across
+// clouds), and matches the all-pairs components summed member by member
+// entry by entry.
+
+/// 3-6 tight groups of one common size (1-12 points) at random anchors
+/// plus a few strays, shuffled so groups interleave.
+std::vector<geo::Point> equal_size_cloud(rng::Engine& e) {
+  std::vector<geo::Point> points;
+  const std::size_t groups = 3 + e.uniform_index(4);
+  const std::size_t members = 1 + e.uniform_index(12);
+  for (std::size_t g = 0; g < groups; ++g) {
+    const geo::Point anchor{e.uniform_in(-5000.0, 5000.0),
+                            e.uniform_in(-5000.0, 5000.0)};
+    for (std::size_t i = 0; i < members; ++i) {
+      points.push_back(anchor + rng::gaussian_noise(e, 3.0));
+    }
+  }
+  for (std::size_t i = 0; i < 5; ++i) {
+    points.push_back({e.uniform_in(-6000.0, 6000.0),
+                      e.uniform_in(-6000.0, 6000.0)});
+  }
+  for (std::size_t i = points.size(); i > 1; --i) {
+    std::swap(points[i - 1], points[e.uniform_index(i)]);
+  }
+  return points;
+}
+
+TEST(ProfileGolden, EntriesMatchRecordedDigest) {
+  constexpr std::uint64_t kGoldenDigest = 0x161f915b8fa1c98cULL;
+  const auto fold = [](Fnv1a& digest,
+                       const std::vector<attack::ProfileEntry>& entries) {
+    digest.add(entries.size());
+    for (const attack::ProfileEntry& entry : entries) {
+      digest.add(std::bit_cast<std::uint64_t>(entry.location.x));
+      digest.add(std::bit_cast<std::uint64_t>(entry.location.y));
+      digest.add(entry.frequency);
+    }
+  };
+  std::vector<simd::DispatchLevel> levels{simd::DispatchLevel::kScalar};
+  if (simd::avx2_available()) levels.push_back(simd::DispatchLevel::kAvx2);
+  for (const simd::DispatchLevel level : levels) {
+    const DispatchGuard guard(level);
+    attack::ProfileWorkspace workspace;
+    Fnv1a digest;
+    Fnv1a reused_digest;
+    std::size_t entries = 0;
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+      rng::Engine e(seed + 9000);
+      const std::vector<geo::Point> points =
+          seed % 2 == 0 ? clustered_cloud(e) : equal_size_cloud(e);
+      const double threshold = e.uniform_in(20.0, 80.0);
+      const attack::LocationProfile profile =
+          attack::build_profile(points, threshold);
+      fold(digest, profile.entries());
+      const std::vector<attack::ProfileEntry>& reused =
+          attack::build_profile(points, threshold, workspace);
+      fold(reused_digest, reused);
+      entries += profile.size();
+
+      const auto clusters =
+          oracles::connected_components_bruteforce(points, threshold);
+      ASSERT_EQ(reused.size(), clusters.size()) << "seed " << seed;
+      for (std::size_t k = 0; k < clusters.size(); ++k) {
+        const geo::Point centroid =
+            oracles::cluster_centroid(points, clusters[k]);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(reused[k].location.x),
+                  std::bit_cast<std::uint64_t>(centroid.x));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(reused[k].location.y),
+                  std::bit_cast<std::uint64_t>(centroid.y));
+        EXPECT_EQ(reused[k].frequency, clusters[k].size());
+      }
+    }
+    EXPECT_EQ(digest.state, kGoldenDigest)
+        << "dispatch " << simd::dispatch_level_name(level) << ": 0x"
+        << std::hex << digest.state;
+    EXPECT_EQ(reused_digest.state, kGoldenDigest)
+        << "dispatch " << simd::dispatch_level_name(level) << ": 0x"
+        << std::hex << reused_digest.state;
+    EXPECT_EQ(entries, 2094u);
+  }
+}
+
 TEST_P(SimdAgreement, DeobfuscationInferenceIdenticalAcrossDispatch) {
   SKIP_WITHOUT_AVX2();
   rng::Engine e(GetParam() + 2000);
