@@ -15,7 +15,6 @@
 #include "lppm/mechanism.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "simd/dispatch.hpp"
 #include "trace/synthetic.hpp"
 
 namespace privlocad::bench {
@@ -91,17 +90,40 @@ inline void add_latency_percentiles(JsonMetrics& metrics,
   metrics.add(prefix + "_p99", histogram.quantile(0.99));
 }
 
+/// Comma-separated runtime CPU feature list ("sse4.2,avx,avx2,fma,...")
+/// for perf-record provenance: BENCH_*.json numbers are only comparable
+/// across machines when the records say what the machines were.
+inline std::string cpu_features_string() {
+  std::string out;
+#if defined(__x86_64__) || defined(__i386__)
+  const auto append = [&out](bool supported, const char* name) {
+    if (!supported) return;
+    if (!out.empty()) out += ',';
+    out += name;
+  };
+  // __builtin_cpu_supports takes only string literals, hence the unroll.
+  append(__builtin_cpu_supports("sse2") != 0, "sse2");
+  append(__builtin_cpu_supports("sse4.2") != 0, "sse4.2");
+  append(__builtin_cpu_supports("avx") != 0, "avx");
+  append(__builtin_cpu_supports("avx2") != 0, "avx2");
+  append(__builtin_cpu_supports("fma") != 0, "fma");
+  append(__builtin_cpu_supports("avx512f") != 0, "avx512f");
+#endif
+  if (out.empty()) out = "none";
+  return out;
+}
+
 /// Writes `metrics` as one flat JSON object to `path` (typically
 /// "BENCH_<name>.json" in the working directory). These records are the
 /// perf trajectory future changes regress against: wall time, throughput,
 /// thread count, and whatever accuracy numbers prove the speedup did not
 /// change the result. Every record also carries build provenance --
-/// compiler, flags, detected CPU features, and the active SIMD dispatch
-/// level -- so two baselines that disagree can be told apart by how they
-/// were built, not just when. Also dumps the process-global metrics
-/// registry to $PRIVLOCAD_METRICS when that variable is set, so one run
-/// can leave both the bench record and the full registry behind. Returns
-/// false (and warns on stderr) on IO failure.
+/// compiler, flags and detected CPU features -- so two baselines that
+/// disagree can be told apart by how they were built, not just when.
+/// Also dumps the process-global metrics registry to $PRIVLOCAD_METRICS
+/// when that variable is set, so one run can leave both the bench record
+/// and the full registry behind. Returns false (and warns on stderr) on
+/// IO failure.
 inline bool emit_json(const std::string& path, const JsonMetrics& metrics) {
   JsonMetrics stamped = metrics;
   stamped.add_string("build_compiler", __VERSION__);
@@ -110,9 +132,7 @@ inline bool emit_json(const std::string& path, const JsonMetrics& metrics) {
 #else
   stamped.add_string("build_flags", "unknown");
 #endif
-  stamped.add_string("cpu_features", simd::cpu_features_string());
-  stamped.add_string("simd_dispatch", simd::dispatch_level_name(
-                                          simd::active_dispatch_level()));
+  stamped.add_string("cpu_features", cpu_features_string());
   const bool ok = stamped.write_file(path);
   if (ok) std::printf("perf record -> %s\n", path.c_str());
   obs::MetricsRegistry::global().export_to_env_path();

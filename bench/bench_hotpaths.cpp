@@ -10,22 +10,17 @@
 //      per-user latency histogram ("attack.deobfuscation_latency_us")
 //      yields the p50/p95/p99 the workspace refactor is accountable to.
 //
-//   3. SIMD kernel layer. Each vectorized hot kernel (grid distance scan,
-//      connectivity clustering, posterior selection scoring, 2-D noise
-//      apply) timed under forced-scalar and forced-AVX2 dispatch on the
-//      same workload. Because the dispatch contract guarantees
-//      bit-identical results, the scalar/SIMD pairs measure pure
-//      throughput; the recorded per-kernel speedups are the SIMD layer's
-//      accountability numbers. One more clustering case, at the default
-//      dispatch level, is a home location: 4,000 check-ins in a 20 m
-//      disk at theta = 50 m (clustering_dense_points_per_second).
+//   3. Hot kernels. Each kernel (grid distance scan, connectivity
+//      clustering, posterior selection scoring, 2-D noise apply) timed
+//      once at its production call shape. One more clustering case is a
+//      home location: 4,000 check-ins in a 20 m disk at theta = 50 m
+//      (clustering_dense_points_per_second).
 //
 // Emits BENCH_hotpaths.json; the perf_guard ctest compares the committed
 // repo-root baseline against a fresh run.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <functional>
 #include <numbers>
 #include <vector>
 
@@ -34,7 +29,6 @@
 #include "lppm/gaussian.hpp"
 #include "rng/samplers.hpp"
 #include "rng/ziggurat.hpp"
-#include "simd/dispatch.hpp"
 #include "simd/kernels.hpp"
 #include "util/timer.hpp"
 
@@ -85,24 +79,8 @@ double noise2d_rate(std::uint64_t total_pairs) {
   return static_cast<double>(total_pairs) / seconds;
 }
 
-/// Runs `fn` with the dispatch level forced to `level` and restores the
-/// process default afterwards. When AVX2 is unavailable the "simd" leg
-/// falls back to scalar so every record key still exists; the speedup
-/// then reads ~1.0 and the record's cpu_features field explains why.
-double rate_under(simd::DispatchLevel level,
-                  const std::function<double()>& fn) {
-  const simd::DispatchLevel previous = simd::active_dispatch_level();
-  if (level == simd::DispatchLevel::kAvx2 && !simd::avx2_available()) {
-    level = simd::DispatchLevel::kScalar;
-  }
-  simd::set_dispatch_level(level);
-  const double rate = fn();
-  simd::set_dispatch_level(previous);
-  return rate;
-}
-
 /// Uniform cloud + Gaussian hot spots for the scan/clustering kernels:
-/// dense enough that grid cells hold full SIMD lanes, sparse enough that
+/// dense enough that grid cells hold many points, sparse enough that
 /// clustering does not collapse into one component.
 std::vector<geo::Point> kernel_cloud(std::uint64_t seed, std::size_t n,
                                      double extent_m) {
@@ -247,65 +225,32 @@ int main(int argc, char** argv) {
   std::printf("  ziggurat     : %12.0f samples/s\n", zig_rate);
   std::printf("  2-D noise    : %12.0f pairs/s\n", pair_rate);
 
-  // ---- 1b. SIMD kernel layer: identical workload under forced-scalar
-  // and forced-AVX2 dispatch. Bit-identical outputs by contract, so each
-  // scalar/simd pair is a pure kernel-throughput ratio. Scan, posterior
-  // and noise-apply time the raw kernels at their production call shapes;
-  // clustering times the full Algorithm-1 connectivity expansion (grid
-  // build + BFS) so the record also shows the end-to-end effect.
+  // ---- 1b. hot kernels. Scan, posterior and noise-apply time the raw
+  // kernels at their production call shapes; clustering times the full
+  // Algorithm-1 connectivity expansion (grid build + walk) so the record
+  // also shows the end-to-end effect.
   const std::uint64_t kernel_ops = std::max<std::uint64_t>(samples, 65536);
-  const double scan_scalar = rate_under(simd::DispatchLevel::kScalar, [&] {
-    return distance_scan_rate(kernel_ops * 4);
-  });
-  const double scan_simd = rate_under(simd::DispatchLevel::kAvx2, [&] {
-    return distance_scan_rate(kernel_ops * 4);
-  });
+  const double scan = distance_scan_rate(kernel_ops * 4);
 
   const std::vector<geo::Point> cluster_cloud = kernel_cloud(41, 4000, 1500.0);
-  const double cluster_threshold = 120.0;
-  const double clustering_scalar =
-      rate_under(simd::DispatchLevel::kScalar, [&] {
-        return clustering_rate(cluster_cloud, cluster_threshold, clusterings);
-      });
-  const double clustering_simd = rate_under(simd::DispatchLevel::kAvx2, [&] {
-    return clustering_rate(cluster_cloud, cluster_threshold, clusterings);
-  });
+  const double clustering = clustering_rate(cluster_cloud, 120.0, clusterings);
 
-  // One 20 m disk of 4,000 check-ins at theta = 50 m, at the default
-  // dispatch level: the dense-component case of a profile rebuild.
+  // One 20 m disk of 4,000 check-ins at theta = 50 m: the dense-component
+  // case of a profile rebuild.
   const std::vector<geo::Point> home_disk = dense_disk(43, 4000, 20.0);
   const double clustering_dense =
       clustering_rate(home_disk, 50.0, clusterings);
 
-  const double noise_scalar = rate_under(simd::DispatchLevel::kScalar, [&] {
-    return noise_apply_rate(kernel_ops * 2);
-  });
-  const double noise_simd = rate_under(simd::DispatchLevel::kAvx2, [&] {
-    return noise_apply_rate(kernel_ops * 2);
-  });
+  const double noise = noise_apply_rate(kernel_ops * 2);
+  const double selection = posterior_kernel_rate(kernel_ops * 2);
 
-  const double selection_scalar =
-      rate_under(simd::DispatchLevel::kScalar, [&] {
-        return posterior_kernel_rate(kernel_ops * 2);
-      });
-  const double selection_simd = rate_under(simd::DispatchLevel::kAvx2, [&] {
-    return posterior_kernel_rate(kernel_ops * 2);
-  });
-
-  std::printf("\nSIMD kernels, scalar vs %s dispatch:\n",
-              simd::avx2_available() ? "avx2" : "scalar (AVX2 unavailable)");
-  std::printf("  distance scan: %12.0f -> %12.0f points/s (%5.2fx)\n",
-              scan_scalar, scan_simd, scan_simd / scan_scalar);
-  std::printf("  clustering   : %12.0f -> %12.0f points/s (%5.2fx)\n",
-              clustering_scalar, clustering_simd,
-              clustering_simd / clustering_scalar);
+  std::printf("\nhot kernels:\n");
+  std::printf("  distance scan: %12.0f points/s\n", scan);
+  std::printf("  clustering   : %12.0f points/s\n", clustering);
   std::printf("  dense disk   : %12.0f points/s (one 4,000-point component)\n",
               clustering_dense);
-  std::printf("  noise apply  : %12.0f -> %12.0f pairs/s  (%5.2fx)\n",
-              noise_scalar, noise_simd, noise_simd / noise_scalar);
-  std::printf("  posterior    : %12.0f -> %12.0f cands/s  (%5.2fx)\n",
-              selection_scalar, selection_simd,
-              selection_simd / selection_scalar);
+  std::printf("  noise apply  : %12.0f pairs/s\n", noise);
+  std::printf("  posterior    : %12.0f cands/s\n", selection);
 
   // ---- 2. repeated clusterings of one observation stream, workspace
   // reused across calls exactly as evaluate_population reuses it.
@@ -382,19 +327,11 @@ int main(int argc, char** argv) {
   record.add("samples", samples);
   record.add("ziggurat_samples_per_second", zig_rate);
   record.add("noise2d_pairs_per_second", pair_rate);
-  record.add("distance_scan_points_per_second_scalar", scan_scalar);
-  record.add("distance_scan_points_per_second_simd", scan_simd);
-  record.add("distance_scan_simd_speedup", scan_simd / scan_scalar);
-  record.add("clustering_points_per_second_scalar", clustering_scalar);
-  record.add("clustering_points_per_second_simd", clustering_simd);
-  record.add("clustering_simd_speedup", clustering_simd / clustering_scalar);
+  record.add("distance_scan_points_per_second", scan);
+  record.add("clustering_points_per_second", clustering);
   record.add("clustering_dense_points_per_second", clustering_dense);
-  record.add("noise_apply_pairs_per_second_scalar", noise_scalar);
-  record.add("noise_apply_pairs_per_second_simd", noise_simd);
-  record.add("noise_apply_simd_speedup", noise_simd / noise_scalar);
-  record.add("selection_candidates_per_second_scalar", selection_scalar);
-  record.add("selection_candidates_per_second_simd", selection_simd);
-  record.add("selection_simd_speedup", selection_simd / selection_scalar);
+  record.add("noise_apply_pairs_per_second", noise);
+  record.add("selection_candidates_per_second", selection);
   record.add("clusterings", clusterings);
   record.add("clusterings_per_second", cluster_rate);
   record.add("users", static_cast<std::uint64_t>(rates.users()));

@@ -38,10 +38,9 @@ void take_component(geo::GridIndex& index, std::size_t seed,
 void ComponentLabels::label(const std::vector<geo::Point>& points,
                             double threshold_m) {
   util::require_positive(threshold_m, "clustering threshold");
-  // The walk's candidate scans run through the GridIndex SIMD kernel
-  // (4-wide squared-distance/compare lanes over SoA spans in CSR order);
-  // components are unique and labels ignore walk order, so the labelling
-  // is identical at any dispatch level.
+  // The walk's candidate scans run through the GridIndex scan kernel
+  // (squared-distance/compare over SoA spans in CSR order); components
+  // are unique and labels ignore walk order.
   index_.rebuild(points, threshold_m);
   label_.resize(points.size());
   size_.clear();

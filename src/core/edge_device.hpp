@@ -19,7 +19,7 @@
 // All per-user state lives in one columnar UserArena (core/user_arena.hpp):
 // profiles, top sets, obfuscation-table entries, candidate sets, and
 // pending windows are contiguous SoA columns indexed through a compact
-// user directory. Candidate sets are scored by the SIMD posterior kernel
+// user directory. Candidate sets are scored by the posterior kernel
 // directly from the columns, and the whole device state round-trips
 // through a binary snapshot file (save_snapshot / open_snapshot, the only
 // persistence path) that opens by copying each column extent into place,

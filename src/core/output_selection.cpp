@@ -32,13 +32,11 @@ void selection_probabilities_into(simd::PointSpan candidates, double sigma,
   const geo::Point mean = span_centroid(candidates);
   // The common 1/(2 pi sigma^2) factor cancels in the normalization; work
   // with the exponent only, shifted by the max for numerical stability.
-  // The squared-distance/score pass runs through the SIMD kernel layer
+  // The squared-distance/score pass runs through the posterior kernel
   // directly over the caller's SoA columns (the arena's candidate store
-  // is already columnar, so there is no conversion edge here); the
-  // kernel's max reduction is order-independent, so scalar and AVX2
-  // dispatch yield bit-identical probabilities. The exp/sum normalization
-  // below stays in scalar candidate order -- that summation order is part
-  // of the determinism contract.
+  // is already columnar, so there is no conversion edge here). The
+  // exp/sum normalization below stays in candidate order -- that
+  // summation order is part of the determinism contract.
   const std::size_t n = candidates.size;
   probs.resize(n);
   const double max_log = simd::posterior_log_densities(

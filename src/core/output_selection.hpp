@@ -44,7 +44,7 @@ std::vector<double> selection_probabilities(
     const std::vector<geo::Point>& candidates, double sigma);
 
 /// Algorithm 4: samples one candidate index from the posterior weights.
-/// Scores the span in place through the SIMD kernel layer; the only
+/// Scores the span in place through the posterior kernel; the only
 /// per-call state is a reused thread_local probability buffer.
 std::size_t select_candidate(rng::Engine& engine, simd::PointSpan candidates,
                              double sigma);

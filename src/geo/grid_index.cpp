@@ -85,7 +85,7 @@ void GridIndex::build_cells(double cell_size_m) {
     const std::uint32_t slot = live_ends_[cell]++;
     cell_of_[i] = cell;
     order_[slot] = static_cast<std::uint32_t>(i);
-    // SoA coordinate spans in slot order feed the SIMD scan kernel with
+    // SoA coordinate spans in slot order feed the scan kernel with
     // contiguous loads; slot_of_ lets take() find a point's slot in O(1).
     slot_xs_[slot] = points_[i].x;
     slot_ys_[slot] = points_[i].y;

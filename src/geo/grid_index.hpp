@@ -24,14 +24,11 @@
 // search per row it reaches, each starting where the previous row's scan
 // stopped: three searches for the component walk's radius = cell size.
 //
-// The candidate walk itself is vectorized: alongside `order_` the index
-// keeps the point coordinates as SoA spans in CSR slot order
-// (`slot_xs_`/`slot_ys_`), so each cell's scan of its live prefix is a
-// contiguous 4-wide squared-distance/compare kernel
-// (simd/kernels.hpp) instead of a per-point indirect load and an
-// out-of-line distance_squared call. Scalar and AVX2 dispatch levels
-// produce identical visit sets, order, and d2 bits (see the dispatch
-// contract in simd/dispatch.hpp).
+// Alongside `order_` the index keeps the point coordinates as SoA spans
+// in CSR slot order (`slot_xs_`/`slot_ys_`), so each cell's scan of its
+// live prefix is one contiguous squared-distance/compare loop
+// (simd::scan_slots_within) instead of a per-point indirect load and an
+// out-of-line distance_squared call.
 //
 // Two ways to hide points serve the callers' round structure:
 //   - rebuild() re-indexes a new point set in place, reusing every
@@ -189,8 +186,8 @@ void GridIndex::scan_cell(std::size_t cell, Point query, double r2,
                           Fn& fn) const {
   // Hit buffer for one kernel call: a cell is scanned in chunks of at
   // most kScanChunk slots so the buffers stay on the stack. Hits come
-  // back in ascending slot order, which is exactly the visit order of
-  // the pre-SIMD per-point loop.
+  // back in ascending slot order, which is exactly the visit order of a
+  // per-point loop.
   constexpr std::uint32_t kScanChunk = 256;
   std::uint32_t hit_slots[kScanChunk];
   double hit_d2[kScanChunk];

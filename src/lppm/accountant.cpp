@@ -22,11 +22,6 @@ void PrivacyAccountant::record(std::uint64_t user_id, PrivacyCharge charge) {
   ++ledger.releases;
 }
 
-void PrivacyAccountant::record_all(const std::vector<std::uint64_t>& user_ids,
-                                   PrivacyCharge charge) {
-  for (const std::uint64_t id : user_ids) record(id, charge);
-}
-
 PrivacySpend PrivacyAccountant::spend_for(std::uint64_t user_id) const {
   const auto it = ledgers_.find(user_id);
   if (it == ledgers_.end()) return {};
@@ -52,12 +47,6 @@ PrivacySpend PrivacyAccountant::spend_for(std::uint64_t user_id) const {
     spend.advanced_delta = ledger.delta_sum + advanced_slack_;
   }
   return spend;
-}
-
-bool PrivacyAccountant::exhausted(std::uint64_t user_id,
-                                  double budget_eps) const {
-  util::require_positive(budget_eps, "privacy budget");
-  return spend_for(user_id).basic_epsilon > budget_eps;
 }
 
 }  // namespace privlocad::lppm

@@ -12,8 +12,8 @@
 #pragma once
 
 #include <cstdint>
+#include <cstddef>
 #include <unordered_map>
-#include <vector>
 
 namespace privlocad::lppm {
 
@@ -48,18 +48,8 @@ class PrivacyAccountant {
   /// Registers one release for `user_id`.
   void record(std::uint64_t user_id, PrivacyCharge charge);
 
-  /// Registers a release for every user in a batch (e.g. a window rebuild).
-  void record_all(const std::vector<std::uint64_t>& user_ids,
-                  PrivacyCharge charge);
-
   /// Current spend for a user; all-zero spend for unknown users.
   PrivacySpend spend_for(std::uint64_t user_id) const;
-
-  /// True when the user's basic-composition epsilon exceeds `budget_eps`.
-  /// The paper's one-time geo-IND users blow any fixed budget linearly in
-  /// their check-in count; Edge-PrivLocAd users never do after the table
-  /// is frozen.
-  bool exhausted(std::uint64_t user_id, double budget_eps) const;
 
   std::size_t tracked_users() const { return ledgers_.size(); }
 

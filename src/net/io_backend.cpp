@@ -36,8 +36,8 @@ util::Result<IoBackendKind> parse_io_backend_kind(const char* name) {
 namespace {
 
 /// An explicit io_uring request that cannot be satisfied must fail
-/// loudly (mirrors PRIVLOCAD_SIMD=avx2 on a scalar build): a bench must
-/// never report io_uring numbers that were silently measured on epoll.
+/// loudly: a bench must never report io_uring numbers that were silently
+/// measured on epoll.
 util::Status io_uring_unsatisfiable(const char* who) {
   if (!io_uring_compiled_in()) {
     return util::Status::failed_precondition(

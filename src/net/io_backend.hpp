@@ -1,8 +1,7 @@
 // The backend-neutral IO contract edge_serverd's protocol core is
 // written against.
 //
-// PR 8 welded the serving loop to epoll; this layer splits it the same
-// way src/simd split kernels from call sites: ONE protocol state machine
+// This layer splits the serving loop in two: ONE protocol state machine
 // (framing, admission, worker hashing, byte-budget backpressure,
 // metrics -- all in net/server.cpp) drives an IoBackend that owns the
 // readiness/submission mechanics. Two implementations ship:
@@ -18,11 +17,11 @@
 //                     passes; selected at runtime only when the kernel
 //                     actually accepts the ring.
 //
-// Selection mirrors PRIVLOCAD_SIMD exactly: `auto` resolves to the best
-// satisfiable backend, an explicit request that this build or kernel
-// cannot satisfy fails LOUDLY with a typed Status (never a silent
-// downgrade -- a bench must not report io_uring numbers measured on
-// epoll), and the active choice is published as a gauge.
+// Selection: `auto` resolves to the best satisfiable backend, an
+// explicit request that this build or kernel cannot satisfy fails LOUDLY
+// with a typed Status (never a silent downgrade -- a bench must not
+// report io_uring numbers measured on epoll), and the active choice is
+// published as a gauge.
 //
 // Threading contract: every IoBackend method and every IoSink callback
 // runs on the ONE IO thread. Backends own fds and outbound buffers; the
@@ -70,8 +69,8 @@ bool io_uring_available();
 ///   - kEpoll / kIoUring: explicit request; io_uring that this build or
 ///     kernel cannot satisfy is a LOUD typed error, never a downgrade.
 ///   - kAuto: PRIVLOCAD_NET_BACKEND decides if set (same grammar,
-///     malformed or unsatisfiable values error loudly, mirroring
-///     PRIVLOCAD_SIMD); otherwise io_uring when available, else epoll.
+///     malformed or unsatisfiable values error loudly); otherwise
+///     io_uring when available, else epoll.
 /// Never returns kAuto.
 util::Result<IoBackendKind> resolve_io_backend(IoBackendKind requested);
 

@@ -12,7 +12,6 @@
 #include <utility>
 
 #include "core/telemetry.hpp"
-#include "simd/dispatch.hpp"
 #include "util/validation.hpp"
 
 namespace privlocad::net {
@@ -115,7 +114,6 @@ util::Result<std::unique_ptr<EdgeServer>> EdgeServer::create(
   server->queue_depth_ = &registry.gauge(net_metrics::kQueueDepth);
   registry.gauge(net_metrics::kBackend)
       .set(static_cast<double>(resolved.value()));
-  simd::publish_dispatch_gauge(registry);
 
   util::Result<UniqueFd> listen = listen_loopback(
       static_cast<std::uint16_t>(server->config_.port), server->port_);

@@ -108,9 +108,7 @@ inline constexpr const char* kQueueDepth = "net.queue_depth";
 /// parked worker (also counted in net.requests / net.responses).
 inline constexpr const char* kServedInline = "net.served_inline";
 /// The resolved IoBackendKind, as a gauge (1 = epoll, 2 = io_uring), so
-/// a metrics dump says which engine actually served. Next to it the
-/// server publishes simd.dispatch_avx2 (simd::publish_dispatch_gauge):
-/// 1 when the serving kernels dispatch to AVX2, 0 when scalar.
+/// a metrics dump says which engine actually served.
 inline constexpr const char* kBackend = "net.backend";
 }  // namespace net_metrics
 

@@ -29,9 +29,8 @@ void fill_gaussian_noise_2d(Engine& engine, double sigma,
   // Per-thread sample buffer: one flat ziggurat pass produces the 2n
   // variates, then one pairing pass scales and offsets. The buffer grows
   // to the largest batch this thread has seen and is reused. The pairing
-  // pass is the SIMD noise kernel operating on the point array's
-  // interleaved x,y doubles in place; scalar and AVX2 dispatch produce
-  // identical bits (see simd/dispatch.hpp).
+  // pass is simd::apply_noise_pairs writing the point array's
+  // interleaved x,y doubles in place.
   static_assert(std::is_standard_layout_v<geo::Point> &&
                     sizeof(geo::Point) == 2 * sizeof(double) &&
                     offsetof(geo::Point, y) == sizeof(double),

@@ -1,7 +1,6 @@
-// The SIMD hot kernels: distance scans, posterior scoring, noise pairing.
+// The hot kernels: distance scans, posterior scoring, noise pairing.
 //
-// These are the inner loops the paper's pipeline actually spends time in
-// (see ISSUE 6 / ROADMAP "SIMD hot-kernel pass"):
+// These are the inner loops the paper's pipeline actually spends time in:
 //
 //   - scan_slots_within: the GridIndex 3x3-neighborhood candidate walk
 //     (paper Alg. 1 stage 1 and the connectivity clustering it shares);
@@ -10,25 +9,19 @@
 //     pass over batched ziggurat variates (lppm/gaussian and
 //     lppm/baselines via rng::fill_gaussian_noise_2d).
 //
-// Each kernel has a scalar and an AVX2 implementation; the unsuffixed
-// entry point dispatches on simd::active_dispatch_level(). Both variants
-// are always declared -- when the AVX2 TU is compiled out
-// (PRIVLOCAD_NATIVE_ARCH=OFF) the _avx2 symbols forward to scalar and
-// the dispatcher never selects them.
-//
-// BIT-AGREEMENT CONTRACT (tested per kernel in tests/property_test.cpp):
-//   - scan_slots_within: identical hit slots, identical order (ascending
-//     slot), identical d2 bits. d2 = (x-qx)*(x-qx) + (y-qy)*(y-qy),
-//     evaluated sub/mul/mul/add with no FMA contraction in either
-//     variant (kernel TUs build with -ffp-contract=off and the AVX2 TU
-//     without -mfma).
-//   - posterior_log_densities: identical out[] bits; the max reduction
-//     is order-independent over finite doubles (values are -(d2)/denom
-//     with denom > 0), so the 4-lane tree max equals the scalar running
-//     max. The exp/sum normalization stays with the caller, in scalar
-//     order.
-//   - apply_noise_pairs: identical output bits; each element is the
-//     independent sub/mul/add chain center + sigma * z.
+// Each kernel is one plain loop over SoA doubles, and each evaluates its
+// arithmetic in a fixed order with no FMA contraction (kernels.cpp builds
+// with -ffp-contract=off), so its output bits do not depend on the flags
+// a user builds with:
+//   - scan_slots_within: hits in ascending slot order, with
+//     d2 = (x-qx)*(x-qx) + (y-qy)*(y-qy) evaluated sub/mul/mul/add.
+//   - posterior_log_densities: out[i] = -(d2) / denom in the same order;
+//     the exp/sum normalization stays with the caller.
+//   - apply_noise_pairs: each element is the mul/add chain
+//     center + sigma * z.
+// tests/property_test.cpp checks the scan and posterior kernels against
+// brute-force references in tests/oracles; tests/rng_test.cpp checks the
+// noise pass against per-point draws and the seeded stream golden.
 #pragma once
 
 #include <cstddef>
@@ -46,28 +39,14 @@ std::size_t scan_slots_within(const double* xs, const double* ys,
                               std::uint32_t begin, std::uint32_t end,
                               double qx, double qy, double r2,
                               std::uint32_t* hit_slots, double* hit_d2);
-std::size_t scan_slots_within_scalar(const double* xs, const double* ys,
-                                     std::uint32_t begin, std::uint32_t end,
-                                     double qx, double qy, double r2,
-                                     std::uint32_t* hit_slots, double* hit_d2);
-std::size_t scan_slots_within_avx2(const double* xs, const double* ys,
-                                   std::uint32_t begin, std::uint32_t end,
-                                   double qx, double qy, double r2,
-                                   std::uint32_t* hit_slots, double* hit_d2);
 
 /// Writes out[i] = -((xs[i]-mx)^2 + (ys[i]-my)^2) / denom for i in
 /// [0, n) and returns max(-1e300, max_i out[i]) (the -1e300 floor keeps
-/// the legacy scalar seed value observable when every density
-/// underflows to -inf). denom must be > 0.
+/// a finite seed value observable when every density underflows to
+/// -inf). denom must be > 0.
 double posterior_log_densities(const double* xs, const double* ys,
                                std::size_t n, double mx, double my,
                                double denom, double* out);
-double posterior_log_densities_scalar(const double* xs, const double* ys,
-                                      std::size_t n, double mx, double my,
-                                      double denom, double* out);
-double posterior_log_densities_avx2(const double* xs, const double* ys,
-                                    std::size_t n, double mx, double my,
-                                    double denom, double* out);
 
 /// The 2-D noise pairing pass: for j in [0, 2 * n_pairs),
 ///   out_xy[j] = (j even ? cx : cy) + sigma * samples[j].
@@ -75,11 +54,5 @@ double posterior_log_densities_avx2(const double* xs, const double* ys,
 /// array (two doubles, no padding -- static_asserted at the call site).
 void apply_noise_pairs(const double* samples, std::size_t n_pairs,
                        double sigma, double cx, double cy, double* out_xy);
-void apply_noise_pairs_scalar(const double* samples, std::size_t n_pairs,
-                              double sigma, double cx, double cy,
-                              double* out_xy);
-void apply_noise_pairs_avx2(const double* samples, std::size_t n_pairs,
-                            double sigma, double cx, double cy,
-                            double* out_xy);
 
 }  // namespace privlocad::simd

@@ -1,8 +1,8 @@
 // Structure-of-arrays views over 2-D points.
 //
-// The SIMD kernels consume coordinates as two contiguous double arrays
-// (xs[] / ys[]) so a 4-wide lane is two vector loads, not a gather over
-// AoS geo::Point objects. PointSpan is the non-owning view the kernels
+// The hot kernels consume coordinates as two contiguous double arrays
+// (xs[] / ys[]), unit-stride loads rather than a gather over AoS
+// geo::Point objects. PointSpan is the non-owning view the kernels
 // take; SoaPoints is the owning scratch that converts an AoS
 // vector<Point> into that layout while reusing its capacity across
 // calls (the same pattern DeobfuscationWorkspace uses for the attack's
@@ -19,8 +19,7 @@
 namespace privlocad::simd {
 
 /// Non-owning SoA view: n points whose coordinates live at xs[i], ys[i].
-/// Plain pointers + size (not std::span) so the kernel ABI stays C-like
-/// across the scalar and -mavx2 translation units.
+/// Plain pointers + size, the same shape the kernels take.
 struct PointSpan {
   const double* xs = nullptr;
   const double* ys = nullptr;

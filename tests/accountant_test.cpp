@@ -65,23 +65,6 @@ TEST(Accountant, UsersAreIndependent) {
   EXPECT_EQ(acc.tracked_users(), 2u);
 }
 
-TEST(Accountant, RecordAllChargesEveryUser) {
-  PrivacyAccountant acc;
-  acc.record_all({1, 2, 3}, {0.5, 0.0});
-  for (const std::uint64_t id : {1u, 2u, 3u}) {
-    EXPECT_DOUBLE_EQ(acc.spend_for(id).basic_epsilon, 0.5);
-  }
-}
-
-TEST(Accountant, ExhaustionSemantics) {
-  PrivacyAccountant acc;
-  acc.record(1, {0.6, 0.0});
-  EXPECT_FALSE(acc.exhausted(1, 1.0));
-  acc.record(1, {0.6, 0.0});
-  EXPECT_TRUE(acc.exhausted(1, 1.0));
-  EXPECT_FALSE(acc.exhausted(99, 1.0));  // unknown user spent nothing
-}
-
 TEST(Accountant, TheLongitudinalStoryInNumbers) {
   // A one-time geo-IND user reporting home ~1000 times (the paper's 2-year
   // average) at l = ln4 exhausts any reasonable budget; an Edge-PrivLocAd
@@ -93,8 +76,8 @@ TEST(Accountant, TheLongitudinalStoryInNumbers) {
 
   EXPECT_GT(acc.spend_for(1).basic_epsilon, 1000.0);  // blown by 1000x
   EXPECT_DOUBLE_EQ(acc.spend_for(2).basic_epsilon, 1.0);
-  EXPECT_TRUE(acc.exhausted(1, 10.0));
-  EXPECT_FALSE(acc.exhausted(2, 10.0));
+  EXPECT_GT(acc.spend_for(1).basic_epsilon, 10.0);  // past a budget of 10
+  EXPECT_LE(acc.spend_for(2).basic_epsilon, 10.0);
 }
 
 TEST(Accountant, DomainErrors) {
@@ -103,7 +86,6 @@ TEST(Accountant, DomainErrors) {
   PrivacyAccountant acc;
   EXPECT_THROW(acc.record(1, {0.0, 0.0}), util::InvalidArgument);
   EXPECT_THROW(acc.record(1, {1.0, 1.0}), util::InvalidArgument);
-  EXPECT_THROW(acc.exhausted(1, 0.0), util::InvalidArgument);
 }
 
 }  // namespace

@@ -26,7 +26,6 @@
 #include "net/load_model.hpp"
 #include "net/server.hpp"
 #include "net/wire.hpp"
-#include "simd/dispatch.hpp"
 #include "trace/check_in.hpp"
 
 #include "burst_peer.hpp"
@@ -506,18 +505,16 @@ TEST(EdgeServer, StartTwiceIsATypedError) {
   server->stop();
 }
 
-TEST(EdgeServer, MetricsNameTheSimdLevelItServesWith) {
-  // The daemon's metrics dump says which SIMD kernels serve: the gauge
-  // is published at create(), before any request.
+TEST(EdgeServer, MetricsNameTheBackendItServesWith) {
+  // The daemon's metrics dump says which IO backend serves: the gauge is
+  // published at create(), before any request.
   const std::unique_ptr<net::EdgeServer> server =
       make_server(small_edge_config());
   ASSERT_NE(server, nullptr);
-  EXPECT_NE(server->metrics().to_string().find("simd.dispatch_avx2: "),
+  EXPECT_NE(server->metrics().to_string().find("net.backend: "),
             std::string::npos);
-  const double expected =
-      simd::active_dispatch_level() == simd::DispatchLevel::kAvx2 ? 1.0
-                                                                   : 0.0;
-  EXPECT_EQ(server->metrics().gauge("simd.dispatch_avx2").value(), expected);
+  EXPECT_EQ(server->metrics().gauge(net::net_metrics::kBackend).value(),
+            static_cast<double>(server->backend_kind()));
 }
 
 // ------------------------------------------------------- loopback serving

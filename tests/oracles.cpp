@@ -127,6 +127,28 @@ geo::Point cluster_centroid(const std::vector<geo::Point>& points,
   return sum / static_cast<double>(cluster.size());
 }
 
+// ------------------------------------------------------------------ simd
+
+std::vector<std::pair<std::uint32_t, double>> points_within_bruteforce(
+    const std::vector<geo::Point>& points, std::uint32_t begin, geo::Point q,
+    double r2) {
+  std::vector<std::pair<std::uint32_t, double>> hits;
+  for (std::uint32_t i = begin; i < points.size(); ++i) {
+    const double d2 = geo::distance_squared(points[i], q);
+    if (d2 <= r2) hits.emplace_back(i, d2);
+  }
+  return hits;
+}
+
+std::vector<double> log_densities_bruteforce(
+    const std::vector<geo::Point>& points, geo::Point mean, double denom) {
+  std::vector<double> out;
+  for (const geo::Point& p : points) {
+    out.push_back(-geo::distance_squared(p, mean) / denom);
+  }
+  return out;
+}
+
 // ------------------------------------------------------------------- rng
 
 double lambert_w0(double x) {

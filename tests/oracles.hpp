@@ -6,10 +6,11 @@
 // an inverse (the planar Laplace radial CDF vs its quantile), a sampled
 // estimate for a closed form (Monte-Carlo efficacy), a brute-force scan
 // for a solver's claim (the geo-IND constraint check, all-pairs
-// connected components, a cluster centroid summed member by member), a
-// dense tableau for a sparse one (the two-phase simplex), a sequential
-// rule for a batched one (single-request admission), or a predicate only
-// tests ask (bounding-box containment).
+// connected components, a cluster centroid summed member by member), an
+// AoS point-by-point loop for an SoA kernel (the scan and posterior
+// kernels), a dense tableau for a sparse one (the two-phase simplex), a
+// sequential rule for a batched one (single-request admission), or a
+// predicate only tests ask (bounding-box containment).
 // Keeping them here keeps every function under src/ reachable from a
 // shipped binary.
 #pragma once
@@ -17,6 +18,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "geo/bounding_box.hpp"
@@ -82,6 +85,20 @@ std::vector<std::vector<std::size_t>> connected_components_bruteforce(
 /// InvalidArgument on an empty cluster.
 geo::Point cluster_centroid(const std::vector<geo::Point>& points,
                             const std::vector<std::size_t>& cluster);
+
+// ------------------------------------------------------------------ simd
+
+/// Every point of points[begin, end) with geo::distance_squared(p, q) <=
+/// r2, as (index, d2) pairs in ascending index, one AoS point at a time:
+/// the reference for simd::scan_slots_within over the same points as SoA.
+std::vector<std::pair<std::uint32_t, double>> points_within_bruteforce(
+    const std::vector<geo::Point>& points, std::uint32_t begin, geo::Point q,
+    double r2);
+
+/// -geo::distance_squared(p, mean) / denom for every point: the reference
+/// for simd::posterior_log_densities' out[].
+std::vector<double> log_densities_bruteforce(
+    const std::vector<geo::Point>& points, geo::Point mean, double denom);
 
 // ------------------------------------------------------------------- rng
 

@@ -7,11 +7,12 @@
 // invariance, and eta-frequent minimality under random profiles.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <numeric>
-#include <span>
 #include <utility>
 
 #include "attack/clustering.hpp"
@@ -25,9 +26,7 @@
 #include "lppm/planar_laplace.hpp"
 #include "rng/engine.hpp"
 #include "rng/samplers.hpp"
-#include "simd/dispatch.hpp"
 #include "simd/kernels.hpp"
-#include "simd/soa.hpp"
 #include "stats/quantiles.hpp"
 #include "stats/running_stats.hpp"
 #include "utility/metrics.hpp"
@@ -349,37 +348,11 @@ TEST_P(SimplexRandom, MatchesBruteForceVertexEnumerationIn2D) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SimplexRandom,
                          ::testing::Range<std::uint64_t>(100, 120));
 
-// --------------------------------- scalar vs SIMD kernel bit-agreement
+// ---------------------------------- component walk vs all-pairs oracle
 //
-// The dispatch contract (simd/dispatch.hpp): switching between the
-// scalar and AVX2 kernels changes throughput only -- visit sets, cluster
-// assignments, selection posteriors, and noise streams must agree
-// BIT-for-bit over randomized point sets, radii, and taken points.
-// Every suite below runs the same deterministic workload once per
-// dispatch level and compares results with exact double equality. On
-// machines (or builds) without AVX2 the suites skip: the scalar path is
-// then the only path, and agreement is vacuous.
-
-/// Restores the entry dispatch level on scope exit.
-class DispatchGuard {
- public:
-  explicit DispatchGuard(simd::DispatchLevel level)
-      : previous_(simd::active_dispatch_level()) {
-    simd::set_dispatch_level(level);
-  }
-  ~DispatchGuard() { simd::set_dispatch_level(previous_); }
-  DispatchGuard(const DispatchGuard&) = delete;
-  DispatchGuard& operator=(const DispatchGuard&) = delete;
-
- private:
-  simd::DispatchLevel previous_;
-};
-
-#define SKIP_WITHOUT_AVX2()                                              \
-  if (!simd::avx2_available()) {                                         \
-    GTEST_SKIP() << "AVX2 unavailable; scalar is the only dispatch "     \
-                    "level, agreement is vacuous";                       \
-  }
+// connectivity_clusters takes each point out of the grid when its walk
+// reaches it. Connected components are unique, so its output must equal
+// the all-pairs union-find's exactly: same index vectors, same order.
 
 /// Random point cloud with deliberate exact duplicates and exact-tie
 /// spacings (duplicates stress the <=/< boundary semantics the
@@ -399,96 +372,11 @@ std::vector<geo::Point> random_cloud(rng::Engine& e, std::size_t n,
   return points;
 }
 
-class SimdAgreement : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(SimdAgreement, ForEachWithinVisitsIdenticalSetsInIdenticalOrder) {
-  SKIP_WITHOUT_AVX2();
-  rng::Engine e(GetParam());
-  const std::size_t n = 64 + e.uniform_index(512);
-  const std::vector<geo::Point> points = random_cloud(e, n, 600.0);
-  const double cell = e.uniform_in(10.0, 120.0);
-  const double radius = e.uniform_in(5.0, 250.0);
-  geo::GridIndex index(points, cell);
-  // Random ~30% taken out of the grid, identical for both dispatch levels.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (e.uniform() < 0.3) index.take(i);
-  }
-  // Queries at random offsets AND at exact point positions (exact d2 = 0
-  // and duplicate handling must agree too).
-  std::vector<geo::Point> queries;
-  for (int q = 0; q < 24; ++q) {
-    queries.push_back({e.uniform_in(-650.0, 650.0),
-                       e.uniform_in(-650.0, 650.0)});
-    queries.push_back(points[e.uniform_index(n)]);
-  }
-
-  using Visit = std::pair<std::size_t, double>;
-  const auto collect = [&](simd::DispatchLevel level) {
-    const DispatchGuard guard(level);
-    std::vector<std::vector<Visit>> per_query;
-    for (const geo::Point& q : queries) {
-      std::vector<Visit> visits;
-      index.for_each_within(q, radius, [&](std::size_t idx, double d2) {
-        visits.emplace_back(idx, d2);
-      });
-      per_query.push_back(std::move(visits));
-    }
-    return per_query;
-  };
-
-  const auto scalar = collect(simd::DispatchLevel::kScalar);
-  const auto avx2 = collect(simd::DispatchLevel::kAvx2);
-  ASSERT_EQ(scalar.size(), avx2.size());
-  for (std::size_t q = 0; q < scalar.size(); ++q) {
-    ASSERT_EQ(scalar[q].size(), avx2[q].size()) << "query " << q;
-    for (std::size_t v = 0; v < scalar[q].size(); ++v) {
-      EXPECT_EQ(scalar[q][v].first, avx2[q][v].first) << "query " << q;
-      // Exact double equality: the d2 bits must match, not just compare
-      // equal within a tolerance.
-      EXPECT_EQ(scalar[q][v].second, avx2[q][v].second) << "query " << q;
-    }
-  }
-}
-
-TEST_P(SimdAgreement, ConnectivityClustersIdenticalAcrossDispatch) {
-  SKIP_WITHOUT_AVX2();
-  rng::Engine e(GetParam() + 1000);
-  const std::size_t n = 64 + e.uniform_index(512);
-  std::vector<geo::Point> points = random_cloud(e, n, 400.0);
-  // Exact-tie pairs: dist == threshold exactly, exercising the strict-<
-  // boundary the clustering filters on.
-  const double threshold = 50.0;
-  points.push_back({0.0, 0.0});
-  points.push_back({threshold, 0.0});
-  points.push_back({threshold / 2, 0.0});
-
-  const auto run = [&](simd::DispatchLevel level) {
-    const DispatchGuard guard(level);
-    return attack::connectivity_clusters(points, threshold);
-  };
-  EXPECT_EQ(run(simd::DispatchLevel::kScalar),
-            run(simd::DispatchLevel::kAvx2));
-}
-
-// ---------------------------------- component walk vs all-pairs oracle
-//
-// connectivity_clusters takes each point out of the grid when its walk
-// reaches it. Connected components are unique, so its output must equal
-// the all-pairs union-find's exactly: same index vectors, same order, at
-// every dispatch level.
-
 void expect_components_match_oracle(const std::vector<geo::Point>& points,
                                     double threshold_m) {
-  const auto expected =
-      oracles::connected_components_bruteforce(points, threshold_m);
-  std::vector<simd::DispatchLevel> levels{simd::DispatchLevel::kScalar};
-  if (simd::avx2_available()) levels.push_back(simd::DispatchLevel::kAvx2);
-  for (const simd::DispatchLevel level : levels) {
-    const DispatchGuard guard(level);
-    EXPECT_EQ(attack::connectivity_clusters(points, threshold_m), expected)
-        << "dispatch " << simd::dispatch_level_name(level) << ", theta "
-        << threshold_m << ", " << points.size() << " points";
-  }
+  EXPECT_EQ(attack::connectivity_clusters(points, threshold_m),
+            oracles::connected_components_bruteforce(points, threshold_m))
+      << "theta " << threshold_m << ", " << points.size() << " points";
 }
 
 TEST(ComponentOracle, DenseHomeDiskIsOneComponent) {
@@ -566,7 +454,7 @@ TEST(ComponentOracle, SeededRandomClouds) {
 // workspace. It was recorded while rounds still retired their clusters
 // through GridIndex tombstones, and the workspace's retired bitmap
 // reproduced it bit for bit, so any drift in stage 1, trimming or round
-// retirement changes it -- at either dispatch level.
+// retirement changes it.
 
 /// FNV-1a 64 over the little-endian bytes of each folded word.
 struct Fnv1a {
@@ -610,38 +498,32 @@ std::vector<geo::Point> clustered_cloud(rng::Engine& e) {
 
 TEST(DeobfuscationGolden, TopLocationsMatchRecordedDigest) {
   constexpr std::uint64_t kGoldenDigest = 0x8506749cc7289b55ULL;
-  std::vector<simd::DispatchLevel> levels{simd::DispatchLevel::kScalar};
-  if (simd::avx2_available()) levels.push_back(simd::DispatchLevel::kAvx2);
-  for (const simd::DispatchLevel level : levels) {
-    const DispatchGuard guard(level);
-    attack::DeobfuscationWorkspace workspace;
-    Fnv1a digest;
-    std::size_t locations = 0;
-    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
-      rng::Engine e(seed + 7000);
-      const std::vector<geo::Point> points = clustered_cloud(e);
-      attack::DeobfuscationConfig config;
-      config.connectivity_threshold_m = e.uniform_in(40.0, 120.0);
-      config.trim_radius_m = e.uniform_in(100.0, 400.0);
-      config.top_n = 3 + seed % 3;
-      for (const bool trimming : {true, false}) {
-        config.enable_trimming = trimming;
-        const auto inferred =
-            attack::deobfuscate_top_locations(points, config, workspace);
-        digest.add(inferred.size());
-        for (const attack::InferredLocation& loc : inferred) {
-          digest.add(std::bit_cast<std::uint64_t>(loc.location.x));
-          digest.add(std::bit_cast<std::uint64_t>(loc.location.y));
-          digest.add(loc.support);
-        }
-        locations += inferred.size();
+  attack::DeobfuscationWorkspace workspace;
+  Fnv1a digest;
+  std::size_t locations = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    rng::Engine e(seed + 7000);
+    const std::vector<geo::Point> points = clustered_cloud(e);
+    attack::DeobfuscationConfig config;
+    config.connectivity_threshold_m = e.uniform_in(40.0, 120.0);
+    config.trim_radius_m = e.uniform_in(100.0, 400.0);
+    config.top_n = 3 + seed % 3;
+    for (const bool trimming : {true, false}) {
+      config.enable_trimming = trimming;
+      const auto inferred =
+          attack::deobfuscate_top_locations(points, config, workspace);
+      digest.add(inferred.size());
+      for (const attack::InferredLocation& loc : inferred) {
+        digest.add(std::bit_cast<std::uint64_t>(loc.location.x));
+        digest.add(std::bit_cast<std::uint64_t>(loc.location.y));
+        digest.add(loc.support);
       }
+      locations += inferred.size();
     }
-    EXPECT_EQ(digest.state, kGoldenDigest)
-        << "dispatch " << simd::dispatch_level_name(level) << ": 0x"
-        << std::hex << digest.state;
-    EXPECT_EQ(locations, 480u);
   }
+  EXPECT_EQ(digest.state, kGoldenDigest)
+      << "0x" << std::hex << digest.state;
+  EXPECT_EQ(locations, 480u);
 }
 
 // ------------------------------------------- profile golden digest
@@ -690,172 +572,121 @@ TEST(ProfileGolden, EntriesMatchRecordedDigest) {
       digest.add(entry.frequency);
     }
   };
-  std::vector<simd::DispatchLevel> levels{simd::DispatchLevel::kScalar};
-  if (simd::avx2_available()) levels.push_back(simd::DispatchLevel::kAvx2);
-  for (const simd::DispatchLevel level : levels) {
-    const DispatchGuard guard(level);
-    attack::ProfileWorkspace workspace;
-    Fnv1a digest;
-    Fnv1a reused_digest;
-    std::size_t entries = 0;
-    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
-      rng::Engine e(seed + 9000);
-      const std::vector<geo::Point> points =
-          seed % 2 == 0 ? clustered_cloud(e) : equal_size_cloud(e);
-      const double threshold = e.uniform_in(20.0, 80.0);
-      const attack::LocationProfile profile =
-          attack::build_profile(points, threshold);
-      fold(digest, profile.entries());
-      const std::vector<attack::ProfileEntry>& reused =
-          attack::build_profile(points, threshold, workspace);
-      fold(reused_digest, reused);
-      entries += profile.size();
+  attack::ProfileWorkspace workspace;
+  Fnv1a digest;
+  Fnv1a reused_digest;
+  std::size_t entries = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    rng::Engine e(seed + 9000);
+    const std::vector<geo::Point> points =
+        seed % 2 == 0 ? clustered_cloud(e) : equal_size_cloud(e);
+    const double threshold = e.uniform_in(20.0, 80.0);
+    const attack::LocationProfile profile =
+        attack::build_profile(points, threshold);
+    fold(digest, profile.entries());
+    const std::vector<attack::ProfileEntry>& reused =
+        attack::build_profile(points, threshold, workspace);
+    fold(reused_digest, reused);
+    entries += profile.size();
 
-      const auto clusters =
-          oracles::connected_components_bruteforce(points, threshold);
-      ASSERT_EQ(reused.size(), clusters.size()) << "seed " << seed;
-      for (std::size_t k = 0; k < clusters.size(); ++k) {
-        const geo::Point centroid =
-            oracles::cluster_centroid(points, clusters[k]);
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(reused[k].location.x),
-                  std::bit_cast<std::uint64_t>(centroid.x));
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(reused[k].location.y),
-                  std::bit_cast<std::uint64_t>(centroid.y));
-        EXPECT_EQ(reused[k].frequency, clusters[k].size());
-      }
+    const auto clusters =
+        oracles::connected_components_bruteforce(points, threshold);
+    ASSERT_EQ(reused.size(), clusters.size()) << "seed " << seed;
+    for (std::size_t k = 0; k < clusters.size(); ++k) {
+      const geo::Point centroid =
+          oracles::cluster_centroid(points, clusters[k]);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(reused[k].location.x),
+                std::bit_cast<std::uint64_t>(centroid.x));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(reused[k].location.y),
+                std::bit_cast<std::uint64_t>(centroid.y));
+      EXPECT_EQ(reused[k].frequency, clusters[k].size());
     }
-    EXPECT_EQ(digest.state, kGoldenDigest)
-        << "dispatch " << simd::dispatch_level_name(level) << ": 0x"
-        << std::hex << digest.state;
-    EXPECT_EQ(reused_digest.state, kGoldenDigest)
-        << "dispatch " << simd::dispatch_level_name(level) << ": 0x"
-        << std::hex << reused_digest.state;
-    EXPECT_EQ(entries, 2094u);
   }
+  EXPECT_EQ(digest.state, kGoldenDigest)
+      << "0x" << std::hex << digest.state;
+  EXPECT_EQ(reused_digest.state, kGoldenDigest)
+      << "0x" << std::hex << reused_digest.state;
+  EXPECT_EQ(entries, 2094u);
 }
 
-TEST_P(SimdAgreement, DeobfuscationInferenceIdenticalAcrossDispatch) {
-  SKIP_WITHOUT_AVX2();
-  rng::Engine e(GetParam() + 2000);
-  // Three noisy anchor clusters, the attack's actual input shape.
-  std::vector<geo::Point> observed;
-  const geo::Point anchors[] = {{0, 0}, {900, 300}, {-400, 700}};
-  for (int i = 0; i < 420; ++i) {
-    observed.push_back(anchors[i % 3] + rng::gaussian_noise(e, 60.0));
-  }
-  attack::DeobfuscationConfig config;
-  config.trim_radius_m = 150.0;
-  config.connectivity_threshold_m = 40.0;
-  config.top_n = 3;
+// ------------------------------------- hot kernels vs brute-force oracles
+//
+// The scan and posterior kernels in simd/kernels.hpp against
+// point-by-point AoS references in tests/oracles: the same hits in the
+// same order, and the same bits.
 
-  const auto run = [&](simd::DispatchLevel level) {
-    const DispatchGuard guard(level);
-    return attack::deobfuscate_top_locations(observed, config);
-  };
-  const auto scalar = run(simd::DispatchLevel::kScalar);
-  const auto avx2 = run(simd::DispatchLevel::kAvx2);
-  ASSERT_EQ(scalar.size(), avx2.size());
-  for (std::size_t i = 0; i < scalar.size(); ++i) {
-    EXPECT_EQ(scalar[i].location.x, avx2[i].location.x);
-    EXPECT_EQ(scalar[i].location.y, avx2[i].location.y);
-    EXPECT_EQ(scalar[i].support, avx2[i].support);
-  }
-}
-
-TEST_P(SimdAgreement, SelectionPosteriorsIdenticalAcrossDispatch) {
-  SKIP_WITHOUT_AVX2();
-  rng::Engine e(GetParam() + 3000);
-  for (int trial = 0; trial < 20; ++trial) {
-    const std::size_t n = 1 + e.uniform_index(33);
-    std::vector<geo::Point> candidates;
-    for (std::size_t i = 0; i < n; ++i) {
-      candidates.push_back({e.uniform_in(-2000.0, 2000.0),
-                            e.uniform_in(-2000.0, 2000.0)});
-    }
-    const double sigma = e.uniform_in(1.0, 400.0);
-    const auto run = [&](simd::DispatchLevel level) {
-      const DispatchGuard guard(level);
-      return core::selection_probabilities(candidates, sigma);
-    };
-    EXPECT_EQ(run(simd::DispatchLevel::kScalar),
-              run(simd::DispatchLevel::kAvx2));
-  }
-}
-
-TEST_P(SimdAgreement, NoiseStreamsIdenticalAcrossDispatch) {
-  SKIP_WITHOUT_AVX2();
-  const std::uint64_t seed = GetParam() + 4000;
-  const auto run = [&](simd::DispatchLevel level) {
-    const DispatchGuard guard(level);
-    rng::Engine engine(seed);
-    // Deliberately odd/pair-unaligned sizes to cover the vector tail.
-    std::vector<geo::Point> out(257);
-    rng::fill_gaussian_noise_2d(engine, 85.0, out, {1234.5, -987.25});
-    out.resize(out.size() + 3);
-    std::span<geo::Point> tail{out.data() + 257, 3};
-    rng::fill_gaussian_noise_2d(engine, 85.0, tail);
-    return std::pair(out, engine());
-  };
-  const auto scalar = run(simd::DispatchLevel::kScalar);
-  const auto avx2 = run(simd::DispatchLevel::kAvx2);
-  EXPECT_EQ(scalar.second, avx2.second);  // engines in lockstep after
-  ASSERT_EQ(scalar.first.size(), avx2.first.size());
-  for (std::size_t i = 0; i < scalar.first.size(); ++i) {
-    EXPECT_EQ(scalar.first[i].x, avx2.first[i].x);
-    EXPECT_EQ(scalar.first[i].y, avx2.first[i].y);
-  }
-}
+class SimdAgreement : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SimdAgreement, RawScanKernelAgreesAtEveryAlignment) {
-  SKIP_WITHOUT_AVX2();
   rng::Engine e(GetParam() + 5000);
-  constexpr std::size_t kN = 203;  // not a multiple of 4
+  constexpr std::uint32_t kN = 203;
+  std::vector<geo::Point> points(kN);
   std::vector<double> xs(kN), ys(kN);
   for (std::size_t i = 0; i < kN; ++i) {
     xs[i] = e.uniform_in(-100.0, 100.0);
     ys[i] = e.uniform_in(-100.0, 100.0);
+    points[i] = {xs[i], ys[i]};
   }
-  const double qx = e.uniform_in(-100.0, 100.0);
-  const double qy = e.uniform_in(-100.0, 100.0);
+  const geo::Point q{e.uniform_in(-100.0, 100.0),
+                     e.uniform_in(-100.0, 100.0)};
   const double r2 = e.uniform_in(100.0, 10000.0);
-  // Sweep begin offsets so lane alignment and tail lengths all occur.
-  for (std::uint32_t begin = 0; begin < 9; ++begin) {
-    std::vector<std::uint32_t> slots_s(kN), slots_v(kN);
-    std::vector<double> d2_s(kN), d2_v(kN);
-    const std::size_t hits_s = simd::scan_slots_within_scalar(
-        xs.data(), ys.data(), begin, kN, qx, qy, r2, slots_s.data(),
-        d2_s.data());
-    const std::size_t hits_v = simd::scan_slots_within_avx2(
-        xs.data(), ys.data(), begin, kN, qx, qy, r2, slots_v.data(),
-        d2_v.data());
-    ASSERT_EQ(hits_s, hits_v) << "begin " << begin;
-    for (std::size_t h = 0; h < hits_s; ++h) {
-      EXPECT_EQ(slots_s[h], slots_v[h]);
-      EXPECT_EQ(d2_s[h], d2_v[h]);
+  // A second radius lands exactly on point 101: `<=` must keep it.
+  const double edge_r2 = geo::distance_squared(points[101], q);
+  for (const double radius2 : {r2, edge_r2}) {
+    // Sweep begin offsets so every start alignment and tail length occurs.
+    for (std::uint32_t begin = 0; begin < 9; ++begin) {
+      std::vector<std::uint32_t> slots(kN);
+      std::vector<double> d2(kN);
+      const std::size_t hits =
+          simd::scan_slots_within(xs.data(), ys.data(), begin, kN, q.x, q.y,
+                                  radius2, slots.data(), d2.data());
+      const auto expected =
+          oracles::points_within_bruteforce(points, begin, q, radius2);
+      ASSERT_EQ(hits, expected.size()) << "begin " << begin;
+      for (std::size_t h = 0; h < hits; ++h) {
+        EXPECT_EQ(slots[h], expected[h].first);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(d2[h]),
+                  std::bit_cast<std::uint64_t>(expected[h].second));
+      }
+      if (radius2 == edge_r2) {
+        EXPECT_NE(std::find(slots.begin(), slots.begin() + hits, 101u),
+                  slots.begin() + hits);
+      }
     }
   }
 }
 
 TEST_P(SimdAgreement, RawPosteriorKernelAgreesIncludingMax) {
-  SKIP_WITHOUT_AVX2();
   rng::Engine e(GetParam() + 6000);
   for (const std::size_t n : {std::size_t{1}, std::size_t{3},
                               std::size_t{4}, std::size_t{7},
                               std::size_t{64}, std::size_t{129}}) {
-    std::vector<double> xs(n), ys(n), out_s(n), out_v(n);
+    std::vector<geo::Point> points(n);
+    std::vector<double> xs(n), ys(n), out(n);
     for (std::size_t i = 0; i < n; ++i) {
       xs[i] = e.uniform_in(-500.0, 500.0);
       ys[i] = e.uniform_in(-500.0, 500.0);
+      points[i] = {xs[i], ys[i]};
     }
-    const double mx = e.uniform_in(-500.0, 500.0);
-    const double my = e.uniform_in(-500.0, 500.0);
-    const double denom = e.uniform_in(1.0, 1e6);
-    const double max_s = simd::posterior_log_densities_scalar(
-        xs.data(), ys.data(), n, mx, my, denom, out_s.data());
-    const double max_v = simd::posterior_log_densities_avx2(
-        xs.data(), ys.data(), n, mx, my, denom, out_v.data());
-    EXPECT_EQ(max_s, max_v);
-    EXPECT_EQ(out_s, out_v);
+    const geo::Point mean{e.uniform_in(-500.0, 500.0),
+                          e.uniform_in(-500.0, 500.0)};
+    // The smallest denominator sends every density to -inf, so the max
+    // falls to its -1e300 floor.
+    for (const double denom : {e.uniform_in(1.0, 1e6),
+                               std::numeric_limits<double>::denorm_min()}) {
+      const double max_log = simd::posterior_log_densities(
+          xs.data(), ys.data(), n, mean.x, mean.y, denom, out.data());
+      const std::vector<double> expected =
+          oracles::log_densities_bruteforce(points, mean, denom);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+                  std::bit_cast<std::uint64_t>(expected[i]))
+            << "n " << n << ", i " << i;
+      }
+      EXPECT_EQ(max_log,
+                std::max(-1e300, *std::max_element(expected.begin(),
+                                                   expected.end())));
+    }
   }
 }
 
