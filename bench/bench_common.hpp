@@ -7,6 +7,8 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -16,18 +18,27 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "trace/synthetic.hpp"
+#include "util/strings.hpp"
 
 namespace privlocad::bench {
 
 /// Parses "--name=value" integer flags; returns `fallback` when absent.
+/// The whole value must be a non-negative integer: `--trials=12x`,
+/// `--trials=-1` and `--users=abc` print a message naming the flag and
+/// exit with status 2.
 inline std::uint64_t flag_or(int argc, char** argv, const std::string& name,
                              std::uint64_t fallback) {
   const std::string prefix = "--" + name + "=";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) {
-      return std::stoull(arg.substr(prefix.size()));
-    }
+    if (arg.rfind(prefix, 0) != 0) continue;
+    const std::string value = arg.substr(prefix.size());
+    const auto parsed = util::parse_int_in(
+        value, 0, std::numeric_limits<long long>::max());
+    if (parsed) return static_cast<std::uint64_t>(*parsed);
+    std::fprintf(stderr, "%s: --%s needs a non-negative integer, got '%s'\n",
+                 argv[0], name.c_str(), value.c_str());
+    std::exit(2);
   }
   return fallback;
 }

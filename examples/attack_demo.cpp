@@ -7,18 +7,33 @@
 // Build & run:  ./build/examples/attack_demo [observations]
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 
 #include "attack/deobfuscation.hpp"
 #include "core/output_selection.hpp"
 #include "lppm/gaussian.hpp"
 #include "lppm/planar_laplace.hpp"
 #include "rng/engine.hpp"
+#include "util/strings.hpp"
 
 int main(int argc, char** argv) {
   using namespace privlocad;
 
-  const int observations = argc > 1 ? std::atoi(argv[1]) : 1000;
+  // The optional count must be a whole positive integer; anything else
+  // ("abc", "-1", "12x") exits 2 naming the argument.
+  int observations = 1000;
+  if (argc > 1) {
+    const auto parsed =
+        util::parse_int_in(argv[1], 1, std::numeric_limits<int>::max());
+    if (!parsed) {
+      std::fprintf(stderr,
+                   "attack_demo: observations needs a positive integer, "
+                   "got '%s'\n",
+                   argv[1]);
+      return 2;
+    }
+    observations = static_cast<int>(*parsed);
+  }
   const geo::Point home{3200.0, -1500.0};
   std::printf("victim home: (%.0f, %.0f); attacker observes %d ad requests\n\n",
               home.x, home.y, observations);

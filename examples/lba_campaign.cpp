@@ -7,17 +7,30 @@
 //
 // Build & run:  ./build/examples/lba_campaign [users]
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 
 #include "adnet/advertiser.hpp"
 #include "core/system.hpp"
 #include "trace/synthetic.hpp"
+#include "util/strings.hpp"
 
 int main(int argc, char** argv) {
   using namespace privlocad;
 
-  const std::size_t user_count =
-      argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 50;
+  // The optional count must be a whole positive integer; anything else
+  // ("abc", "-1", "12x") exits 2 naming the argument.
+  std::size_t user_count = 50;
+  if (argc > 1) {
+    const auto parsed = util::parse_int_in(
+        argv[1], 1, std::numeric_limits<long long>::max());
+    if (!parsed) {
+      std::fprintf(stderr,
+                   "lba_campaign: users needs a positive integer, got '%s'\n",
+                   argv[1]);
+      return 2;
+    }
+    user_count = static_cast<std::size_t>(*parsed);
+  }
 
   // --- deploy the system --------------------------------------------
   core::EdgeConfig config;

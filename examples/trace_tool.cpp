@@ -10,15 +10,17 @@
 // This is the workflow a researcher uses to materialize the paper's
 // dataset substitute once and share it between experiments.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <fstream>
+#include <limits>
 
 #include "attack/profile.hpp"
 #include "stats/quantiles.hpp"
 #include "stats/running_stats.hpp"
 #include "trace/synthetic.hpp"
 #include "trace/trace_io.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -29,11 +31,19 @@ int cmd_generate(int argc, char** argv) {
     std::fprintf(stderr, "usage: trace_tool generate <users> <out.csv>\n");
     return 2;
   }
-  const auto users = static_cast<std::size_t>(std::atoll(argv[2]));
+  const auto users = util::parse_int_in(
+      argv[2], 1, std::numeric_limits<long long>::max());
+  if (!users) {
+    std::fprintf(stderr,
+                 "trace_tool: users needs a positive integer, got '%s'\n",
+                 argv[2]);
+    return 2;
+  }
   trace::SyntheticConfig config;
   config.max_check_ins = 2000;  // keep generated files manageable
   const rng::Engine parent(20240601);
-  const auto population = trace::generate_population(parent, config, users);
+  const auto population = trace::generate_population(
+      parent, config, static_cast<std::size_t>(*users));
 
   std::vector<trace::UserTrace> traces;
   traces.reserve(population.size());
@@ -105,11 +115,19 @@ int main(int argc, char** argv) {
                  "usage: trace_tool <generate|export-geo|stats> ...\n");
     return 2;
   }
-  if (std::strcmp(argv[1], "generate") == 0) return cmd_generate(argc, argv);
-  if (std::strcmp(argv[1], "export-geo") == 0) {
-    return cmd_export_geo(argc, argv);
+  // A malformed or missing trace file ends in a message, not an abort.
+  try {
+    if (std::strcmp(argv[1], "generate") == 0) {
+      return cmd_generate(argc, argv);
+    }
+    if (std::strcmp(argv[1], "export-geo") == 0) {
+      return cmd_export_geo(argc, argv);
+    }
+    if (std::strcmp(argv[1], "stats") == 0) return cmd_stats(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "trace_tool: %s\n", e.what());
+    return 1;
   }
-  if (std::strcmp(argv[1], "stats") == 0) return cmd_stats(argc, argv);
   std::fprintf(stderr, "unknown subcommand '%s'\n", argv[1]);
   return 2;
 }

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "opt/simplex.hpp"
 #include "util/strings.hpp"
 #include "util/validation.hpp"
 
@@ -61,13 +60,13 @@ void clean_row(std::vector<double>& row) {
 
 }  // namespace
 
-opt::SparseLpProblem build_geo_ind_lp_sparse(
+opt::LpProblem build_geo_ind_lp(
     const std::vector<geo::Point>& centers, const std::vector<double>& prior,
     const std::vector<std::pair<std::size_t, std::size_t>>& directed_edges,
     double edge_epsilon) {
   const std::size_t k = centers.size();
   const std::size_t vars = k * k;
-  opt::SparseLpProblem problem;
+  opt::LpProblem problem;
   problem.objective.assign(vars, 0.0);
   for (std::size_t i = 0; i < k; ++i) {
     for (std::size_t j = 0; j < k; ++j) {
@@ -76,30 +75,21 @@ opt::SparseLpProblem build_geo_ind_lp_sparse(
     }
   }
 
-  problem.eq_lhs = opt::CsrMatrix(vars);
+  problem.eq_lhs = opt::Matrix(k, vars);
   problem.eq_rhs.assign(k, 1.0);
   for (std::size_t i = 0; i < k; ++i) {
-    for (std::size_t j = 0; j < k; ++j) {
-      problem.eq_lhs.append(i * k + j, 1.0);
-    }
-    problem.eq_lhs.finish_row();
+    for (std::size_t j = 0; j < k; ++j) problem.eq_lhs.at(i, i * k + j) = 1.0;
   }
 
-  // Two nonzeros per ratio row; CSR wants them in column order.
-  problem.ub_lhs = opt::CsrMatrix(vars);
+  problem.ub_lhs = opt::Matrix(directed_edges.size() * k, vars);
   problem.ub_rhs.assign(directed_edges.size() * k, 0.0);
+  std::size_t row = 0;
   for (const auto& [i, i_prime] : directed_edges) {
     const double bound =
         std::exp(edge_epsilon * geo::distance(centers[i], centers[i_prime]));
-    for (std::size_t j = 0; j < k; ++j) {
-      if (i < i_prime) {
-        problem.ub_lhs.append(i * k + j, 1.0);
-        problem.ub_lhs.append(i_prime * k + j, -bound);
-      } else {
-        problem.ub_lhs.append(i_prime * k + j, -bound);
-        problem.ub_lhs.append(i * k + j, 1.0);
-      }
-      problem.ub_lhs.finish_row();
+    for (std::size_t j = 0; j < k; ++j, ++row) {
+      problem.ub_lhs.at(row, i * k + j) = 1.0;
+      problem.ub_lhs.at(row, i_prime * k + j) = -bound;
     }
   }
   return problem;
@@ -139,8 +129,8 @@ OptimalGeoIndMechanism::OptimalGeoIndMechanism(OptimalMechanismConfig config)
     }
   }
 
-  const opt::SparseLpProblem problem =
-      build_geo_ind_lp_sparse(centers_, config_.prior, edges, edge_epsilon);
+  const opt::LpProblem problem =
+      build_geo_ind_lp(centers_, config_.prior, edges, edge_epsilon);
 
   // The geo-IND rows are all rhs-0, so the LP is extremely degenerate;
   // a graded perturbation keeps the simplex moving (see SimplexOptions).

@@ -13,9 +13,10 @@
 // constraint at the full epsilon.
 //
 // The constructor emits 8-neighbor edges (octile dilation) and solves
-// the whole grid's LP in one cold sparse revised-simplex solve
-// (opt/simplex.hpp). O(k^2) variables and a dense m x m basis inverse
-// keep it to small grids (<= ~4x4 in practice).
+// the whole grid's LP in one cold dense tableau solve (opt/simplex.hpp).
+// The tableau holds every one of the O(k^3) rows over all O(k^2)
+// variables (~18 MB at 4x4), which keeps it to small grids (<= ~4x4 in
+// practice).
 //
 // This mechanism is one-time (per-release) like the planar Laplace; the
 // ablation bench compares their quality loss at equal epsilon.
@@ -28,7 +29,7 @@
 #include <vector>
 
 #include "lppm/mechanism.hpp"
-#include "opt/sparse.hpp"
+#include "opt/simplex.hpp"
 
 namespace privlocad::lppm {
 
@@ -84,10 +85,9 @@ class OptimalGeoIndMechanism final : public Mechanism {
 
 /// LP assembly for the geo-IND channel problem: k row-stochastic
 /// equalities plus one `X_ij <= e^{edge_epsilon d(i,i')} X_i'j` row per
-/// directed edge and output, variable X_ij at index i * k + j. Exposed so
-/// the tests can solve the same problem with the dense reference
-/// (tests/opt_test.cpp).
-opt::SparseLpProblem build_geo_ind_lp_sparse(
+/// directed edge and output (edge-major), variable X_ij at index
+/// i * k + j. The constructor solves it over its 8-neighbour edges.
+opt::LpProblem build_geo_ind_lp(
     const std::vector<geo::Point>& centers, const std::vector<double>& prior,
     const std::vector<std::pair<std::size_t, std::size_t>>& directed_edges,
     double edge_epsilon);

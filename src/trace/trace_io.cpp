@@ -1,7 +1,9 @@
 #include "trace/trace_io.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <ostream>
 
@@ -34,33 +36,42 @@ std::vector<UserTrace> read_traces(std::istream& in) {
   std::map<std::uint64_t, UserTrace> by_user;
   for (std::size_t r = 0; r < table.rows.size(); ++r) {
     const auto& row = table.rows[r];
-    const auto context = [r] {
-      return "trace row " + std::to_string(r + 1);
+    // Every field is checked here, with the offending row in the error:
+    // downstream profile-window and serving code treats the timestamp as
+    // seconds-since-epoch and the coordinates as finite plane meters, so
+    // a malformed value must fail loudly, not propagate as a
+    // context-free parse error (or worse, a bogus window or user id).
+    const auto reject = [r, &row](std::size_t col, const char* field,
+                                  const char* need) {
+      return util::ParseError("trace row " + std::to_string(r + 1) + ": " +
+                                  field + " '" + row[col] + "' " + need,
+                              r + 2);  // +1 for the header, +1 for 1-basing
     };
-    // Validate the timestamp explicitly: downstream profile-window and
-    // serving code treats it as seconds-since-epoch, so a malformed or
-    // negative value must fail loudly with the offending row, not
-    // propagate as a context-free parse error (or worse, a bogus window).
-    Timestamp time = 0;
-    try {
-      time = util::parse_int(row[t_col]);
-    } catch (const util::InvalidArgument&) {
-      throw util::ParseError(context() + ": timestamp '" + row[t_col] +
-                                 "' is not an integer",
-                             r + 2);  // +1 for the header, +1 for 1-basing
-    }
-    if (time < 0) {
-      throw util::ParseError(context() + ": timestamp must be >= 0, got " +
-                                 row[t_col],
-                             r + 2);
-    }
+    const auto non_negative_int = [&](std::size_t col, const char* field) {
+      const auto value = util::parse_int_in(
+          row[col], 0, std::numeric_limits<long long>::max());
+      if (!value) throw reject(col, field, "is not a non-negative integer");
+      return *value;
+    };
+    const auto finite_double = [&](std::size_t col, const char* field) {
+      double value = 0.0;
+      try {
+        value = util::parse_double(row[col]);
+      } catch (const util::InvalidArgument&) {
+        throw reject(col, field, "is not a number");
+      }
+      if (!std::isfinite(value)) throw reject(col, field, "must be finite");
+      return value;
+    };
 
-    const auto id = static_cast<std::uint64_t>(util::parse_int(row[id_col]));
+    const Timestamp time = non_negative_int(t_col, "timestamp");
+    const auto id =
+        static_cast<std::uint64_t>(non_negative_int(id_col, "user_id"));
+    const geo::Point position{finite_double(x_col, "x_m"),
+                              finite_double(y_col, "y_m")};
     UserTrace& trace = by_user[id];
     trace.user_id = id;
-    trace.check_ins.push_back(
-        {{util::parse_double(row[x_col]), util::parse_double(row[y_col])},
-         time});
+    trace.check_ins.push_back({position, time});
   }
 
   std::vector<UserTrace> traces;

@@ -22,8 +22,9 @@ void write_traces(std::ostream& out, const std::vector<UserTrace>& traces);
 /// user AND by time. Traces are returned sorted by user id with each
 /// user's check-ins stable-sorted by timestamp (equal timestamps keep
 /// file order), since downstream profile-window and serving code assumes
-/// time-ordered traces. Throws util::InvalidArgument, naming the row, on
-/// malformed or negative timestamps.
+/// time-ordered traces. Throws util::ParseError (an InvalidArgument),
+/// naming the row, on a malformed or negative user_id or timestamp and
+/// on a malformed or non-finite x_m or y_m.
 std::vector<UserTrace> read_traces(std::istream& in);
 
 /// Writes traces with geographic coordinates

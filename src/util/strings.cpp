@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <cstdio>
+#include <limits>
 
 #include "util/validation.hpp"
 
@@ -46,12 +47,24 @@ double parse_double(std::string_view text) {
 }
 
 long long parse_int(std::string_view text) {
+  const std::optional<long long> value =
+      parse_int_in(text, std::numeric_limits<long long>::min(),
+                   std::numeric_limits<long long>::max());
+  if (!value) {
+    throw InvalidArgument("not a valid integer: '" + std::string(text) + "'");
+  }
+  return *value;
+}
+
+std::optional<long long> parse_int_in(std::string_view text, long long min,
+                                      long long max) {
   const std::string_view trimmed = trim(text);
   long long value = 0;
   const auto [ptr, ec] =
       std::from_chars(trimmed.data(), trimmed.data() + trimmed.size(), value);
-  if (ec != std::errc{} || ptr != trimmed.data() + trimmed.size()) {
-    throw InvalidArgument("not a valid integer: '" + std::string(text) + "'");
+  if (ec != std::errc{} || ptr != trimmed.data() + trimmed.size() ||
+      value < min || value > max) {
+    return std::nullopt;
   }
   return value;
 }

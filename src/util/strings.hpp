@@ -3,6 +3,7 @@
 // the returned values require.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -18,9 +19,15 @@ std::string_view trim(std::string_view text);
 /// Parses a double, throwing InvalidArgument on malformed or trailing input.
 double parse_double(std::string_view text);
 
-/// Parses a non-negative integer, throwing InvalidArgument on malformed
-/// input or overflow.
+/// Parses a decimal integer, sign allowed ("-7" gives -7), throwing
+/// InvalidArgument on malformed or trailing input or overflow.
 long long parse_int(std::string_view text);
+
+/// parse_int limited to [min, max]: nullopt on malformed input or a value
+/// outside the range, for callers that name the field in their own error
+/// (a count flag, a CSV column).
+std::optional<long long> parse_int_in(std::string_view text, long long min,
+                                      long long max);
 
 /// Joins `parts` with `separator`. join({"a","b"}, ", ") -> "a, b".
 std::string join(const std::vector<std::string>& parts,

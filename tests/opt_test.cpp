@@ -1,19 +1,16 @@
-// Tests for the revised simplex (checked against the dense tableau
-// reference in tests/oracles), the CSR constraint representation, and the
-// LP-based optimal geo-IND mechanism built on them.
+// Tests for the two-phase simplex (checked against brute-force vertex
+// enumeration in tests/property_test.cpp) and the LP-based optimal
+// geo-IND mechanism built on it.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
-#include <numbers>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "lppm/optimal_mechanism.hpp"
-#include "lppm/planar_laplace.hpp"
 #include "opt/simplex.hpp"
-#include "opt/sparse.hpp"
 #include "rng/engine.hpp"
 #include "util/validation.hpp"
 
@@ -22,34 +19,18 @@
 namespace privlocad {
 namespace {
 
-using opt::CsrMatrix;
+using opt::LpProblem;
 using opt::LpStatus;
-using opt::SparseLpProblem;
+using opt::Matrix;
 using oracles::cell_center;
 using oracles::channel_row;
-using oracles::csr_from_dense;
-using oracles::dense_from_csr;
-using oracles::LpProblem;
-using oracles::Matrix;
 using oracles::max_constraint_violation;
-using oracles::solve_dense;
-
-/// The dense reference LP of a sparse one, entry for entry.
-LpProblem to_dense(const SparseLpProblem& sparse) {
-  LpProblem dense;
-  dense.objective = sparse.objective;
-  dense.eq_lhs = dense_from_csr(sparse.eq_lhs);
-  dense.eq_rhs = sparse.eq_rhs;
-  dense.ub_lhs = dense_from_csr(sparse.ub_lhs);
-  dense.ub_rhs = sparse.ub_rhs;
-  return dense;
-}
 
 // ------------------------------------------------------------------ simplex
 
-TEST(Simplex, SolvesTextbookMaximization) {
-  // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18  (Dantzig's example)
-  // -> min -3x - 5y; optimum x = 2, y = 6, objective -36.
+/// max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18  (Dantzig's example)
+/// -> min -3x - 5y; optimum x = 2, y = 6, objective -36.
+LpProblem dantzig_example() {
   LpProblem p;
   p.objective = {-3.0, -5.0};
   p.ub_lhs = Matrix(3, 2);
@@ -58,8 +39,11 @@ TEST(Simplex, SolvesTextbookMaximization) {
   p.ub_lhs.at(2, 0) = 3.0;
   p.ub_lhs.at(2, 1) = 2.0;
   p.ub_rhs = {4.0, 12.0, 18.0};
+  return p;
+}
 
-  const auto solution = solve_dense(p);
+TEST(Simplex, SolvesTextbookMaximization) {
+  const auto solution = opt::solve(dantzig_example());
   ASSERT_EQ(solution.status, LpStatus::kOptimal);
   EXPECT_NEAR(solution.x[0], 2.0, 1e-9);
   EXPECT_NEAR(solution.x[1], 6.0, 1e-9);
@@ -78,7 +62,7 @@ TEST(Simplex, HandlesEqualityConstraints) {
   p.ub_lhs.at(0, 0) = 1.0;
   p.ub_rhs = {4.0};
 
-  const auto solution = solve_dense(p);
+  const auto solution = opt::solve(p);
   ASSERT_EQ(solution.status, LpStatus::kOptimal);
   EXPECT_NEAR(solution.x[0], 4.0, 1e-9);
   EXPECT_NEAR(solution.x[1], 6.0, 1e-9);
@@ -95,14 +79,14 @@ TEST(Simplex, DetectsInfeasibility) {
   p.ub_lhs = Matrix(1, 1);
   p.ub_lhs.at(0, 0) = 1.0;
   p.ub_rhs = {3.0};
-  EXPECT_EQ(solve_dense(p).status, LpStatus::kInfeasible);
+  EXPECT_EQ(opt::solve(p).status, LpStatus::kInfeasible);
 }
 
 TEST(Simplex, DetectsUnboundedness) {
   // min -x with no upper bound on x.
   LpProblem p;
   p.objective = {-1.0};
-  EXPECT_EQ(solve_dense(p).status, LpStatus::kUnbounded);
+  EXPECT_EQ(opt::solve(p).status, LpStatus::kUnbounded);
 }
 
 TEST(Simplex, NegativeRhsEqualityNormalized) {
@@ -118,7 +102,7 @@ TEST(Simplex, NegativeRhsEqualityNormalized) {
   p.ub_lhs = Matrix(1, 2);
   p.ub_lhs.at(0, 1) = 1.0;
   p.ub_rhs = {7.0};
-  const auto solution = solve_dense(p);
+  const auto solution = opt::solve(p);
   ASSERT_EQ(solution.status, LpStatus::kOptimal);
   EXPECT_NEAR(solution.objective, 10.0, 1e-9);
 }
@@ -136,7 +120,7 @@ TEST(Simplex, DegenerateProblemTerminates) {
   p.ub_lhs.at(3, 0) = 2.0;
   p.ub_lhs.at(3, 1) = 2.0;
   p.ub_rhs = {1.0, 1.0, 1.0, 2.0};
-  const auto solution = solve_dense(p);
+  const auto solution = opt::solve(p);
   ASSERT_EQ(solution.status, LpStatus::kOptimal);
   EXPECT_NEAR(solution.objective, -1.0, 1e-9);
 }
@@ -146,9 +130,30 @@ TEST(Simplex, ValidatesDimensions) {
   p.objective = {1.0, 1.0};
   p.eq_lhs = Matrix(1, 3);  // wrong column count
   p.eq_rhs = {1.0};
-  EXPECT_THROW(solve_dense(p), util::InvalidArgument);
+  EXPECT_THROW(opt::solve(p), util::InvalidArgument);
   LpProblem empty;
-  EXPECT_THROW(solve_dense(empty), util::InvalidArgument);
+  EXPECT_THROW(opt::solve(empty), util::InvalidArgument);
+
+  // Every A and b entry must be finite.
+  LpProblem nan_coefficient;
+  nan_coefficient.objective = {1.0, 1.0};
+  nan_coefficient.ub_lhs = Matrix(2, 2);
+  nan_coefficient.ub_lhs.at(1, 0) = std::numeric_limits<double>::quiet_NaN();
+  nan_coefficient.ub_rhs = {1.0, 1.0};
+  try {
+    opt::solve(nan_coefficient);
+    FAIL() << "expected util::InvalidArgument";
+  } catch (const util::InvalidArgument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("A_ub row 1 has a non-finite coefficient"),
+              std::string::npos)
+        << what;
+  }
+  LpProblem inf_rhs;
+  inf_rhs.objective = {1.0};
+  inf_rhs.eq_lhs = Matrix(1, 1);
+  inf_rhs.eq_rhs = {std::numeric_limits<double>::infinity()};
+  EXPECT_THROW(opt::solve(inf_rhs), util::InvalidArgument);
 }
 
 TEST(Simplex, DimensionErrorsNameTheMismatch) {
@@ -159,7 +164,7 @@ TEST(Simplex, DimensionErrorsNameTheMismatch) {
   p.eq_lhs = Matrix(2, 2);
   p.eq_rhs = {1.0};  // 2 rows vs 1 rhs entry
   try {
-    solve_dense(p);
+    opt::solve(p);
     FAIL() << "expected util::InvalidArgument";
   } catch (const util::InvalidArgument& e) {
     const std::string what = e.what();
@@ -172,7 +177,7 @@ TEST(Simplex, DimensionErrorsNameTheMismatch) {
   q.ub_lhs = Matrix(1, 3);
   q.ub_rhs = {1.0};  // 3 columns vs 2 variables
   try {
-    solve_dense(q);
+    opt::solve(q);
     FAIL() << "expected util::InvalidArgument";
   } catch (const util::InvalidArgument& e) {
     const std::string what = e.what();
@@ -183,29 +188,14 @@ TEST(Simplex, DimensionErrorsNameTheMismatch) {
 
 TEST(Simplex, ReportsIterationLimit) {
   // One iteration cannot reach the Dantzig-example optimum.
-  LpProblem p;
-  p.objective = {-3.0, -5.0};
-  p.ub_lhs = Matrix(3, 2);
-  p.ub_lhs.at(0, 0) = 1.0;
-  p.ub_lhs.at(1, 1) = 2.0;
-  p.ub_lhs.at(2, 0) = 3.0;
-  p.ub_lhs.at(2, 1) = 2.0;
-  p.ub_rhs = {4.0, 12.0, 18.0};
   opt::SimplexOptions options;
   options.max_iterations = 1;
-  EXPECT_EQ(solve_dense(p, options).status, LpStatus::kIterationLimit);
+  EXPECT_EQ(opt::solve(dantzig_example(), options).status,
+            LpStatus::kIterationLimit);
 }
 
 TEST(Simplex, CountsPivotsInSolveStats) {
-  LpProblem p;
-  p.objective = {-3.0, -5.0};
-  p.ub_lhs = Matrix(3, 2);
-  p.ub_lhs.at(0, 0) = 1.0;
-  p.ub_lhs.at(1, 1) = 2.0;
-  p.ub_lhs.at(2, 0) = 3.0;
-  p.ub_lhs.at(2, 1) = 2.0;
-  p.ub_rhs = {4.0, 12.0, 18.0};
-  const auto solution = solve_dense(p);
+  const auto solution = opt::solve(dantzig_example());
   ASSERT_EQ(solution.status, LpStatus::kOptimal);
   // All-positive rhs: phase 1 is skipped outright, phase 2 must move.
   EXPECT_EQ(solution.stats.phase1_iterations, 0u);
@@ -222,67 +212,14 @@ TEST(MatrixDeathTest, OutOfRangeAccessAssertsInDebugBuilds) {
 }
 #endif
 
-// ------------------------------------------------------------ sparse (CSR)
-
-TEST(CsrMatrix, BuildsIncrementallyAndRoundTripsFromDense) {
-  CsrMatrix m(4);
-  m.append(0, 1.0);
-  m.append(3, -2.0);
-  m.finish_row();
-  m.finish_row();  // empty row
-  m.append(2, 5.0);
-  m.finish_row();
-  ASSERT_EQ(m.rows(), 3u);
-  EXPECT_EQ(m.cols(), 4u);
-  EXPECT_EQ(m.nonzeros(), 3u);
-  EXPECT_EQ(m.row_end(0) - m.row_begin(0), 2u);
-  EXPECT_EQ(m.row_end(1) - m.row_begin(1), 0u);
-  EXPECT_EQ(m.col_index(m.row_begin(2)), 2u);
-  EXPECT_DOUBLE_EQ(m.value(m.row_begin(2)), 5.0);
-
-  Matrix dense(3, 4);
-  dense.at(0, 0) = 1.0;
-  dense.at(0, 3) = -2.0;
-  dense.at(2, 2) = 5.0;
-  const CsrMatrix converted = csr_from_dense(dense);
-  ASSERT_EQ(converted.rows(), m.rows());
-  ASSERT_EQ(converted.nonzeros(), m.nonzeros());
-  for (std::size_t nz = 0; nz < m.nonzeros(); ++nz) {
-    EXPECT_EQ(converted.col_index(nz), m.col_index(nz));
-    EXPECT_DOUBLE_EQ(converted.value(nz), m.value(nz));
-  }
-}
-
-TEST(CsrMatrix, FromDenseDropsSmallEntriesWithTolerance) {
-  Matrix dense(1, 3);
-  dense.at(0, 0) = 1.0;
-  dense.at(0, 1) = 1e-15;
-  const CsrMatrix kept = csr_from_dense(dense);
-  const CsrMatrix pruned = csr_from_dense(dense, 1e-12);
-  EXPECT_EQ(kept.nonzeros(), 2u);
-  EXPECT_EQ(pruned.nonzeros(), 1u);
-}
-
-// ------------------------------------------------------- revised simplex
-
-SparseLpProblem sparse_dantzig() {
-  // Same LP as Simplex.SolvesTextbookMaximization.
-  SparseLpProblem p;
-  p.objective = {-3.0, -5.0};
-  p.ub_lhs = CsrMatrix(2);
-  p.ub_lhs.append(0, 1.0);
-  p.ub_lhs.finish_row();
-  p.ub_lhs.append(1, 2.0);
-  p.ub_lhs.finish_row();
-  p.ub_lhs.append(0, 3.0);
-  p.ub_lhs.append(1, 2.0);
-  p.ub_lhs.finish_row();
-  p.ub_rhs = {4.0, 12.0, 18.0};
-  return p;
-}
+// The RevisedSimplex suite keeps the cases first written for the revised
+// simplex that opt::solve replaced: the same LPs and assertions, run on
+// the tableau solver, covering the constraint-block shapes (flipped and
+// negative-rhs rows, empty blocks, equalities only) that the Simplex
+// cases above do not.
 
 TEST(RevisedSimplex, SolvesTextbookMaximization) {
-  const auto solution = opt::solve(sparse_dantzig());
+  const auto solution = opt::solve(dantzig_example());
   ASSERT_EQ(solution.status, LpStatus::kOptimal);
   EXPECT_NEAR(solution.x[0], 2.0, 1e-9);
   EXPECT_NEAR(solution.x[1], 6.0, 1e-9);
@@ -292,16 +229,14 @@ TEST(RevisedSimplex, SolvesTextbookMaximization) {
 
 TEST(RevisedSimplex, HandlesEqualityAndNegativeRhs) {
   // -x - y = -10 (normalized to x + y = 10), min x + 2y, y <= 7.
-  SparseLpProblem p;
+  LpProblem p;
   p.objective = {1.0, 2.0};
-  p.eq_lhs = CsrMatrix(2);
-  p.eq_lhs.append(0, -1.0);
-  p.eq_lhs.append(1, -1.0);
-  p.eq_lhs.finish_row();
+  p.eq_lhs = Matrix(1, 2);
+  p.eq_lhs.at(0, 0) = -1.0;
+  p.eq_lhs.at(0, 1) = -1.0;
   p.eq_rhs = {-10.0};
-  p.ub_lhs = CsrMatrix(2);
-  p.ub_lhs.append(1, 1.0);
-  p.ub_lhs.finish_row();
+  p.ub_lhs = Matrix(1, 2);
+  p.ub_lhs.at(0, 1) = 1.0;
   p.ub_rhs = {7.0};
   const auto solution = opt::solve(p);
   ASSERT_EQ(solution.status, LpStatus::kOptimal);
@@ -309,15 +244,13 @@ TEST(RevisedSimplex, HandlesEqualityAndNegativeRhs) {
 }
 
 TEST(RevisedSimplex, DetectsInfeasibility) {
-  SparseLpProblem p;
+  LpProblem p;
   p.objective = {1.0};
-  p.eq_lhs = CsrMatrix(1);
-  p.eq_lhs.append(0, 1.0);
-  p.eq_lhs.finish_row();
+  p.eq_lhs = Matrix(1, 1);
+  p.eq_lhs.at(0, 0) = 1.0;
   p.eq_rhs = {5.0};
-  p.ub_lhs = CsrMatrix(1);
-  p.ub_lhs.append(0, 1.0);
-  p.ub_lhs.finish_row();
+  p.ub_lhs = Matrix(1, 1);
+  p.ub_lhs.at(0, 0) = 1.0;
   p.ub_rhs = {3.0};
   EXPECT_EQ(opt::solve(p).status, LpStatus::kInfeasible);
 }
@@ -326,50 +259,49 @@ TEST(RevisedSimplex, DetectsUnboundedness) {
   // min -x with only a lower-bounding style constraint (x >= 1 written as
   // -x <= -1): x can grow without limit. Exercises the flipped-ub path
   // too (negative rhs row gets an artificial).
-  SparseLpProblem p;
+  LpProblem p;
   p.objective = {-1.0};
-  p.ub_lhs = CsrMatrix(1);
-  p.ub_lhs.append(0, -1.0);
-  p.ub_lhs.finish_row();
+  p.ub_lhs = Matrix(1, 1);
+  p.ub_lhs.at(0, 0) = -1.0;
   p.ub_rhs = {-1.0};
   EXPECT_EQ(opt::solve(p).status, LpStatus::kUnbounded);
 }
 
 TEST(RevisedSimplex, HandlesEmptyConstraintBlocks) {
   // Only equalities (no ub rows): min x + y s.t. x + y = 4.
-  SparseLpProblem eq_only;
+  LpProblem eq_only;
   eq_only.objective = {1.0, 1.0};
-  eq_only.eq_lhs = CsrMatrix(2);
-  eq_only.eq_lhs.append(0, 1.0);
-  eq_only.eq_lhs.append(1, 1.0);
-  eq_only.eq_lhs.finish_row();
+  eq_only.eq_lhs = Matrix(1, 2);
+  eq_only.eq_lhs.at(0, 0) = 1.0;
+  eq_only.eq_lhs.at(0, 1) = 1.0;
   eq_only.eq_rhs = {4.0};
-  auto solution = opt::solve(eq_only);
+  const auto solution = opt::solve(eq_only);
   ASSERT_EQ(solution.status, LpStatus::kOptimal);
   EXPECT_NEAR(solution.objective, 4.0, 1e-9);
 
-  // Only inequalities (no eq rows) is the Dantzig example above; empty
-  // everything is unbounded below at cost -x.
-  SparseLpProblem free_var;
+  // Only inequalities (no eq rows) is the Dantzig example above; both
+  // blocks present but empty (0 x 1) is unbounded below at cost -x.
+  LpProblem free_var;
   free_var.objective = {-1.0};
-  free_var.eq_lhs = CsrMatrix(1);
-  free_var.ub_lhs = CsrMatrix(1);
+  free_var.eq_lhs = Matrix(0, 1);
+  free_var.ub_lhs = Matrix(0, 1);
   EXPECT_EQ(opt::solve(free_var).status, LpStatus::kUnbounded);
 }
 
 TEST(RevisedSimplex, ReportsIterationLimit) {
   opt::SimplexOptions options;
   options.max_iterations = 1;
-  EXPECT_EQ(opt::solve(sparse_dantzig(), options).status,
+  EXPECT_EQ(opt::solve(dantzig_example(), options).status,
             LpStatus::kIterationLimit);
 }
 
 TEST(RevisedSimplex, ValidatesSparseStructure) {
-  SparseLpProblem p;
+  // Size mismatches between A_ub and the variables or b_ub are named in
+  // the error text.
+  LpProblem p;
   p.objective = {1.0, 1.0};
-  p.ub_lhs = CsrMatrix(3);  // wrong column count
-  p.ub_lhs.append(0, 1.0);
-  p.ub_lhs.finish_row();
+  p.ub_lhs = Matrix(1, 3);  // wrong column count
+  p.ub_lhs.at(0, 0) = 1.0;
   p.ub_rhs = {1.0};
   try {
     opt::solve(p);
@@ -379,11 +311,10 @@ TEST(RevisedSimplex, ValidatesSparseStructure) {
     EXPECT_NE(what.find("A_ub has 3 columns"), std::string::npos) << what;
   }
 
-  SparseLpProblem rows;
+  LpProblem rows;
   rows.objective = {1.0};
-  rows.ub_lhs = CsrMatrix(1);
-  rows.ub_lhs.append(0, 1.0);
-  rows.ub_lhs.finish_row();
+  rows.ub_lhs = Matrix(1, 1);
+  rows.ub_lhs.at(0, 0) = 1.0;
   rows.ub_rhs = {1.0, 2.0};  // extra rhs entry
   try {
     opt::solve(rows);
@@ -406,71 +337,9 @@ TEST(SimplexTest, PerturbationObjectiveErrorIsLinearlyBounded) {
     options.degeneracy_perturbation = pert;
     const double bound = 10.0 * pert * 3.0;  // slack * pert * rows
 
-    LpProblem dense;
-    dense.objective = {-3.0, -5.0};
-    dense.ub_lhs = Matrix(3, 2);
-    dense.ub_lhs.at(0, 0) = 1.0;
-    dense.ub_lhs.at(1, 1) = 2.0;
-    dense.ub_lhs.at(2, 0) = 3.0;
-    dense.ub_lhs.at(2, 1) = 2.0;
-    dense.ub_rhs = {4.0, 12.0, 18.0};
-    const auto dense_solution = solve_dense(dense, options);
-    ASSERT_EQ(dense_solution.status, LpStatus::kOptimal);
-    EXPECT_NEAR(dense_solution.objective, -36.0, bound) << "pert=" << pert;
-
-    const auto sparse_solution = opt::solve(sparse_dantzig(), options);
-    ASSERT_EQ(sparse_solution.status, LpStatus::kOptimal);
-    EXPECT_NEAR(sparse_solution.objective, -36.0, bound) << "pert=" << pert;
-  }
-}
-
-// --------------------------------------- sparse vs dense on the geo-IND LP
-
-TEST(RevisedSimplex, AgreesWithDenseOnGeoIndLp) {
-  // Solve the one geo-IND LP assembly with both solvers and check they
-  // land on the same optimum (tie-broken vertices can differ; the
-  // objective cannot).
-  for (const std::size_t side : {2u, 3u}) {
-    const std::size_t k = side * side;
-    std::vector<geo::Point> centers;
-    for (std::size_t r = 0; r < side; ++r) {
-      for (std::size_t c = 0; c < side; ++c) {
-        centers.push_back({static_cast<double>(c) * 250.0,
-                           static_cast<double>(r) * 250.0});
-      }
-    }
-    const std::vector<double> prior(k, 1.0 / static_cast<double>(k));
-    std::vector<std::pair<std::size_t, std::size_t>> edges;
-    for (std::size_t i = 0; i < k; ++i) {
-      for (std::size_t j = 0; j < k; ++j) {
-        if (i != j) edges.emplace_back(i, j);  // all pairs: dilation 1
-      }
-    }
-    const double edge_epsilon = std::log(4.0) / 200.0;
-
-    const SparseLpProblem sparse =
-        lppm::build_geo_ind_lp_sparse(centers, prior, edges, edge_epsilon);
-    const LpProblem dense = to_dense(sparse);
-
-    // Structural agreement: the dense copy round-trips to exactly the
-    // sparse assembly's nonzero pattern and values.
-    const CsrMatrix from_dense_ub = csr_from_dense(dense.ub_lhs);
-    ASSERT_EQ(from_dense_ub.nonzeros(), sparse.ub_lhs.nonzeros());
-    for (std::size_t nz = 0; nz < from_dense_ub.nonzeros(); ++nz) {
-      EXPECT_EQ(from_dense_ub.col_index(nz), sparse.ub_lhs.col_index(nz));
-      EXPECT_DOUBLE_EQ(from_dense_ub.value(nz), sparse.ub_lhs.value(nz));
-    }
-
-    opt::SimplexOptions options;
-    options.degeneracy_perturbation = 1e-8;
-    options.max_iterations = 200000;
-    const auto dense_solution = solve_dense(dense, options);
-    const auto sparse_solution = opt::solve(sparse, options);
-    ASSERT_EQ(dense_solution.status, LpStatus::kOptimal) << "side=" << side;
-    ASSERT_EQ(sparse_solution.status, LpStatus::kOptimal) << "side=" << side;
-    EXPECT_NEAR(sparse_solution.objective, dense_solution.objective,
-                1e-7 * (1.0 + std::abs(dense_solution.objective)))
-        << "side=" << side;
+    const auto solution = opt::solve(dantzig_example(), options);
+    ASSERT_EQ(solution.status, LpStatus::kOptimal);
+    EXPECT_NEAR(solution.objective, -36.0, bound) << "pert=" << pert;
   }
 }
 
@@ -584,78 +453,68 @@ TEST(OptimalMechanism, InvalidConfigsRejected) {
   EXPECT_THROW(lppm::OptimalGeoIndMechanism{c}, util::InvalidArgument);
 }
 
-/// The exact constructor's LP, rebuilt outside it: the mechanism's own
-/// cell centers, the prior normalized as the constructor normalizes it,
-/// and the directed 8-neighbour edges in the constructor's order at
-/// epsilon deflated by the octile dilation. Row order matters: the
-/// graded degeneracy perturbation is per row.
-SparseLpProblem exact_lp(const lppm::OptimalGeoIndMechanism& mech,
-                         const lppm::OptimalMechanismConfig& config) {
-  const std::size_t side = config.per_side;
-  const std::size_t k = side * side;
-  std::vector<geo::Point> centers;
-  for (std::size_t i = 0; i < k; ++i) centers.push_back(cell_center(mech, i));
-  std::vector<double> prior = config.prior;
-  if (prior.empty()) prior.assign(k, 1.0 / static_cast<double>(k));
-  double prior_sum = 0.0;
-  for (const double p : prior) prior_sum += p;
-  for (double& p : prior) p /= prior_sum;
-  std::vector<std::pair<std::size_t, std::size_t>> edges;
-  for (std::size_t row = 0; row < side; ++row) {
-    for (std::size_t col = 0; col < side; ++col) {
-      for (int dr = -1; dr <= 1; ++dr) {
-        for (int dc = -1; dc <= 1; ++dc) {
-          const int nr = static_cast<int>(row) + dr;
-          const int nc = static_cast<int>(col) + dc;
-          if ((dr == 0 && dc == 0) || nr < 0 || nc < 0 ||
-              nr >= static_cast<int>(side) || nc >= static_cast<int>(side)) {
-            continue;
-          }
-          edges.emplace_back(row * side + col,
-                             static_cast<std::size_t>(nr) * side +
-                                 static_cast<std::size_t>(nc));
-        }
-      }
+TEST(OptimalMechanism, GeoIndLpHasOneRatioRowPerEdgeAndOutput) {
+  // Two cells 250 m apart, linked both ways: one row-stochastic equality
+  // per cell, then X_ij - e^{eps d} X_i'j <= 0 per directed edge (i, i')
+  // and output j, edge-major, variable X_ij at index i * k + j.
+  const std::vector<geo::Point> centers{{0.0, 0.0}, {250.0, 0.0}};
+  const std::vector<std::pair<std::size_t, std::size_t>> edges{{0, 1},
+                                                               {1, 0}};
+  const double epsilon = std::log(4.0) / 200.0;
+  const LpProblem lp =
+      lppm::build_geo_ind_lp(centers, {0.25, 0.75}, edges, epsilon);
+  EXPECT_EQ(lp.objective, (std::vector<double>{0.0, 62.5, 187.5, 0.0}));
+  ASSERT_EQ(lp.eq_lhs.rows(), 2u);
+  ASSERT_EQ(lp.ub_lhs.rows(), 4u);
+  EXPECT_EQ(lp.eq_rhs, (std::vector<double>{1.0, 1.0}));
+  EXPECT_EQ(lp.ub_rhs, (std::vector<double>(4, 0.0)));
+  const double bound = std::exp(epsilon * 250.0);
+  for (std::size_t v = 0; v < 4; ++v) {
+    EXPECT_EQ(lp.eq_lhs.at(0, v), v < 2 ? 1.0 : 0.0);
+    EXPECT_EQ(lp.eq_lhs.at(1, v), v < 2 ? 0.0 : 1.0);
+    for (std::size_t row = 0; row < 4; ++row) {
+      const auto [i, i_prime] = edges[row / 2];
+      const std::size_t j = row % 2;
+      const double expected = v == i * 2 + j         ? 1.0
+                              : v == i_prime * 2 + j ? -bound
+                                                     : 0.0;
+      EXPECT_EQ(lp.ub_lhs.at(row, v), expected) << row << "," << v;
     }
   }
-  const double octile_dilation = 1.0 / std::cos(std::numbers::pi / 8.0);
-  const double edge_epsilon = config.epsilon / octile_dilation;
-  return lppm::build_geo_ind_lp_sparse(centers, prior, edges, edge_epsilon);
 }
 
-TEST(OptimalMechanism, ExactObjectiveMatchesDenseOracle) {
-  // The exact constructor solves with the revised simplex. On these
-  // degenerate LPs it may land on a different optimal vertex than the
-  // dense tableau, so only the optimum itself is compared with the dense
-  // reference, and the channel goes through the all-pairs geo-IND check.
-  // That check cannot read 1e-9 everywhere: the degeneracy perturbation
-  // lets each ratio row slack by up to 1e-8 * (row + 1), which chained
-  // along a path of edges leaves violations up to ~1e-5 at 3x3 on any
-  // optimal vertex. So the gate is the dense reference's own channel,
-  // cleaned the way the constructor cleans it: no less private, to 1e-9.
+TEST(OptimalMechanism, ExactObjectiveMatchesRecordedOptimum) {
+  // The optimum of each case, recorded from the sparse revised simplex
+  // this solver replaced: a change of solver, pivot rule or LP assembly
+  // that moves an optimum by more than 1e-12 relative fails here. The
+  // channel's all-pairs geo-IND violation is not gated: the degeneracy
+  // perturbation leaves up to ~1e-5 at 3x3 (ROADMAP item 3).
   struct Case {
     std::size_t side;
-    double level;  ///< epsilon = level / 200 m
+    double level;  ///< epsilon = ln(level) / 200 m
     bool informed;
+    double optimum;
   };
-  std::vector<Case> cases;
-  for (const std::size_t side : {2u, 3u}) {
-    for (const double level : {2.0, 4.0, 6.0}) {
-      for (const bool informed : {false, true}) {
-        cases.push_back({side, std::log(level), informed});
-      }
-    }
-  }
-  cases.push_back({4, std::log(4.0), false});
-
-  opt::SimplexOptions options;
-  options.degeneracy_perturbation = 1e-8;
-  options.max_iterations = 200000;
+  const Case cases[] = {
+      {2, 2.0, false, 152.45084897787254},
+      {2, 2.0, true, 85.355315880952219},
+      {2, 4.0, false, 91.283162125016617},
+      {2, 4.0, true, 76.771143428897616},
+      {2, 6.0, false, 62.848963174833131},
+      {2, 6.0, true, 62.848963137281054},
+      {3, 2.0, false, 242.84365540761303},
+      {3, 2.0, true, 90.532789955929573},
+      {3, 4.0, false, 135.82597494087952},
+      {3, 4.0, true, 90.532789457363833},
+      {3, 6.0, false, 91.156033249551783},
+      {3, 6.0, true, 88.599671135352111},
+      {4, 4.0, false, 160.68831834532821},
+  };
   for (const Case& c : cases) {
     lppm::OptimalMechanismConfig config;
     config.per_side = c.side;
     config.cell_spacing_m = 250.0;
-    config.epsilon = c.level / 200.0;
+    config.epsilon = std::log(c.level) / 200.0;
     const std::size_t k = c.side * c.side;
     if (c.informed) {
       // 70% of the mass on one home cell, the rest spread evenly.
@@ -663,33 +522,11 @@ TEST(OptimalMechanism, ExactObjectiveMatchesDenseOracle) {
       config.prior[k / 2] = 0.7;
     }
     const lppm::OptimalGeoIndMechanism mech(config);
-    const auto dense = solve_dense(to_dense(exact_lp(mech, config)), options);
-    ASSERT_EQ(dense.status, LpStatus::kOptimal);
-
-    const double obj = mech.expected_quality_loss();
-    EXPECT_LE(std::abs(obj - dense.objective), 1e-12 * dense.objective)
-        << c.side << "x" << c.side << " level " << c.level << " informed "
-        << c.informed << ": " << obj << " vs " << dense.objective;
-
-    std::vector<std::vector<double>> dense_channel(k);
-    std::vector<geo::Point> centers;
-    for (std::size_t i = 0; i < k; ++i) {
-      double row_sum = 0.0;
-      for (std::size_t j = 0; j < k; ++j) {
-        dense_channel[i].push_back(std::max(0.0, dense.x[i * k + j]));
-        row_sum += dense_channel[i].back();
-      }
-      for (double& p : dense_channel[i]) p /= row_sum;
-      centers.push_back(cell_center(mech, i));
-    }
-    const double dense_violation =
-        max_constraint_violation(dense_channel, centers, config.epsilon);
-    EXPECT_LE(max_constraint_violation(mech),
-              std::max(dense_violation, 0.0) + 1e-9)
-        << c.side << "x" << c.side << " level " << c.level << " informed "
-        << c.informed;
+    EXPECT_LE(std::abs(mech.expected_quality_loss() - c.optimum),
+              1e-12 * c.optimum)
+        << c.side << "x" << c.side << " ln " << c.level << " informed "
+        << c.informed << ": " << mech.expected_quality_loss();
   }
 }
-
 }  // namespace
 }  // namespace privlocad

@@ -8,15 +8,13 @@
 // for a solver's claim (the geo-IND constraint check, all-pairs
 // connected components, a cluster centroid summed member by member), an
 // AoS point-by-point loop for an SoA kernel (the scan and posterior
-// kernels), a dense tableau for a sparse one (the two-phase simplex), a
-// sequential rule for a batched one (single-request admission), or a
-// predicate only tests ask (bounding-box containment).
+// kernels), a sequential rule for a batched one (single-request
+// admission), or a predicate only tests ask (bounding-box containment).
 // Keeping them here keeps every function under src/ reachable from a
 // shipped binary.
 #pragma once
 
 #include <algorithm>
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -29,8 +27,6 @@
 #include "lppm/mechanism.hpp"
 #include "lppm/optimal_mechanism.hpp"
 #include "net/admission.hpp"
-#include "opt/simplex.hpp"
-#include "opt/sparse.hpp"
 #include "rng/engine.hpp"
 
 namespace privlocad::oracles {
@@ -216,67 +212,6 @@ double efficacy_monte_carlo(rng::Engine& engine, geo::Point true_location,
                             geo::Point selected_candidate,
                             double targeting_radius_m,
                             std::size_t samples = 512);
-
-// ------------------------------------------------------------------- opt
-
-/// Row-major dense matrix, sized rows x cols at construction. Index
-/// bounds are asserted in debug builds (NDEBUG off); release builds
-/// elide the check to keep the pivot inner loop branch-free.
-class Matrix {
- public:
-  Matrix() = default;
-  Matrix(std::size_t rows, std::size_t cols);
-
-  double& at(std::size_t r, std::size_t c) {
-    assert(r < rows_ && c < cols_ && "Matrix::at index out of range");
-    return data_[r * cols_ + c];
-  }
-  double at(std::size_t r, std::size_t c) const {
-    assert(r < rows_ && c < cols_ && "Matrix::at index out of range");
-    return data_[r * cols_ + c];
-  }
-
-  std::size_t rows() const { return rows_; }
-  std::size_t cols() const { return cols_; }
-
- private:
-  std::size_t rows_ = 0;
-  std::size_t cols_ = 0;
-  std::vector<double> data_;
-};
-
-/// Dense LP for solve_dense:
-///     minimize c^T x  subject to  A_eq x = b_eq,  A_ub x <= b_ub,  x >= 0.
-struct LpProblem {
-  std::vector<double> objective;  ///< c, one entry per variable
-
-  Matrix eq_lhs;                  ///< A_eq (may have 0 rows)
-  std::vector<double> eq_rhs;     ///< b_eq
-
-  Matrix ub_lhs;                  ///< A_ub (may have 0 rows)
-  std::vector<double> ub_rhs;     ///< b_ub
-
-  /// Validates dimensional consistency; throws util::InvalidArgument with
-  /// a message naming the offending block and the mismatched sizes.
-  void validate() const;
-};
-
-/// Dense two-phase tableau simplex: the reference opt::solve is checked
-/// against. Same semantics -- statuses, rhs normalization, the
-/// graded degeneracy perturbation, Dantzig pricing with a Bland fallback
-/// after 64 degenerate pivots, artificial drive-out -- over the full
-/// m x n tableau, so it stays small and obviously correct rather than
-/// fast. Publishes no metrics.
-opt::LpSolution solve_dense(const LpProblem& problem,
-                            const opt::SimplexOptions& options = {});
-
-/// Dense -> CSR: keeps entries with |a_ij| > zero_tolerance.
-opt::CsrMatrix csr_from_dense(const Matrix& dense,
-                              double zero_tolerance = 0.0);
-
-/// CSR -> dense, every stored entry copied: builds the dense reference
-/// LP from the one sparse assembly the library has.
-Matrix dense_from_csr(const opt::CsrMatrix& csr);
 
 // ------------------------------------------------------------------- net
 

@@ -24,6 +24,7 @@
 #include "lppm/baselines.hpp"
 #include "lppm/gaussian.hpp"
 #include "lppm/planar_laplace.hpp"
+#include "opt/simplex.hpp"
 #include "rng/engine.hpp"
 #include "rng/samplers.hpp"
 #include "simd/kernels.hpp"
@@ -288,9 +289,9 @@ TEST_P(SimplexRandom, MatchesBruteForceVertexEnumerationIn2D) {
   rng::Engine e(GetParam());
   const std::size_t m = 3 + e.uniform_index(4);  // 3..6 inequalities
 
-  oracles::LpProblem p;
+  opt::LpProblem p;
   p.objective = {e.uniform_in(-5.0, 5.0), e.uniform_in(-5.0, 5.0)};
-  p.ub_lhs = oracles::Matrix(m + 2, 2);
+  p.ub_lhs = opt::Matrix(m + 2, 2);
   p.ub_rhs.assign(m + 2, 0.0);
   for (std::size_t r = 0; r < m; ++r) {
     p.ub_lhs.at(r, 0) = e.uniform_in(0.1, 3.0);
@@ -303,7 +304,7 @@ TEST_P(SimplexRandom, MatchesBruteForceVertexEnumerationIn2D) {
   p.ub_lhs.at(m + 1, 1) = 1.0;
   p.ub_rhs[m + 1] = 20.0;
 
-  const opt::LpSolution solution = oracles::solve_dense(p);
+  const opt::LpSolution solution = opt::solve(p);
   ASSERT_EQ(solution.status, opt::LpStatus::kOptimal);
 
   // Brute force: candidate vertices are intersections of every pair of

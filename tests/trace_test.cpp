@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
 
 #include "attack/profile.hpp"
 #include "rng/engine.hpp"
@@ -13,6 +14,7 @@
 #include "trace/synthetic.hpp"
 #include "trace/trace_io.hpp"
 #include "util/csv.hpp"
+#include "util/status.hpp"
 #include "util/strings.hpp"
 #include "util/validation.hpp"
 
@@ -395,6 +397,33 @@ TEST(TraceIo, NegativeTimestampRejected) {
       "user_id,x_m,y_m,timestamp\n"
       "1,0.0,0.0,-5\n");
   EXPECT_THROW(read_traces(in), util::InvalidArgument);
+}
+
+TEST(TraceIo, MalformedUserIdAndCoordinatesNameTheRow) {
+  // Without these checks "-1" loaded as user 2^64 - 1, "abc" threw a
+  // context-free parse error, and nan / inf coordinates loaded as-is.
+  struct Case {
+    const char* row;
+    const char* field;
+  };
+  for (const Case& c : {Case{"-1,0.0,0.0,5", "user_id '-1'"},
+                        Case{"abc,0.0,0.0,5", "user_id 'abc'"},
+                        Case{"1,nan,0.0,5", "x_m 'nan'"},
+                        Case{"1,0.0,inf,5", "y_m 'inf'"},
+                        Case{"1,0.0,1e999,5", "y_m '1e999'"}}) {
+    std::istringstream in(std::string("user_id,x_m,y_m,timestamp\n"
+                                      "1,0.0,0.0,0\n") +
+                          c.row + "\n");
+    try {
+      read_traces(in);
+      ADD_FAILURE() << "expected ParseError for " << c.row;
+    } catch (const util::ParseError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("trace row 2"), std::string::npos) << what;
+      EXPECT_NE(what.find(c.field), std::string::npos) << what;
+      EXPECT_EQ(e.line(), 3u) << what;
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <sstream>
 
 #include "util/csv.hpp"
@@ -59,6 +60,16 @@ TEST(Strings, ParseIntRoundTrip) {
   EXPECT_EQ(parse_int("-7"), -7);
   EXPECT_THROW(parse_int("1.5"), InvalidArgument);
   EXPECT_THROW(parse_int("99999999999999999999"), InvalidArgument);
+
+  // parse_int_in refuses the same inputs, and values outside [min, max].
+  EXPECT_EQ(parse_int_in(" 12 ", 0, 100), 12);
+  EXPECT_EQ(parse_int_in("0", 0, 100), 0);
+  EXPECT_EQ(parse_int_in("100", 0, 100), 100);
+  EXPECT_EQ(parse_int_in("-1", 0, 100), std::nullopt);
+  EXPECT_EQ(parse_int_in("101", 0, 100), std::nullopt);
+  EXPECT_EQ(parse_int_in("12x", 0, 100), std::nullopt);
+  EXPECT_EQ(parse_int_in("abc", 0, 100), std::nullopt);
+  EXPECT_EQ(parse_int_in("", 0, 100), std::nullopt);
 }
 
 TEST(Strings, JoinWithSeparator) {
