@@ -1,20 +1,16 @@
-// Edge-cluster load distribution and batch-serving throughput.
+// Edge-box load distribution and batch-serving throughput.
 //
-// Part 1 (paper Section V-A: devices serve nearby users): how a metro-area
-// deployment spreads request load across cell-sharded edge devices when
-// users follow the synthetic mobility model. Prints requests-per-device
-// statistics -- capacity planners read the max/mean ratio. The load map
-// comes from EdgeCluster::cell_loads(), so devices are counted wherever
-// the population wandered (no fixed scan window to silently fall outside).
-//
-// Part 2 (paper Tables II/III: one edge platform, tens of thousands of
-// users): ConcurrentEdge::serve_trace_batch drives the same population
+// Part 1 (paper Tables II/III: one edge platform, tens of thousands of
+// users): ConcurrentEdge::serve_trace_batch drives a synthetic population
 // through one sharded edge box from 1 worker thread and then from N
 // (PRIVLOCAD_THREADS or hardware), reporting requests/sec for both and
 // checking that telemetry totals agree -- the parallel run must be a
-// faster version of the same computation, not a different one.
+// faster version of the same computation, not a different one. The
+// parallel box's per-shard lock counters give the load spread: the
+// busiest shard's lock acquisitions over the mean (ConcurrentEdge routes
+// by user, so a shard's load is its users' requests).
 //
-// Part 3 (mega-scale data plane, --mega-users, default 1M): streams a
+// Part 2 (mega-scale data plane, --mega-users, default 1M): streams a
 // million-user synthetic population into one sharded edge box (per-user
 // generation -> import, no whole-population buffer), saves the columnar
 // snapshot, reopens it in a second box, and probes both boxes with
@@ -32,7 +28,6 @@
 
 #include "bench_common.hpp"
 #include "core/concurrent_edge.hpp"
-#include "core/edge_cluster.hpp"
 #include "core/snapshot.hpp"
 #include "par/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -41,22 +36,16 @@ int main(int argc, char** argv) {
   using namespace privlocad;
 
   const std::size_t users = bench::flag_or(argc, argv, "users", 300);
-  const double cell_km = static_cast<double>(
-      bench::flag_or(argc, argv, "cell-km", 20));
   const std::size_t threads = par::hardware_threads();
 
-  bench::print_header(
-      "Edge cluster -- request load across cell devices (" +
-      std::to_string(users) + " users, " +
-      std::to_string(static_cast<int>(cell_km)) + " km cells)");
+  bench::print_header("Edge box -- batch serving and shard load (" +
+                      std::to_string(users) + " users)");
 
-  core::EdgeClusterConfig config;
-  config.edge.top_params.radius_m = 500.0;
-  config.edge.top_params.epsilon = 1.0;
-  config.edge.top_params.delta = 0.01;
-  config.edge.top_params.n = 10;
-  config.cell_size_m = cell_km * 1000.0;
-  core::EdgeCluster cluster(config.with_seed(9));
+  core::EdgeConfig config;
+  config.top_params.radius_m = 500.0;
+  config.top_params.epsilon = 1.0;
+  config.top_params.delta = 0.01;
+  config.top_params.n = 10;
 
   trace::SyntheticConfig synth;
   synth.min_check_ins = 100;
@@ -64,38 +53,9 @@ int main(int argc, char** argv) {
   const rng::Engine parent(12);
   const auto population = trace::generate_population(parent, synth, users);
 
-  std::size_t total_requests = 0;
-  for (const trace::SyntheticUser& user : population) {
-    for (const trace::CheckIn& c : user.trace.check_ins) {
-      const core::ServeResult served =
-          cluster.serve(user.trace.user_id, c.position, c.time);
-      if (!served.released()) {
-        std::fprintf(stderr, "request not released: %s\n",
-                     served.status.to_string().c_str());
-        return 1;
-      }
-      ++total_requests;
-    }
-  }
-
-  // The complete per-cell load map, wherever the population roamed.
-  std::vector<std::size_t> loads;
-  for (const core::EdgeCluster::CellLoad& cell : cluster.cell_loads()) {
-    loads.push_back(cell.requests);
-  }
-  std::sort(loads.rbegin(), loads.rend());
-
-  const double mean = static_cast<double>(total_requests) /
-                      static_cast<double>(loads.size());
-  std::printf("total requests    : %zu\n", total_requests);
-  std::printf("active devices    : %zu\n", cluster.active_devices());
-  std::printf("busiest device    : %zu requests (%.1fx the mean)\n",
-              loads.front(), static_cast<double>(loads.front()) / mean);
-  std::printf("quietest device   : %zu requests\n", loads.back());
-
-  // ---- Part 2: one sharded edge box under batch load, 1 vs N threads.
+  // ---- Part 1: one sharded edge box under batch load, 1 vs N threads.
   constexpr std::size_t kShards = 16;
-  std::printf("\nbatch serving through ConcurrentEdge (%zu shards):\n",
+  std::printf("batch serving through ConcurrentEdge (%zu shards):\n",
               kShards);
   std::vector<trace::UserTrace> traces;
   traces.reserve(population.size());
@@ -104,13 +64,13 @@ int main(int argc, char** argv) {
   }
 
   par::ThreadPool serial_pool(1);
-  core::ConcurrentEdge serial_edge(config.edge.with_shards(kShards).with_seed(9));
+  core::ConcurrentEdge serial_edge(config.with_shards(kShards).with_seed(9));
   const core::BatchServeStats serial =
       serial_edge.serve_trace_batch(traces, serial_pool);
   const core::EdgeTelemetry serial_telemetry = serial_edge.telemetry();
 
   par::ThreadPool parallel_pool(threads);
-  core::ConcurrentEdge parallel_edge(config.edge.with_shards(kShards).with_seed(9));
+  core::ConcurrentEdge parallel_edge(config.with_shards(kShards).with_seed(9));
   const core::BatchServeStats parallel =
       parallel_edge.serve_trace_batch(traces, parallel_pool);
   const core::EdgeTelemetry parallel_telemetry = parallel_edge.telemetry();
@@ -131,7 +91,30 @@ int main(int argc, char** argv) {
   std::printf("  telemetry totals  : %s\n",
               counters_match ? "identical" : "MISMATCH");
 
-  // ---- Part 3: mega-scale columnar data plane (1M users by default).
+  // Every request must release a location (no faults are injected), and
+  // the shard lock counters (published by serve_trace_batch) give the
+  // load spread, as edge_bench's core.shard_lock_max_over_mean does.
+  const std::size_t total_requests = parallel.requests;
+  const bool all_served = serial.served == serial.requests &&
+                          parallel.served == parallel.requests;
+  double max_locks = 0.0;
+  double sum_locks = 0.0;
+  for (std::size_t i = 0; i < kShards; ++i) {
+    const auto locks =
+        static_cast<double>(parallel_edge.metrics().counter_value(
+            "edge.shard" + std::to_string(i) + ".lock_acquisitions"));
+    max_locks = std::max(max_locks, locks);
+    sum_locks += locks;
+  }
+  const double busiest_over_mean =
+      sum_locks > 0.0 ? max_locks / (sum_locks / kShards) : 0.0;
+  std::printf("  total requests    : %zu (%s)\n", total_requests,
+              all_served ? "all served" : "NOT ALL SERVED");
+  std::printf("  busiest shard     : %.0f lock acquisitions (%.2fx the "
+              "mean)\n",
+              max_locks, busiest_over_mean);
+
+  // ---- Part 2: mega-scale columnar data plane (1M users by default).
   const std::size_t mega_users =
       bench::flag_or(argc, argv, "mega-users", 1000000);
   const std::size_t mega_shards =
@@ -156,7 +139,7 @@ int main(int argc, char** argv) {
     const rng::Engine mega_parent(4242);
 
     const core::EdgeConfig mega_config =
-        config.edge.with_shards(mega_shards).with_seed(77);
+        config.with_shards(mega_shards).with_seed(77);
     core::ConcurrentEdge live_edge(mega_config);
 
     // Streamed generation -> import: one user materialized at a time, so
@@ -272,10 +255,7 @@ int main(int argc, char** argv) {
   record.add("threads", static_cast<std::uint64_t>(threads));
   record.add("users", static_cast<std::uint64_t>(users));
   record.add("total_requests", static_cast<std::uint64_t>(total_requests));
-  record.add("active_devices",
-             static_cast<std::uint64_t>(cluster.active_devices()));
-  record.add("busiest_over_mean",
-             static_cast<double>(loads.front()) / mean);
+  record.add("busiest_over_mean", busiest_over_mean);
   record.add("serial_seconds", serial.wall_seconds);
   record.add("parallel_seconds", parallel.wall_seconds);
   record.add("serial_requests_per_second", serial.requests_per_second());
@@ -302,9 +282,8 @@ int main(int argc, char** argv) {
              static_cast<std::uint64_t>(mega_serve_match ? 1 : 0));
   bench::emit_json("BENCH_cluster_load.json", record);
 
-  std::printf("\nexpected: load roughly follows population density; top "
-              "locations pin most of a user's requests to one device, "
-              "which is exactly why per-device state (tables, profiles) "
-              "shards cleanly\n");
-  return (counters_match && mega_serve_match) ? 0 : 1;
+  std::printf("\nexpected: identical telemetry at 1 and N threads; the "
+              "busiest shard near the mean, since users hash evenly and "
+              "each user's state lives in one shard\n");
+  return (counters_match && all_served && mega_serve_match) ? 0 : 1;
 }

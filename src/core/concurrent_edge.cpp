@@ -56,30 +56,23 @@ BatchServeStats ConcurrentEdge::serve_trace_batch(
   // deployment produces. serve() never throws, so under fault injection
   // the batch runs to completion and tallies per-outcome totals.
   std::atomic<std::size_t> served{0};
-  std::atomic<std::size_t> served_after_retry{0};
   std::atomic<std::size_t> degraded_cached{0};
   std::atomic<std::size_t> degraded_dropped{0};
   std::atomic<std::size_t> failed{0};
   par::parallel_for(
       pool, 0, traces.size(), /*grain=*/1, [&](std::size_t i) {
         const trace::UserTrace& trace = traces[i];
-        std::size_t ok = 0, after_retry = 0, cached = 0, dropped = 0,
-                    errors = 0;
+        std::size_t ok = 0, cached = 0, dropped = 0, errors = 0;
         for (const trace::CheckIn& c : trace.check_ins) {
           const ServeResult r = serve(trace.user_id, c.position, c.time);
           switch (r.outcome) {
             case ServeOutcome::kServed: ++ok; break;
-            case ServeOutcome::kServedAfterRetry:
-              ++ok;
-              ++after_retry;
-              break;
             case ServeOutcome::kDegradedCached: ++cached; break;
             case ServeOutcome::kDegradedDropped: ++dropped; break;
             case ServeOutcome::kFailed: ++errors; break;
           }
         }
         served.fetch_add(ok, std::memory_order_relaxed);
-        served_after_retry.fetch_add(after_retry, std::memory_order_relaxed);
         degraded_cached.fetch_add(cached, std::memory_order_relaxed);
         degraded_dropped.fetch_add(dropped, std::memory_order_relaxed);
         failed.fetch_add(errors, std::memory_order_relaxed);
@@ -91,8 +84,6 @@ BatchServeStats ConcurrentEdge::serve_trace_batch(
     stats.requests += trace.check_ins.size();
   }
   stats.served = served.load(std::memory_order_relaxed);
-  stats.served_after_retry =
-      served_after_retry.load(std::memory_order_relaxed);
   stats.degraded_cached = degraded_cached.load(std::memory_order_relaxed);
   stats.degraded_dropped = degraded_dropped.load(std::memory_order_relaxed);
   stats.failed = failed.load(std::memory_order_relaxed);

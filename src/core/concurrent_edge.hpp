@@ -25,13 +25,11 @@ class ThreadPool;
 namespace privlocad::core {
 
 /// Outcome of one serve_trace_batch run. Every request lands in exactly
-/// one of the outcome tallies (served covers both first-attempt and
-/// after-retry successes).
+/// one of the outcome tallies.
 struct BatchServeStats {
   std::size_t users = 0;
   std::size_t requests = 0;
   std::size_t served = 0;              ///< released a location normally
-  std::size_t served_after_retry = 0;  ///< subset of served needing retries
   std::size_t degraded_cached = 0;     ///< replayed the frozen set
   std::size_t degraded_dropped = 0;    ///< dropped rather than leak
   std::size_t failed = 0;              ///< typed internal failure

@@ -67,9 +67,6 @@ EdgeDevice::EdgeDevice(EdgeConfig config,
       &metrics_->counter(edge_metrics::kTablesGenerated);
   ads_seen_total_ = &metrics_->counter(edge_metrics::kAdsSeen);
   ads_delivered_total_ = &metrics_->counter(edge_metrics::kAdsDelivered);
-  serve_retries_total_ = &metrics_->counter(edge_metrics::kServeRetries);
-  served_after_retry_total_ =
-      &metrics_->counter(edge_metrics::kServedAfterRetry);
   degraded_cached_total_ =
       &metrics_->counter(edge_metrics::kDegradedCached);
   degraded_dropped_total_ =
@@ -117,28 +114,19 @@ ServeResult EdgeDevice::serve_impl(std::uint64_t user_id,
   // across every arena call below (compaction never moves row scalars).
   rng::Engine& engine = arena_.engine(row);
 
-  // Acquire the obfuscation inputs (mechanism/noise backend). This is the
-  // serve-path fault seam: transient failures are retried with capped
-  // exponential backoff; a disabled injector reduces the whole block to
-  // one branch.
+  // The serve-path fault seam, checked once per request: a failing check
+  // degrades the request at once (nothing here is remote, so there is
+  // nothing to wait for). A disabled injector reduces this to one branch.
   ServeResult result;
-  util::Status inputs = util::Status();
   if (faults_->enabled()) {
-    std::size_t retries = 0;
-    inputs = fault::retry_with_backoff(
-        config_.retry, engine,
-        [this] { return faults_->check(fault::Site::kServe); }, &retries);
-    result.retries = static_cast<std::uint32_t>(retries);
-    if (retries > 0) serve_retries_total_->add(retries);
+    result.status = faults_->check(fault::Site::kServe);
   }
-
-  if (!inputs.ok()) {
+  if (!result.status.ok()) {
     // Degraded serving: obfuscation inputs are down. The frozen candidate
     // set (if this top location already has one) is pure post-processing
     // -- replaying it needs no fresh noise and spends no privacy -- so it
     // is the safe fallback. Without one, the request is dropped: a raw
     // location is never a fallback ("fail private").
-    result.status = inputs;
     if (top >= 0) {
       const geo::Point top_location = arena_.top_entry(row, top).location;
       const std::int64_t entry = arena_.find_entry(
@@ -158,9 +146,6 @@ ServeResult EdgeDevice::serve_impl(std::uint64_t user_id,
     result.outcome = ServeOutcome::kDegradedDropped;
     return result;
   }
-  result.outcome = result.retries > 0 ? ServeOutcome::kServedAfterRetry
-                                      : ServeOutcome::kServed;
-  if (result.retries > 0) served_after_retry_total_->add();
 
   if (top >= 0) {
     const lppm::NFoldGaussianMechanism& mechanism = mechanism_for(row);

@@ -55,7 +55,7 @@
 namespace privlocad::core {
 
 /// The one validated aggregate configuring every edge flavour (EdgeDevice,
-/// ConcurrentEdge, EdgeCluster cells, EdgePrivLocAd). Construction-time
+/// ConcurrentEdge, EdgePrivLocAd). Construction-time
 /// knobs that used to travel as extra constructor parameters (seed, shard
 /// count) live here, so every edge constructor takes exactly one config.
 struct EdgeConfig {
@@ -79,7 +79,7 @@ struct EdgeConfig {
   double targeting_radius_m = 5000.0;
 
   /// Seed for the per-user RNG streams (candidate noise, output
-  /// selection, backoff jitter): user u's engine is split(seed, u), so
+  /// selection): user u's engine is split(seed, u), so
   /// every shard of a ConcurrentEdge shares the same seed and still
   /// serves each user an independent stream.
   std::uint64_t seed = 1;
@@ -88,10 +88,11 @@ struct EdgeConfig {
   /// standalone EdgeDevice.
   std::size_t shards = 16;
 
-  /// Backoff policy for transient obfuscation-input faults in serve().
+  /// Backoff policy for EdgePrivLocAd's ad-network leg (the exchange
+  /// round trip). serve() never retries: it checks the serve site once.
   fault::RetryPolicy retry{};
 
-  /// Fault injector consulted by serve(); nullptr selects
+  /// Fault injector consulted by serve() and the ad leg; nullptr selects
   /// fault::FaultInjector::global() (configured from PRIVLOCAD_FAULTS).
   fault::FaultInjector* faults = nullptr;
 
@@ -119,14 +120,14 @@ struct EdgeConfig {
 enum class ReportKind { kTopLocation, kNomadic };
 
 /// How one serve() call concluded. Every request ends in exactly one of
-/// these -- serve() never throws.
+/// these -- serve() never throws. The values are wire codes
+/// (net::ServeResponseFrame::outcome); 1 is retired and stays unused.
 enum class ServeOutcome {
-  kServed,           ///< normal path, first attempt
-  kServedAfterRetry, ///< normal path after >= 1 transient-fault retries
-  kDegradedCached,   ///< obfuscation inputs down; replayed the frozen set
-  kDegradedDropped,  ///< obfuscation inputs down, nothing cached: request
-                     ///< dropped rather than released raw (fail private)
-  kFailed,           ///< non-transient internal failure; nothing released
+  kServed = 0,           ///< normal path
+  kDegradedCached = 2,   ///< obfuscation inputs down; replayed the frozen set
+  kDegradedDropped = 3,  ///< obfuscation inputs down, nothing cached:
+                         ///< dropped rather than released raw (fail private)
+  kFailed = 4,           ///< non-transient internal failure; nothing released
 };
 
 /// One in this many serve calls is latency-timed (per device,
@@ -156,13 +157,11 @@ struct ReportedLocation {
 struct ServeResult {
   ReportedLocation reported{};
   ServeOutcome outcome = ServeOutcome::kServed;
-  util::Status status{};      ///< non-ok when degraded or failed
-  std::uint32_t retries = 0;  ///< transient-fault retries performed
+  util::Status status{};  ///< non-ok when degraded or failed
 
   /// True when an (always obfuscated) location was released.
   bool released() const {
     return outcome == ServeOutcome::kServed ||
-           outcome == ServeOutcome::kServedAfterRetry ||
            outcome == ServeOutcome::kDegradedCached;
   }
   bool degraded() const {
@@ -174,7 +173,7 @@ struct ServeResult {
 class EdgeDevice {
  public:
   /// Owns a fresh metrics registry (standalone device). The config is
-  /// validated here; seed, retry policy, and fault injector come from it.
+  /// validated here; seed and fault injector come from it.
   explicit EdgeDevice(EdgeConfig config);
 
   /// Records into `metrics` (non-null) instead of a private registry --
@@ -184,10 +183,10 @@ class EdgeDevice {
   EdgeDevice(EdgeConfig config, std::shared_ptr<obs::MetricsRegistry> metrics);
 
   /// Steps 1-4 above, never throwing: returns the typed outcome of the
-  /// request. On transient obfuscation-input faults it retries under the
-  /// config's policy; once the budget is exhausted it degrades -- replays
-  /// the user's frozen candidate set when one covers the matched top
-  /// location, otherwise drops the request. In every path the released
+  /// request. The serve fault site is checked once per request; when it
+  /// fails, serving degrades -- replays the user's frozen candidate set
+  /// when one covers the matched top location, otherwise drops the
+  /// request. In every path the released
   /// location (if any) is obfuscated; a raw coordinate never crosses this
   /// boundary ("fail private"). A location failing check_plane_location
   /// is kFailed with kInvalidArgument before any state is touched: the
@@ -299,8 +298,6 @@ class EdgeDevice {
   obs::Counter* tables_generated_total_;
   obs::Counter* ads_seen_total_;
   obs::Counter* ads_delivered_total_;
-  obs::Counter* serve_retries_total_;
-  obs::Counter* served_after_retry_total_;
   obs::Counter* degraded_cached_total_;
   obs::Counter* degraded_dropped_total_;
   obs::Counter* serve_failed_total_;

@@ -17,7 +17,6 @@ ServedAds EdgePrivLocAd::on_lba_request(std::uint64_t user_id,
   const ServeResult served = edge_.serve(user_id, true_location, time);
   result.outcome = served.outcome;
   result.status = served.status;
-  result.retries = served.retries;
   if (!served.released()) {
     // Nothing left the edge, so there is nothing to request ads for --
     // the round ends here with the typed cause (fail private).
@@ -26,7 +25,7 @@ ServedAds EdgePrivLocAd::on_lba_request(std::uint64_t user_id,
   result.reported = served.reported;
 
   // The ad-network leg is its own fault seam (the exchange can be down
-  // while the edge is healthy). Retries use the edge's policy; once
+  // while the edge is healthy). Retries use config.retry; once
   // exhausted the round degrades to zero ads -- the location report
   // already succeeded, so this is a pure availability loss.
   fault::FaultInjector& injector =

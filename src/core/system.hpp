@@ -26,7 +26,6 @@ struct ServedAds {
   std::vector<adnet::Ad> delivered; ///< ads after edge-side AOI filtering
   ServeOutcome outcome = ServeOutcome::kServed;  ///< the serve leg's outcome
   util::Status status{};            ///< non-ok when degraded/failed
-  std::uint32_t retries = 0;        ///< serve-leg transient retries
   /// The ad-network leg exhausted its retries: the (obfuscated) location
   /// report succeeded but zero ads were delivered this round.
   bool ad_path_degraded = false;
@@ -34,14 +33,14 @@ struct ServedAds {
   /// True when an (always obfuscated) location left the edge.
   bool location_released() const {
     return outcome == ServeOutcome::kServed ||
-           outcome == ServeOutcome::kServedAfterRetry ||
            outcome == ServeOutcome::kDegradedCached;
   }
 };
 
 class EdgePrivLocAd {
  public:
-  /// Seed, retry policy, and fault injector come from the config.
+  /// Seed, the ad leg's retry policy, and the fault injector come from
+  /// the config.
   EdgePrivLocAd(EdgeConfig config,
                 std::vector<adnet::Advertiser> advertisers);
 

@@ -16,9 +16,6 @@ EdgeTelemetry EdgeTelemetry::from_registry(
       registry.counter_value(edge_metrics::kTablesGenerated);
   t.ads_seen = registry.counter_value(edge_metrics::kAdsSeen);
   t.ads_delivered = registry.counter_value(edge_metrics::kAdsDelivered);
-  t.serve_retries = registry.counter_value(edge_metrics::kServeRetries);
-  t.served_after_retry =
-      registry.counter_value(edge_metrics::kServedAfterRetry);
   t.degraded_cached = registry.counter_value(edge_metrics::kDegradedCached);
   t.degraded_dropped =
       registry.counter_value(edge_metrics::kDegradedDropped);
@@ -55,8 +52,6 @@ std::string EdgeTelemetry::to_string() const {
   out += "ads seen/delivered: " + std::to_string(ads_seen) + "/" +
          std::to_string(ads_delivered) + " (filter drops " +
          util::format_double(filter_drop_ratio() * 100.0, 1) + "%)\n";
-  out += "serve retries     : " + std::to_string(serve_retries) + " (" +
-         std::to_string(served_after_retry) + " requests recovered)\n";
   out += "degraded          : " + std::to_string(degraded_cached) +
          " cached, " + std::to_string(degraded_dropped) + " dropped\n";
   out += "failed            : " + std::to_string(serve_failed) +

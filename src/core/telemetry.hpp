@@ -39,12 +39,9 @@ inline constexpr const char* kAdsSeen = "edge.ads.seen";
 inline constexpr const char* kAdsDelivered = "edge.ads.delivered";
 /// Latency histogram (microseconds) around a sampled serve call.
 inline constexpr const char* kServeLatencyUs = "edge.serve_latency_us";
-/// Fault-tolerance counters (PR 5). Retries counts individual re-attempts
-/// of the obfuscation-input acquisition; after_retry counts requests that
-/// eventually served; degraded_* count the two fail-private fallbacks;
-/// failed counts requests ending in an internal error (typed, not thrown).
-inline constexpr const char* kServeRetries = "edge.serve.retries";
-inline constexpr const char* kServedAfterRetry = "edge.serve.after_retry";
+/// Fault-tolerance counters: degraded_* count the two fail-private
+/// fallbacks; failed counts requests ending in an internal error (typed,
+/// not thrown).
 inline constexpr const char* kDegradedCached = "edge.serve.degraded_cached";
 inline constexpr const char* kDegradedDropped =
     "edge.serve.degraded_dropped";
@@ -62,8 +59,6 @@ struct EdgeTelemetry {
   std::size_t tables_generated = 0;    ///< permanent candidate sets created
   std::size_t ads_seen = 0;            ///< ads entering the relevance filter
   std::size_t ads_delivered = 0;       ///< ads surviving the filter
-  std::size_t serve_retries = 0;       ///< individual serve re-attempts
-  std::size_t served_after_retry = 0;  ///< served, but needed >=1 retry
   std::size_t degraded_cached = 0;     ///< served from frozen cache
   std::size_t degraded_dropped = 0;    ///< dropped rather than leak
   std::size_t serve_failed = 0;        ///< internal error, typed kFailed

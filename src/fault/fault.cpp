@@ -1,7 +1,9 @@
 #include "fault/fault.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <thread>
 
 #include "obs/metrics.hpp"
@@ -61,10 +63,12 @@ util::Status parse_site_entry(FaultPlan& plan, const std::string& entry) {
               "fault probability must be in [0, 1], got " + value);
         }
       } else if (key == "latency_us") {
+        // inf would reach sleep_for(inf); nan would silently mean none.
         spec.latency_us = util::parse_double(value);
-        if (spec.latency_us < 0.0) {
+        if (!(std::isfinite(spec.latency_us) && spec.latency_us >= 0.0)) {
           return util::Status::parse_error(
-              "fault latency_us must be >= 0, got " + value);
+              "fault spec entry '" + entry +
+              "': latency_us must be a finite number >= 0, got " + value);
         }
       } else if (key == "code") {
         if (value == "unavailable") {
@@ -117,13 +121,15 @@ util::Result<FaultPlan> FaultPlan::parse(const std::string& spec) {
     const std::string entry(util::trim(entry_raw));
     if (entry.empty()) continue;
     if (entry.rfind("seed=", 0) == 0) {
-      try {
-        plan.seed = static_cast<std::uint64_t>(
-            util::parse_int(entry.substr(5)));
-      } catch (const util::InvalidArgument& error) {
-        return util::Status::parse_error("fault spec seed: " +
-                                         std::string(error.what()));
+      // A negative seed must not wrap to a huge unsigned one.
+      const std::optional<long long> seed = util::parse_int_in(
+          entry.substr(5), 0, std::numeric_limits<long long>::max());
+      if (!seed) {
+        return util::Status::parse_error(
+            "fault spec entry '" + entry +
+            "': seed must be a non-negative integer");
       }
+      plan.seed = static_cast<std::uint64_t>(*seed);
       continue;
     }
     if (const util::Status status = parse_site_entry(plan, entry);

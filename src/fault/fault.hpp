@@ -78,7 +78,8 @@ struct FaultPlan {
   /// Parses a spec string. Grammar (';'-separated entries):
   ///   seed=<uint>
   ///   <site>:p=<prob>[,latency_us=<us>][,code=<name>]
-  /// where <site> is exchange | serve and
+  /// where <uint> is a non-negative integer below 2^63, <prob> lies in
+  /// [0, 1], <us> is finite and >= 0, <site> is exchange | serve and
   /// <name> is unavailable | timeout | resource_exhausted. Example:
   ///   "seed=42;serve:p=0.3;exchange:p=0.25,latency_us=50,code=timeout"
   /// Returns kParseError with the offending entry on a malformed spec.

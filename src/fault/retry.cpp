@@ -1,7 +1,9 @@
 #include "fault/retry.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <thread>
 
 #include "util/validation.hpp"
 
@@ -41,6 +43,23 @@ double backoff_delay_us(const RetryPolicy& policy, std::size_t retry,
     delay *= engine.uniform_in(1.0 - policy.jitter, 1.0 + policy.jitter);
   }
   return delay;
+}
+
+util::Status retry_with_backoff(const RetryPolicy& policy,
+                                rng::Engine& engine,
+                                const std::function<util::Status()>& op) {
+  util::Status status = op();
+  for (std::size_t retry = 0; !status.ok() && status.transient() &&
+                              retry + 1 < policy.max_attempts;
+       ++retry) {
+    const double delay_us = backoff_delay_us(policy, retry, engine);
+    if (delay_us > 0.0) {
+      std::this_thread::sleep_for(
+          std::chrono::duration<double, std::micro>(delay_us));
+    }
+    status = op();
+  }
+  return status;
 }
 
 }  // namespace privlocad::fault

@@ -1,22 +1,19 @@
 // Capped exponential backoff with jitter, over the Status taxonomy.
 //
-// One policy shape for every fallible backend call (the ad-network round
-// trip, obfuscation-input acquisition): attempt, and on a
-// TRANSIENT status (util::is_transient -- unavailable/timeout/resource
-// exhausted) wait delay_i = min(max, initial * multiplier^i) scaled by a
-// seeded jitter factor, then retry, up to max_attempts total attempts.
+// The policy for the one remote call the edge makes: the ad-network round
+// trip of EdgePrivLocAd (Site::kExchange). Attempt, and on a TRANSIENT
+// status (util::is_transient -- unavailable/timeout/resource exhausted)
+// wait delay_i = min(max, initial * multiplier^i) scaled by a seeded
+// jitter factor, then retry, up to max_attempts total attempts.
 // Non-transient statuses (parse errors, invalid arguments) return
 // immediately: retrying corrupt input burns the deadline and cannot
 // succeed. Jitter draws from the caller's rng::Engine, so a fixed seed
-// reproduces the exact backoff (and therefore downstream random-stream)
-// sequence -- the same determinism contract the rest of the repo keeps.
+// reproduces the exact backoff sequence -- the same determinism contract
+// the rest of the repo keeps.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
-#include <thread>
-#include <type_traits>
-#include <utility>
+#include <functional>
 
 #include "rng/engine.hpp"
 #include "util/status.hpp"
@@ -49,44 +46,10 @@ struct RetryPolicy {
 double backoff_delay_us(const RetryPolicy& policy, std::size_t retry,
                         rng::Engine& engine);
 
-namespace detail {
-inline bool outcome_ok(const util::Status& status) { return status.ok(); }
-inline util::Status outcome_status(const util::Status& status) {
-  return status;
-}
-template <typename T>
-bool outcome_ok(const util::Result<T>& result) {
-  return result.ok();
-}
-template <typename T>
-util::Status outcome_status(const util::Result<T>& result) {
-  return result.status();
-}
-}  // namespace detail
-
-/// Runs `op` (returning util::Status or util::Result<T>) under `policy`.
-/// Retries only transient failures; returns the final outcome. When
-/// `retries_out` is non-null it receives the number of retries performed
-/// (0 = first attempt settled it).
-template <typename Fn>
-auto retry_with_backoff(const RetryPolicy& policy, rng::Engine& engine,
-                        Fn&& op, std::size_t* retries_out = nullptr)
-    -> std::invoke_result_t<Fn> {
-  auto outcome = op();
-  std::size_t retries = 0;
-  while (!detail::outcome_ok(outcome) &&
-         detail::outcome_status(outcome).transient() &&
-         retries + 1 < policy.max_attempts) {
-    const double delay_us = backoff_delay_us(policy, retries, engine);
-    if (delay_us > 0.0) {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::micro>(delay_us));
-    }
-    ++retries;
-    outcome = op();
-  }
-  if (retries_out != nullptr) *retries_out = retries;
-  return outcome;
-}
+/// Runs `op` under `policy`, sleeping backoff_delay_us between attempts.
+/// Retries only transient failures; returns the final status.
+util::Status retry_with_backoff(const RetryPolicy& policy,
+                                rng::Engine& engine,
+                                const std::function<util::Status()>& op);
 
 }  // namespace privlocad::fault

@@ -239,7 +239,6 @@ ServeResponseFrame EdgeServer::serve_pending(
   frame.kind = static_cast<std::uint8_t>(result.reported.kind);
   frame.status_code = static_cast<std::uint8_t>(result.status.code());
   frame.released = result.released() ? 1 : 0;
-  frame.retries = result.retries;
   if (result.released()) {
     frame.x = result.reported.location.x;
     frame.y = result.reported.location.y;

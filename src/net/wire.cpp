@@ -56,7 +56,7 @@ void append_response(std::vector<std::uint8_t>& out,
   // response frame carries zeroed coordinates no matter what the caller
   // left in the struct.
   put<std::uint8_t>(out, frame.released);
-  put<std::uint32_t>(out, frame.retries);
+  put<std::uint32_t>(out, 0);  // reserved
   put<double>(out, frame.released != 0 ? frame.x : 0.0);
   put<double>(out, frame.released != 0 ? frame.y : 0.0);
 }
@@ -106,7 +106,7 @@ util::Status try_decode(const std::uint8_t* data, std::size_t n,
     out.response.kind = get<std::uint8_t>(data, offset);
     out.response.status_code = get<std::uint8_t>(data, offset);
     out.response.released = get<std::uint8_t>(data, offset);
-    out.response.retries = get<std::uint32_t>(data, offset);
+    offset += sizeof(std::uint32_t);  // reserved
     out.response.x = get<double>(data, offset);
     out.response.y = get<double>(data, offset);
   }

@@ -52,14 +52,14 @@ inline constexpr std::size_t kServeRequestBodyBytes = 40;
 
 /// One serve response. `outcome` is the core::ServeOutcome enum value,
 /// `status_code` the util::ErrorCode, `released` 1 iff an (obfuscated)
-/// location was released -- when 0, x/y are zero by construction.
+/// location was released -- when 0, x/y are zero by construction. Body
+/// bytes 12-15, between `released` and `x`, are reserved and always zero.
 struct ServeResponseFrame {
   std::uint64_t request_id = 0;
   std::uint8_t outcome = 0;
   std::uint8_t kind = 0;
   std::uint8_t status_code = 0;
   std::uint8_t released = 0;
-  std::uint32_t retries = 0;
   double x = 0.0;
   double y = 0.0;
 };

@@ -31,7 +31,6 @@ struct Stats {
   std::uint64_t sent = 0;
   std::uint64_t responses = 0;
   std::uint64_t served = 0;
-  std::uint64_t served_after_retry = 0;
   std::uint64_t degraded_cached = 0;
   std::uint64_t degraded_dropped = 0;
   std::uint64_t failed = 0;
@@ -118,9 +117,6 @@ inline util::Result<Stats> run(std::uint16_t port,
           last_progress = Clock::now();
           switch (static_cast<core::ServeOutcome>(r.outcome)) {
             case core::ServeOutcome::kServed: ++stats.served; break;
-            case core::ServeOutcome::kServedAfterRetry:
-              ++stats.served_after_retry;
-              break;
             case core::ServeOutcome::kDegradedCached:
               ++stats.degraded_cached;
               break;

@@ -57,13 +57,12 @@ std::string temp_path(const std::string& name) {
 
 /// A served output reduced to comparable bits: outcome, kind, and the
 /// exact coordinate bit patterns (bit-identity is the contract).
-using ServedBits =
-    std::tuple<int, int, std::uint64_t, std::uint64_t, std::uint32_t>;
+using ServedBits = std::tuple<int, int, std::uint64_t, std::uint64_t>;
 
 ServedBits bits_of(const core::ServeResult& r) {
   return {static_cast<int>(r.outcome), static_cast<int>(r.reported.kind),
           std::bit_cast<std::uint64_t>(r.reported.location.x),
-          std::bit_cast<std::uint64_t>(r.reported.location.y), r.retries};
+          std::bit_cast<std::uint64_t>(r.reported.location.y)};
 }
 
 /// One user's deterministic mixed workload: check-ins at home (top after

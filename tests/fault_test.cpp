@@ -33,7 +33,7 @@ core::EdgeConfig fast_config() {
   c.top_params.delta = 0.01;
   c.top_params.n = 10;
   c.management.window_seconds = 1000;
-  // Tests must not sleep: retry instantly.
+  // Tests must not sleep: the ad leg retries instantly.
   c.retry.initial_backoff_us = 0.0;
   c.retry.max_backoff_us = 0.0;
   c.retry.jitter = 0.0;
@@ -174,11 +174,19 @@ TEST(FaultPlan, MalformedSpecsAreParseErrors) {
   for (const char* spec :
        {"serve", "unknown_site:p=0.1", "serve:p", "serve:p=2.0",
         "serve:p=nope", "serve:latency_us=-1", "serve:code=weird",
-        "serve:frequency=0.5", "seed=abc"}) {
+        "serve:frequency=0.5", "seed=abc", "serve:p=0.5,latency_us=inf",
+        "serve:p=0.5,latency_us=nan", "seed=-1"}) {
     const util::Result<fault::FaultPlan> parsed =
         fault::FaultPlan::parse(spec);
     ASSERT_FALSE(parsed.ok()) << spec;
     EXPECT_EQ(parsed.status().code(), util::ErrorCode::kParseError) << spec;
+  }
+  // A non-finite latency or a negative seed names the entry it refuses.
+  for (const char* spec : {"serve:p=0.5,latency_us=inf",
+                           "serve:p=0.5,latency_us=nan", "seed=-1"}) {
+    EXPECT_NE(fault::FaultPlan::parse(spec).status().message().find(spec),
+              std::string::npos)
+        << spec;
   }
 }
 
@@ -358,17 +366,13 @@ TEST(Retry, RetriesTransientUntilSuccess) {
   policy.jitter = 0.0;
   rng::Engine engine(1);
   int calls = 0;
-  std::size_t retries = 0;
   const util::Status status = fault::retry_with_backoff(
-      policy, engine,
-      [&calls]() -> util::Status {
+      policy, engine, [&calls]() -> util::Status {
         return ++calls < 3 ? util::Status::unavailable("hiccup")
                            : util::Status();
-      },
-      &retries);
+      });
   EXPECT_TRUE(status.ok());
   EXPECT_EQ(calls, 3);
-  EXPECT_EQ(retries, 2u);
 }
 
 TEST(Retry, NonTransientFailsFast) {
@@ -395,17 +399,13 @@ TEST(Retry, ExhaustionReturnsTheLastTransientStatus) {
   policy.jitter = 0.0;
   rng::Engine engine(1);
   int calls = 0;
-  std::size_t retries = 0;
   const util::Status status = fault::retry_with_backoff(
-      policy, engine,
-      [&calls]() -> util::Status {
+      policy, engine, [&calls]() -> util::Status {
         ++calls;
         return util::Status(util::ErrorCode::kTimeout, "still down");
-      },
-      &retries);
+      });
   EXPECT_EQ(status.code(), util::ErrorCode::kTimeout);
   EXPECT_EQ(calls, 3);
-  EXPECT_EQ(retries, 2u);
 }
 
 // ----------------------------------------------- degraded serving (edge)
@@ -448,25 +448,58 @@ TEST(FaultServing, CertainFaultReplaysTheFrozenCandidateSet) {
   EXPECT_EQ(device.telemetry().degraded_cached, 1u);
 }
 
+TEST(FaultServing, ServeFaultIsCheckedOncePerRequest) {
+  // The serve site has no retry, though config.retry allows 3 attempts:
+  // one check per request, and a failing check degrades that request.
+  constexpr std::uint64_t kRequests = 50;
+  fault::FaultInjector injector(serve_plan(1.0));
+  core::EdgeConfig config = fast_config().with_seed(42);
+  config.faults = &injector;
+  ASSERT_EQ(config.retry.max_attempts, 3u);
+  core::EdgeDevice device(config);
+
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    const core::ServeResult result = device.serve(
+        1 + i % 5, {static_cast<double>(i) * 700.0, 0.0},
+        100 + static_cast<trace::Timestamp>(i));
+    EXPECT_TRUE(result.degraded()) << i;
+  }
+  EXPECT_EQ(injector.checks(fault::Site::kServe), kRequests);
+  EXPECT_EQ(device.telemetry().degraded_dropped +
+                device.telemetry().degraded_cached,
+            kRequests);
+  EXPECT_EQ(device.metrics().to_string().find("edge.serve.retries"),
+            std::string::npos);
+}
+
 TEST(FaultServing, TransientFaultsAreRetriedToSuccess) {
-  // p=0.5 with 4 attempts: nearly every request recovers via retry.
-  fault::FaultInjector injector(serve_plan(0.5, 11));
+  // Only the ad-network leg retries. At p=0.5 on both sites with 16
+  // attempts, about half the requests degrade at the serve site, and
+  // every released one reaches the ad network.
+  fault::FaultPlan plan = serve_plan(0.5, 11);
+  plan.site(fault::Site::kExchange).probability = 0.5;
+  fault::FaultInjector injector(plan);
   core::EdgeConfig config = fast_config().with_seed(42);
   config.faults = &injector;
   config.retry.max_attempts = 16;
-  core::EdgeDevice device(config);
+  core::EdgePrivLocAd system(config, {});
 
-  std::size_t released = 0;
+  std::uint64_t released = 0;
   for (int i = 0; i < 200; ++i) {
-    const core::ServeResult result =
-        device.serve(1, {i * 700.0, 0.0}, 100 + i);
-    if (result.released()) ++released;
+    const core::ServedAds served =
+        system.on_lba_request(1, {i * 700.0, 0.0}, 100 + i);
+    if (!served.location_released()) continue;
+    ++released;
+    EXPECT_FALSE(served.ad_path_degraded)
+        << "16 attempts at p=0.5 should always recover";
   }
-  const core::EdgeTelemetry t = device.telemetry();
-  EXPECT_EQ(released, 200u) << "16 attempts at p=0.5 should always recover";
-  EXPECT_GT(t.served_after_retry, 50u);
-  EXPECT_GE(t.serve_retries, t.served_after_retry);
-  EXPECT_EQ(t.requests, 200u);
+  EXPECT_EQ(injector.checks(fault::Site::kServe), 200u);
+  EXPECT_GT(released, 50u);
+  EXPECT_LT(released, 150u);
+  // Retries happened: the exchange site saw more checks than requests.
+  EXPECT_GT(injector.checks(fault::Site::kExchange), released);
+  EXPECT_EQ(system.edge().telemetry().adnet_degraded, 0u);
+  EXPECT_EQ(system.edge().telemetry().requests, 200u);
 }
 
 TEST(FaultServing, OutcomesAreDeterministicForAFixedSeed) {
@@ -474,7 +507,6 @@ TEST(FaultServing, OutcomesAreDeterministicForAFixedSeed) {
     fault::FaultInjector injector(serve_plan(0.4, 21));
     core::EdgeConfig config = fast_config().with_seed(42);
     config.faults = &injector;
-    config.retry.max_attempts = 2;
     core::EdgeDevice device(config);
     anchor_frozen_home(device, {0, 0});
     std::vector<std::pair<core::ServeOutcome, geo::Point>> outcomes;
@@ -501,7 +533,6 @@ TEST(FaultServing, FailPrivateUnderHeavyMixedFaults) {
   fault::FaultInjector injector(serve_plan(0.35, 5));
   core::EdgeConfig config = fast_config().with_seed(9);
   config.faults = &injector;
-  config.retry.max_attempts = 2;
   core::EdgeDevice device(config);
   const geo::Point home{0, 0};
   anchor_frozen_home(device, home);
@@ -514,7 +545,6 @@ TEST(FaultServing, FailPrivateUnderHeavyMixedFaults) {
     const core::ServeResult r = device.serve(1, raw, 2000 + i);
     switch (r.outcome) {
       case core::ServeOutcome::kServed:
-      case core::ServeOutcome::kServedAfterRetry:
       case core::ServeOutcome::kDegradedCached:
         ASSERT_TRUE(r.released());
         EXPECT_GT(geo::distance(r.reported.location, raw), 0.0)
@@ -530,8 +560,8 @@ TEST(FaultServing, FailPrivateUnderHeavyMixedFaults) {
     }
   }
   EXPECT_GT(injector.injected_total(), 0u);
-  // Nomadic requests that hit exhausted retries have no cache: some drops
-  // must have occurred at this fault rate.
+  // Faulted nomadic requests have no cache: some drops must have
+  // occurred at this fault rate.
   EXPECT_GT(drops, 0u);
 }
 
@@ -541,7 +571,6 @@ TEST(FaultServing, ConcurrentBatchCompletesUnderFaults) {
   fault::FaultInjector injector(serve_plan(0.3, 13));
   core::EdgeConfig config = fast_config().with_shards(4).with_seed(3);
   config.faults = &injector;
-  config.retry.max_attempts = 2;
   core::ConcurrentEdge edge(config);
 
   trace::SyntheticConfig synth;
@@ -560,7 +589,7 @@ TEST(FaultServing, ConcurrentBatchCompletesUnderFaults) {
   EXPECT_EQ(stats.requests, stats.served + stats.degraded_cached +
                                 stats.degraded_dropped + stats.failed);
   EXPECT_EQ(stats.failed, 0u);
-  EXPECT_GT(stats.degraded_dropped + stats.served_after_retry, 0u);
+  EXPECT_GT(stats.degraded_cached + stats.degraded_dropped, 0u);
   EXPECT_EQ(edge.telemetry().requests, stats.requests);
 }
 

@@ -78,7 +78,6 @@ struct ResponseRecord {
   std::uint8_t kind = 0;
   std::uint8_t status_code = 0;
   std::uint8_t released = 0;
-  std::uint32_t retries = 0;
   std::uint64_t x_bits = 0;
   std::uint64_t y_bits = 0;
 
@@ -92,7 +91,6 @@ ResponseRecord record_of(const net::ServeResponseFrame& frame) {
   record.kind = frame.kind;
   record.status_code = frame.status_code;
   record.released = frame.released;
-  record.retries = frame.retries;
   record.x_bits = std::bit_cast<std::uint64_t>(frame.x);
   record.y_bits = std::bit_cast<std::uint64_t>(frame.y);
   return record;
@@ -220,7 +218,7 @@ TEST(BackendConformance, SameSeedsYieldBitIdenticalResponseStreams) {
 TEST(BackendConformance, FaultScheduleYieldsIdenticalOutcomePartitions) {
   // A seeded fault plan at the serve site: the i-th serve draws the same
   // decision on every backend (workers=1 + one sequential connection
-  // fixes the arrival order), so retries, degraded fallbacks, and drops
+  // fixes the arrival order), so degraded fallbacks and drops
   // must land on the SAME requests with the same wire bytes.
   util::Result<fault::FaultPlan> plan =
       fault::FaultPlan::parse("seed=42;serve:p=0.3");
@@ -355,9 +353,8 @@ TEST(BackendConformance, CapacitySheddingAccountsEveryRequestUnderOverload) {
     EXPECT_EQ(stats.sent, plan.size()) << net::io_backend_kind_name(kind);
     EXPECT_EQ(stats.missing, 0u);
     EXPECT_EQ(stats.responses, stats.sent);
-    EXPECT_EQ(stats.served + stats.served_after_retry +
-                  stats.degraded_cached + stats.degraded_dropped +
-                  stats.failed,
+    EXPECT_EQ(stats.served + stats.degraded_cached +
+                  stats.degraded_dropped + stats.failed,
               stats.responses);
     EXPECT_GT(stats.degraded_dropped, 0u)
         << "4x overload shed nothing; the queue bound is not binding";

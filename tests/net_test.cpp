@@ -143,11 +143,19 @@ TEST(Wire, NonReleasedResponseNeverCarriesCoordinates) {
   response.y = 888.0;
   std::vector<std::uint8_t> bytes;
   net::append_response(bytes, response);
+  // The body keeps its 32-byte layout; bytes 12-15 are reserved and zero.
+  static_assert(net::kServeResponseBodyBytes == 32);
+  ASSERT_EQ(bytes.size(),
+            net::kFrameHeaderBytes + net::kServeResponseBodyBytes);
+  for (std::size_t i = 12; i < 16; ++i) {
+    EXPECT_EQ(bytes[net::kFrameHeaderBytes + i], 0) << "body byte " << i;
+  }
 
   net::Frame frame;
   std::size_t consumed = 0;
   ASSERT_TRUE(
       net::try_decode(bytes.data(), bytes.size(), frame, consumed).ok());
+  EXPECT_EQ(consumed, bytes.size());
   EXPECT_EQ(frame.response.released, 0);
   EXPECT_DOUBLE_EQ(frame.response.x, 0.0);
   EXPECT_DOUBLE_EQ(frame.response.y, 0.0);
@@ -791,8 +799,8 @@ TEST(EdgeServer, SplitsQueueDelayFromServiceTime) {
 // -------------------------------------------- fail private over the wire
 
 TEST(EdgeServer, InjectedFaultsNeverLeakRawCoordinatesOnTheWire) {
-  // Heavy unavailability at the serve site, no retries: many requests
-  // degrade to dropped. The wire contract: dropped frames carry nothing.
+  // Heavy unavailability at the serve site: many requests degrade to
+  // dropped. The wire contract: dropped frames carry nothing.
   util::Result<fault::FaultPlan> plan = fault::FaultPlan::parse(
       "seed=5;serve:p=0.5,code=unavailable");
   ASSERT_TRUE(plan.ok());
@@ -800,7 +808,6 @@ TEST(EdgeServer, InjectedFaultsNeverLeakRawCoordinatesOnTheWire) {
 
   core::EdgeConfig edge_config = small_edge_config();
   edge_config.faults = &injector;
-  edge_config.retry.max_attempts = 1;  // no retries: faults degrade fast
 
   net::ServerConfig server_config;
   server_config.workers = 2;
